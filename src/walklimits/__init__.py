@@ -14,7 +14,6 @@ from .geometry import (
     support,
     surface_area,
     volume,
-    volume_mc,
 )
 from .laws import (
     ComKernel,

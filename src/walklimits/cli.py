@@ -96,9 +96,9 @@ def _cmd_experiment(args) -> int:
 
 
 _METRIC_FUNCS = {
-    "rho-inf": lambda f, g: metrics.rho_inf(f, g),
-    "rho-s": lambda f, g: metrics.rho_skorokhod(f, g).value,
-    "rho-s-circ": lambda f, g: metrics.rho_skorokhod_circ(f, g).value,
+    "rho-inf": lambda f, g: metrics.MetricResult(metrics.rho_inf(f, g), None, metrics.EXACT),
+    "rho-s": metrics.rho_skorokhod,
+    "rho-s-circ": metrics.rho_skorokhod_circ,
 }
 
 
@@ -118,7 +118,8 @@ def _cmd_metric(args) -> int:
     fn = _METRIC_FUNCS.get(args.metric)
     if fn is None:
         raise ConfigError(f"unknown metric: {args.metric}")
-    print(f"{args.metric}(f,g) = {fn(f, g):.10g}")
+    res = fn(f, g)
+    print(f"{args.metric}(f,g) = {res.value:.10g} mode={res.mode}")
     return 0
 
 
@@ -153,6 +154,10 @@ _LAW_BUILDERS = {
 
 
 def _simulate_law(args):
+    if args.dim < 1:
+        raise ConfigError("dim must be >= 1")
+    if args.seed < 0:
+        raise ConfigError("seed must be >= 0")
     builder = _LAW_BUILDERS.get(args.law)
     if builder is None:
         raise ConfigError(f"unknown value for law: {args.law}")
@@ -217,10 +222,9 @@ def _cmd_hull(args) -> int:
     rows = [
         ("diameter", geometry.diameter(points)),
         ("mean-width", geometry.mean_width(body, args.directions)),
-        ("surface-area", geometry.surface_area(body, args.directions)),
+        ("surface-area", geometry.surface_area(body)),
+        ("volume", geometry.volume(body)),
     ]
-    if body.dim <= 3:
-        rows.append(("volume", geometry.volume(body)))
     lines = ["name,estimate,stderr,reference,ks,pass,threshold"]
     lines += [f"{name},{repr(float(v))},,,,," for name, v in rows]
     _write_atomic(os.path.join(out, "hull_report.csv"), "\n".join(lines) + "\n")

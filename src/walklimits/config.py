@@ -186,6 +186,8 @@ def validate_config(cfg: ExperimentConfig) -> None:
         raise ConfigError("dim must be >= 1")
     if cfg.replicas < 1:
         raise ConfigError("replicas must be >= 1")
+    if cfg.seed < 0:
+        raise ConfigError("seed must be >= 0")
     if cfg.mu and len(cfg.mu) != cfg.dim:
         raise ConfigError("mu must have exactly dim components")
     zero_mean = cfg.law in ("rademacher", "lattice-simple-symmetric")
@@ -232,8 +234,8 @@ def validate_config(cfg: ExperimentConfig) -> None:
             raise ConfigError("mu must be a nonzero drift for hull-drift-volume")
     if not (0.0 <= cfg.t <= 1.0):
         raise ConfigError("t must lie in [0, 1]")
-    if cfg.threshold < 0:
-        raise ConfigError("threshold must be >= 0")
+    if not cfg.threshold >= 0:
+        raise ConfigError("threshold must be a number >= 0")
     if cfg.directions < 1:
         raise ConfigError("directions must be >= 1")
 

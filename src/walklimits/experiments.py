@@ -151,7 +151,7 @@ def _eval_points_functional(functional: str, points: np.ndarray, directions: int
         return geometry.diameter(points)
     body = geometry.convex_hull(points, validate=False)
     if functional == "perimeter":
-        return geometry.surface_area(body, directions)
+        return geometry.surface_area(body)
     if functional == "mean-width":
         return geometry.mean_width(body, directions)
     if functional == "volume":
@@ -296,7 +296,7 @@ def run_lln_sweep(cfg: ExperimentConfig) -> Report:
                 vals[r, 0] = geometry.diameter(w.sums) / n
             elif cfg.functional == "perimeter":
                 body = geometry.convex_hull(w.sums, validate=False)
-                vals[r, 0] = geometry.surface_area(body, cfg.directions) / n
+                vals[r, 0] = geometry.surface_area(body) / n
             elif cfg.functional == "com":
                 k = max(1, int(math.floor(n * cfg.t)))
                 csum = np.cumsum(w.sums[1:], axis=0)

@@ -1,10 +1,13 @@
 """Point-set and convex-body geometry: hulls, Hausdorff distance, functionals.
 
-Exact algorithms where the experiments live (d <= 3): monotone chain in the
-plane, qhull facets in d = 3, shoelace / tetrahedron volumes, polygon
-perimeters and the d = 2 Steiner formula.  Above d = 3 the support
-evaluator, Cauchy-formula Monte Carlo and hit-or-miss volume estimates
-degrade gracefully.
+Every hull with d >= 2 is built by qhull: counter-clockwise vertex loops in
+the plane, facet triangles in d = 3, halfspaces in every d.  Volume and
+surface area are exact in every dimension: shoelace area and perimeter in
+d = 2 (plus the Steiner formula), tetrahedron and facet-triangle sums in
+d = 3, qhull's volume and facet areas above.  Flat bodies are legal and are
+built in coordinates of their affine hull.  Only the mean width, a sphere
+integral of the support function, is a quadrature (exact trapezoid rule in
+d = 2, quasi-random sphere points with a standard error above).
 """
 
 from __future__ import annotations
@@ -62,64 +65,21 @@ def hausdorff(a, b) -> float:
     return max(_directed_hausdorff(pa, pb), _directed_hausdorff(pb, pa))
 
 
-def _quad_filter(pts: np.ndarray) -> np.ndarray:
-    """Akl-Toussaint pre-filter: drop points strictly inside the polygon of
-    extreme points along 4 axes; exact, they cannot be hull vertices."""
-    proj = (pts[:, 0], pts[:, 1], pts[:, 0] + pts[:, 1], pts[:, 0] - pts[:, 1])
-    idx = set()
-    for pr in proj:
-        idx.add(int(np.argmin(pr)))
-        idx.add(int(np.argmax(pr)))
-    poly = _chain(pts[sorted(idx)])
-    if len(poly) < 3:
-        return pts
-    normals, offsets = _edges_to_halfspaces(poly)
-    inside = np.all(pts @ normals.T <= offsets - 1e-12, axis=1)
-    return pts[~inside]
-
-
-def _chain(points: np.ndarray) -> np.ndarray:
-    """Monotone-chain hull of 2-d points; CCW vertices, collinear dropped."""
-    if len(points) > 512:
-        points = _quad_filter(points)
-    order = np.lexsort((points[:, 1], points[:, 0]))
-    pts = points[order]
-    keep = np.ones(len(pts), dtype=bool)
-    keep[1:] = np.any(np.diff(pts, axis=0) != 0.0, axis=1)
-    pts = pts[keep]
-    if len(pts) <= 2:
-        return pts
-
-    def half(seq):
-        hull = []
-        for p in seq:
-            while len(hull) > 1:
-                ox, oy = hull[-2]
-                ax, ay = hull[-1]
-                if (ax - ox) * (p[1] - oy) - (p[0] - ox) * (ay - oy) <= 0.0:
-                    hull.pop()
-                else:
-                    break
-            hull.append((p[0], p[1]))
-        return hull
-
-    lower = half(pts)
-    upper = half(pts[::-1])
-    loop = lower[:-1] + upper[:-1]
-    if len(loop) < 2:
-        return pts[[0, -1]]
-    return np.asarray(loop)
+# Rows per block in ConvexBody.contains: bounds its rows x facets temporary
+# (a 3e5-point walk against 310 facets would otherwise take ~0.8 GB).
+_CONTAINS_BLOCK = 4096
 
 
 @dataclass(frozen=True)
 class ConvexBody:
     """A convex hull: extreme points plus an exact support evaluator.
 
-    ``loop`` orders the vertices counter-clockwise in d = 2 (two entries
-    for a degenerate segment); ``faces`` holds facet triangles in d = 3;
-    ``normals``/``offsets`` give the halfspace form A x <= b of a
-    full-dimensional body.  ``planar_area`` carries the in-plane area of a
-    flat body embedded in d = 3.
+    ``loop`` orders the vertices counter-clockwise in d = 2, starting at the
+    lexicographically smallest one (two entries for a degenerate segment);
+    ``faces`` holds facet triangles in d = 3; ``normals``/``offsets`` give
+    the halfspace form A x <= b of a full-dimensional body.  ``flat_area``
+    carries the (d-1)-volume of a flat body of rank d - 1 in d >= 3 (the
+    in-plane area of a flat polygon in d = 3).
     """
 
     dim: int
@@ -128,7 +88,7 @@ class ConvexBody:
     faces: np.ndarray | None = None
     normals: np.ndarray | None = None
     offsets: np.ndarray | None = None
-    planar_area: float | None = None
+    flat_area: float | None = None
     degenerate: bool = False
 
     def support(self, u) -> float:
@@ -141,9 +101,14 @@ class ConvexBody:
     def contains(self, points, tol: float = 1e-9) -> np.ndarray:
         """Half-space (or affine-subspace) membership test with slack tol."""
         pts = np.atleast_2d(np.asarray(points, dtype=float))
-        if self.normals is not None:
-            return np.all(pts @ self.normals.T <= self.offsets + tol, axis=1)
-        return _contains_degenerate(self, pts, tol)
+        if self.normals is None:
+            return _contains_degenerate(self, pts, tol)
+        bound = self.offsets + tol
+        out = np.empty(len(pts), dtype=bool)
+        for i in range(0, len(pts), _CONTAINS_BLOCK):
+            block = pts[i : i + _CONTAINS_BLOCK]
+            out[i : i + len(block)] = np.all(block @ self.normals.T <= bound, axis=1)
+        return out
 
 
 def _contains_degenerate(body: ConvexBody, pts: np.ndarray, tol: float) -> np.ndarray:
@@ -174,18 +139,12 @@ def _polygon_area(loop: np.ndarray) -> float:
     return 0.5 * float(np.abs(np.dot(x, np.roll(y, -1)) - np.dot(y, np.roll(x, -1))))
 
 
-def _edges_to_halfspaces(loop: np.ndarray):
-    nxt = np.roll(loop, -1, axis=0)
-    edge = nxt - loop
-    normals = np.column_stack([edge[:, 1], -edge[:, 0]])
-    norms = np.linalg.norm(normals, axis=1)
-    normals = normals / norms[:, None]
-    offsets = np.sum(normals * loop, axis=1)
-    return normals, offsets
-
-
 def convex_hull(points, validate: bool = True) -> ConvexBody:
-    """Convex hull of a point set; degenerate (flat) hulls are legal."""
+    """Convex hull of a point set; degenerate (flat) hulls are legal.
+
+    Every hull with d >= 2 comes from qhull (Barber, Dobkin & Huhdanpaa,
+    ACM TOMS 1996); vertices are an exact subset of the input.
+    """
     pts = _as_points(points)
     if len(pts) < 1:
         raise ValueError("need at least one point")
@@ -200,18 +159,17 @@ def convex_hull(points, validate: bool = True) -> ConvexBody:
             offsets=np.array([hi, -lo]),
             degenerate=lo == hi,
         )
-    if d == 2:
-        loop = _chain(pts)
-        if len(loop) <= 2:
-            body = ConvexBody(2, loop, loop=loop, degenerate=True)
-        else:
-            normals, offsets = _edges_to_halfspaces(loop)
-            body = ConvexBody(2, loop, loop=loop, normals=normals, offsets=offsets)
-    else:
-        body = _hull_nd(pts, d)
+    body = _hull_nd(pts, d)
     if validate and d <= 3 and not bool(np.all(body.contains(pts, 1e-9))):
         raise AssertionError("hull does not contain an input point")
     return body
+
+
+def _ccw_loop(q: _QHull) -> np.ndarray:
+    """Vertex indices of a planar qhull hull, which qhull lists
+    counter-clockwise, rolled to start at the lexicographically smallest."""
+    xy = q.points[q.vertices]
+    return np.roll(q.vertices, -int(np.lexsort((xy[:, 1], xy[:, 0]))[0]))
 
 
 def _hull_nd(pts: np.ndarray, d: int) -> ConvexBody:
@@ -219,49 +177,43 @@ def _hull_nd(pts: np.ndarray, d: int) -> ConvexBody:
         q = _QHull(pts)
     except QhullError:
         return _hull_degenerate(pts, d)
+    verts = pts[_ccw_loop(q) if d == 2 else q.vertices]
     return ConvexBody(
         dim=d,
-        vertices=pts[q.vertices],
+        vertices=verts,
+        loop=verts if d == 2 else None,
         faces=pts[q.simplices] if d == 3 else None,
         normals=q.equations[:, :-1],
         offsets=-q.equations[:, -1],
     )
 
 
-def _match_rows(selected: np.ndarray, pool: np.ndarray) -> list:
-    index = {}
-    for i, row in enumerate(map(tuple, pool)):
-        index.setdefault(row, i)
-    return [index[tuple(row)] for row in selected]
-
-
 def _hull_degenerate(pts: np.ndarray, d: int) -> ConvexBody:
+    """Hull of a flat point set, built in coordinates of its affine hull."""
     base = pts.mean(axis=0)
     centered = pts - base
     _, sv, vt = np.linalg.svd(centered, full_matrices=False)
     scale = max(1.0, float(sv.max(initial=0.0)))
     rank = int(np.sum(sv > 1e-9 * scale))
+    flat = centered @ vt[:rank].T
+    flat_area = None
     if rank == 0:
-        return ConvexBody(dim=d, vertices=pts[:1].copy(), degenerate=True)
-    basis = vt[:rank].T
-    flat = centered @ basis
-    if rank == 1:
-        idx = [int(np.argmin(flat[:, 0])), int(np.argmax(flat[:, 0]))]
-        return ConvexBody(dim=d, vertices=pts[idx], degenerate=True)
-    if rank == 2:
-        loop2 = _chain(flat)
-        # map the in-plane hull back to the original points so vertices stay
-        # an exact subset of the input
-        verts = pts[_match_rows(loop2, flat)]
-        return ConvexBody(
-            dim=d,
-            vertices=verts,
-            planar_area=_polygon_area(loop2) if len(loop2) > 2 else 0.0,
-            degenerate=True,
-        )
-    sub = convex_hull(flat, validate=False)
+        idx = [0]
+    elif rank == 1:
+        ends = (int(np.argmin(flat[:, 0])), int(np.argmax(flat[:, 0])))
+        idx = sorted(ends, key=lambda i: tuple(pts[i]))
+    else:
+        q = _QHull(flat)
+        idx = _ccw_loop(q) if rank == 2 else q.vertices
+        if rank == d - 1:
+            flat_area = float(q.volume)
+    verts = pts[idx]
     return ConvexBody(
-        dim=d, vertices=pts[_match_rows(sub.vertices, flat)], degenerate=True
+        dim=d,
+        vertices=verts,
+        loop=verts if d == 2 else None,
+        flat_area=flat_area,
+        degenerate=True,
     )
 
 
@@ -360,10 +312,6 @@ def sphere_area(dim: int) -> float:
     return 2.0 * math.pi ** (dim / 2.0) / math.gamma(dim / 2.0)
 
 
-def unit_ball_volume(dim: int) -> float:
-    return math.pi ** (dim / 2.0) / math.gamma(dim / 2.0 + 1.0)
-
-
 def mean_width(body: ConvexBody, directions: int = 4096) -> float:
     """Sphere integral of the support function (un-normalized convention).
 
@@ -399,12 +347,14 @@ def _perimeter(loop: np.ndarray) -> float:
     return float(np.linalg.norm(nxt - loop, axis=1).sum())
 
 
-def surface_area(body: ConvexBody, directions: int = 4096) -> float:
-    """Boundary measure: perimeter (d=2), facet-area sum (d=3), Cauchy MC above.
+def surface_area(body: ConvexBody) -> float:
+    """Exact boundary measure: perimeter (d = 2), facet-triangle sum (d = 3),
+    qhull's facet-area sum (d >= 4).
 
     A flat body returns twice its lower-dimensional boundary measure (both
     sides of the degenerate surface): a segment of length L in the plane
-    gives 2L, a flat polygon in d = 3 twice its area.
+    gives 2L, a flat polygon in d = 3 twice its area, a flat body of rank
+    d - 1 twice its (d-1)-volume; a flatter body in d >= 4 gives 0.
     """
     d = body.dim
     if d == 1:
@@ -413,35 +363,25 @@ def surface_area(body: ConvexBody, directions: int = 4096) -> float:
         if len(body.vertices) == 1:
             return 0.0
         return _perimeter(body.loop)
+    if body.degenerate:
+        if body.flat_area is not None:
+            return 2.0 * body.flat_area
+        if d == 3 and len(body.vertices) == 2:
+            return 2.0 * float(np.linalg.norm(body.vertices[1] - body.vertices[0]))
+        return 0.0
     if d == 3:
-        if body.degenerate:
-            if body.planar_area is not None:
-                return 2.0 * body.planar_area
-            if len(body.vertices) == 2:
-                return 2.0 * float(np.linalg.norm(body.vertices[1] - body.vertices[0]))
-            return 0.0
         a, b, c = body.faces[:, 0], body.faces[:, 1], body.faces[:, 2]
         cross = np.cross(b - a, c - a)
         return float(0.5 * np.linalg.norm(cross, axis=1).sum())
-    # Cauchy's formula: average projected (d-1)-volume over directions.
-    dirs = sphere_directions(d, directions)
-    proj_vols = np.empty(len(dirs))
-    for i, u in enumerate(dirs):
-        basis = _orth_complement(u)
-        sub = convex_hull(body.vertices @ basis, validate=False)
-        proj_vols[i] = volume(sub) if sub.dim <= 3 else volume_mc(sub)[0]
-    return float(proj_vols.mean() * sphere_area(d) / unit_ball_volume(d - 1))
-
-
-def _orth_complement(u: np.ndarray) -> np.ndarray:
-    d = len(u)
-    # left singular vectors of the rank-(d-1) projector span u-perp exactly
-    w, _, _ = np.linalg.svd(np.eye(d) - np.outer(u, u))
-    return w[:, : d - 1]
+    return float(_QHull(body.vertices).area)
 
 
 def volume(body: ConvexBody) -> float:
-    """Exact d-dimensional volume for d <= 3 (0 for degenerate bodies)."""
+    """Exact d-dimensional volume in every d (0 for degenerate bodies).
+
+    Shoelace in d = 2, tetrahedra over the facet triangles in d = 3, qhull's
+    volume in d >= 4.
+    """
     d = body.dim
     if d == 1:
         return float(body.vertices.max() - body.vertices.min())
@@ -455,41 +395,7 @@ def volume(body: ConvexBody) -> float:
         b = body.faces[:, 1] - centroid
         c = body.faces[:, 2] - centroid
         return float(np.abs(np.einsum("ij,ij->i", a, np.cross(b, c))).sum() / 6.0)
-    raise ValueError("exact volume is limited to d <= 3; use volume_mc")
-
-
-def volume_mc(body: ConvexBody, samples: int = 1 << 16, seed: int = 0):
-    """Hit-or-miss volume estimate inside the bounding box: (value, stderr)."""
-    lo = body.vertices.min(axis=0)
-    hi = body.vertices.max(axis=0)
-    box = float(np.prod(hi - lo))
-    if box == 0.0:
-        return 0.0, 0.0
-    rng = replica_stream(seed, 0)
-    pts = lo + rng.random((samples, body.dim)) * (hi - lo)
-    hits = body.contains(pts) if body.normals is not None else _hits_linprog(body, pts)
-    p = float(hits.mean())
-    se = box * math.sqrt(max(p * (1.0 - p), 0.0) / samples)
-    return box * p, se
-
-
-def _hits_linprog(body: ConvexBody, pts: np.ndarray) -> np.ndarray:
-    from scipy.optimize import linprog
-
-    verts = body.vertices
-    k = len(verts)
-    out = np.zeros(len(pts), dtype=bool)
-    a_eq = np.vstack([verts.T, np.ones(k)])
-    for i, x in enumerate(pts):
-        res = linprog(
-            np.zeros(k),
-            A_eq=a_eq,
-            b_eq=np.concatenate([x, [1.0]]),
-            bounds=(0, None),
-            method="highs",
-        )
-        out[i] = res.status == 0
-    return out
+    return float(_QHull(body.vertices).volume)
 
 
 def steiner_neighborhood_volume(body: ConvexBody, eps: float) -> float:

@@ -2,6 +2,8 @@ import os
 import subprocess
 import sys
 
+import pytest
+
 CONFIG_OK = """
 experiment = distributional
 functional = max
@@ -134,6 +136,27 @@ def test_metric_between_trajectory_files(tmp_path):
     assert "0.05" in res.stdout
 
 
+def test_metric_prints_mode(tmp_path):
+    from walklimits import csvio
+    from walklimits.fixtures import step_f, step_h
+    from walklimits.trajectory import segment
+
+    def metric(name, f, g):
+        paths = [tmp_path / "f.csv", tmp_path / "g.csv"]
+        for path, traj in zip(paths, (f, g)):
+            path.write_text(csvio.trajectory_csv(traj))
+        res = run_cli("metric", "--f", str(paths[0]), "--g", str(paths[1]), "--metric", name)
+        assert res.returncode == 0, res.stderr
+        return res.stdout.strip()
+
+    assert metric("rho-s", step_f(), step_h()) == "rho-s(f,g) = 0.05 mode=exact"
+    # piecewise-linear pairs only get the rho_inf upper bound
+    for name in ("rho-s", "rho-s-circ"):
+        line = metric(name, segment([1.0]), segment([2.0]))
+        assert line == f"{name}(f,g) = 1 mode=upper-bound"
+    assert metric("rho-inf", segment([1.0]), segment([2.0])) == "rho-inf(f,g) = 1 mode=exact"
+
+
 def test_simulate_writes_walk_and_manifest(tmp_path):
     out = tmp_path / "sim"
     res = run_cli(
@@ -170,6 +193,19 @@ def test_hull_subcommand_outputs(tmp_path):
     assert off[0] == "OFF"
     assert (out / "hull_report.csv").exists()
     assert "volume" in res.stdout
+
+
+def test_hull_subcommand_reports_exact_volume_in_d4(tmp_path):
+    out = tmp_path / "hull4"
+    res = run_cli(
+        "hull", "--law", "gaussian", "--dim", "4", "--n", "200",
+        "--seed", "3", "--directions", "64", "--out", str(out),
+    )
+    assert res.returncode == 0, res.stderr
+    rows = (out / "hull_report.csv").read_text().splitlines()[1:]
+    names = [r.split(",")[0] for r in rows]
+    assert names == ["diameter", "mean-width", "surface-area", "volume"]
+    assert all(float(r.split(",")[1]) > 0.0 for r in rows)
 
 
 def test_report_subcommand_pretty_prints(tmp_path):
@@ -237,3 +273,34 @@ def test_runtime_failure_exits_one(tmp_path):
     res = run_cli("experiment", "--config", str(cfg), "--out", str(blocker))
     assert res.returncode == 1
     assert res.stderr.strip()
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["experiment", "--builtin", "max-clt", "--seed", "-1"],
+        ["experiment", "--builtin", "max-clt", "--override", "seed=-1"],
+        ["simulate", "--n", "8", "--seed", "-3"],
+        ["hull", "--n", "8", "--seed", "-3"],
+    ],
+    ids=["experiment-flag", "experiment-config", "simulate", "hull"],
+)
+def test_negative_seed_is_config_error(tmp_path, args):
+    res = run_cli(*args, "--out", str(tmp_path / "x"))
+    assert res.returncode == 2, res.stderr
+    assert "seed" in res.stderr
+    assert not (tmp_path / "x").exists()
+
+
+def test_nan_threshold_is_config_error(tmp_path):
+    res = run_cli("experiment", "--builtin", "perimeter-lln",
+                  "--override", "threshold=nan", "--out", str(tmp_path / "x"))
+    assert res.returncode == 2, res.stderr
+    assert "threshold" in res.stderr
+
+
+def test_simulate_rejects_zero_dim(tmp_path):
+    res = run_cli("simulate", "--dim", "0", "--n", "8", "--out", str(tmp_path / "x"))
+    assert res.returncode == 2, res.stderr
+    assert "dim" in res.stderr
+    assert not (tmp_path / "x").exists()

@@ -14,7 +14,6 @@ from walklimits import (
     support,
     surface_area,
     volume,
-    volume_mc,
 )
 from walklimits.geometry import (
     drift_basis,
@@ -22,6 +21,8 @@ from walklimits.geometry import (
     mean_width_stderr,
     sphere_directions,
 )
+
+from walklimits.walks import gaussian, lattice, rademacher, sample_walk, uniform_cube
 
 from conftest import random_origin_points
 
@@ -119,6 +120,46 @@ def test_hull_membership_against_triangle_oracle(rng):
                 covered |= inside
     assert covered.all()
     assert body.contains(pts).all()
+
+
+def _chain_oracle(points):
+    """Andrew's monotone chain: CCW loop from the lexicographically smallest
+    point, collinear points dropped, no pre-filter."""
+    pts = points[np.lexsort((points[:, 1], points[:, 0]))]
+    pts = pts[np.r_[True, np.any(np.diff(pts, axis=0) != 0.0, axis=1)]]
+    if len(pts) <= 2:
+        return pts
+
+    def half(seq):
+        hull = []
+        for p in seq:
+            while len(hull) > 1 and (hull[-1][0] - hull[-2][0]) * (p[1] - hull[-2][1]) - (
+                p[0] - hull[-2][0]
+            ) * (hull[-1][1] - hull[-2][1]) <= 0.0:
+                hull.pop()
+            hull.append(p)
+        return hull
+
+    loop = half(pts.tolist())[:-1] + half(pts[::-1].tolist())[:-1]
+    return np.asarray(loop) if len(loop) > 1 else pts[[0, -1]]
+
+
+@pytest.mark.parametrize(
+    "law",
+    [rademacher(2), lattice(2), gaussian([0.3, -0.1], np.eye(2)), uniform_cube([0.0, 0.0])],
+    ids=["rademacher", "lattice", "gaussian-drift", "uniform-cube"],
+)
+def test_hull_loop_matches_monotone_chain(law):
+    for n in (5, 50, 2000):
+        for seed in range(12):
+            sums = sample_walk(law, n, seed).sums
+            assert np.array_equal(convex_hull(sums).loop, _chain_oracle(sums)), (n, seed)
+
+
+def test_hull_collinear_loop_starts_lexicographically():
+    pts = np.array([[2.0, 2.0], [0.0, 0.0], [1.0, 1.0], [-1.0, -1.0]])
+    assert np.array_equal(convex_hull(pts).loop, [[-1.0, -1.0], [2.0, 2.0]])
+    assert np.array_equal(convex_hull(pts[[1, 1]]).loop, [[0.0, 0.0]])
 
 
 def test_hull_requires_points():
@@ -246,20 +287,30 @@ def test_volume_d3_matches_qhull_oracle(rng):
         assert surface_area(body) == pytest.approx(oracle.area, rel=1e-10)
 
 
-def test_volume_mc_hypercube():
+def test_volume_and_area_exact_in_d4():
     corners = np.array(
         [[float(b) for b in np.binary_repr(i, 4)] for i in range(16)]
     )
     cube = convex_hull(corners, validate=False)
-    with pytest.raises(ValueError):
-        volume(cube)
-    est, se = volume_mc(cube, samples=4096, seed=1)
-    assert est == pytest.approx(1.0, abs=1e-9)
-    assert se == pytest.approx(0.0, abs=1e-12)
+    assert volume(cube) == pytest.approx(1.0, rel=1e-12)
+    assert surface_area(cube) == pytest.approx(8.0, rel=1e-12)
     cross = convex_hull(np.vstack([np.eye(4), -np.eye(4)]), validate=False)
-    est, se = volume_mc(cross, samples=1 << 15, seed=2)
-    # volume of the 4-d cross-polytope is 2^4 / 4! = 2/3
-    assert abs(est - 2.0 / 3.0) <= 4.0 * se
+    # the 4-d cross-polytope has volume 2^4 / 4! and 16 regular facets of
+    # edge sqrt(2), each of 3-volume 1/3
+    assert volume(cross) == pytest.approx(2.0 / 3.0, rel=1e-12)
+    assert surface_area(cross) == pytest.approx(16.0 / 3.0, rel=1e-12)
+
+
+def test_flat_d4_body_has_doubled_facet_area(rng):
+    # a box of 3-volume 6 in a rotated hyperplane of R^4
+    box = np.array([[a, b, c, 0.0] for a in (0, 1) for b in (0, 2) for c in (0, 3)])
+    rot, _ = np.linalg.qr(rng.normal(size=(4, 4)))
+    body = convex_hull(box @ rot.T, validate=False)
+    assert body.degenerate
+    assert len(body.vertices) == 8
+    assert volume(body) == 0.0
+    assert surface_area(body) == pytest.approx(12.0, rel=1e-9)
+    assert surface_area(convex_hull(box[:, [0, 1, 3, 3]], validate=False)) == 0.0
 
 
 # ---------------------------------------------------------------- steiner

@@ -2,6 +2,7 @@
 
 from .config import ConfigError, ExperimentConfig, build_config, load_config, manifest_text
 from .experiments import Report, ReportRow, run_experiment
+from .functionals import lln_reference
 from .geometry import (
     ConvexBody,
     PointSet,
@@ -20,7 +21,6 @@ from .laws import (
     CovSpec,
     arcsine_cdf,
     com_kernel_eval,
-    lln_reference,
     sample_com_gp,
     sigma_mu_perp,
     sqrt_psd,

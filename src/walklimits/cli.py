@@ -11,6 +11,7 @@ output directory comes from $WALKLIMITS_OUT (falling back to '.').
 from __future__ import annotations
 
 import argparse
+import csv
 import os
 import re
 import sys
@@ -19,20 +20,12 @@ import tempfile
 import numpy as np
 
 from . import csvio, geometry, metrics
-from .config import ConfigError, build_config, load_config, manifest_text, parse_text
-from .experiments import Report, run_experiment
+from .config import ConfigError, ExperimentConfig, build_config, load_config
+from .config import manifest_text, parse_text, typed_value, validate_walk
+from .experiments import CSV_HEADER, Report, ReportRow, law_from_config, run_experiment
 from .fixtures import BUILTIN_CONFIGS, FIXTURES, builtin_examples, get_fixture
 from .trajectory import CONSTANT, LINEAR
-from .walks import (
-    clt_trajectory,
-    deterministic,
-    gaussian,
-    lattice,
-    lln_trajectory,
-    rademacher,
-    sample_walk,
-    uniform_cube,
-)
+from .walks import clt_trajectory, lln_trajectory, sample_walk
 
 
 def _write_atomic(path: str, text: str) -> None:
@@ -144,35 +137,18 @@ def _metric_example(name: str) -> int:
     return 0
 
 
-_LAW_BUILDERS = {
-    "rademacher": lambda dim, mu: rademacher(dim),
-    "lattice-simple-symmetric": lambda dim, mu: lattice(dim),
-    "gaussian": lambda dim, mu: gaussian(mu, np.eye(dim)),
-    "uniform-cube": lambda dim, mu: uniform_cube(mu),
-    "deterministic": lambda dim, mu: deterministic(mu),
-}
-
-
-def _simulate_law(args):
-    if args.dim < 1:
-        raise ConfigError("dim must be >= 1")
-    if args.seed < 0:
-        raise ConfigError("seed must be >= 0")
-    builder = _LAW_BUILDERS.get(args.law)
-    if builder is None:
-        raise ConfigError(f"unknown value for law: {args.law}")
-    mu = np.zeros(args.dim)
-    if args.mu:
-        mu = np.asarray([float(x) for x in args.mu.split(",")])
-        if len(mu) != args.dim:
-            raise ConfigError("mu must have exactly dim components")
-    return builder(args.dim, mu), mu
+def _walk_config(args, **extra) -> ExperimentConfig:
+    """The walk flags of simulate and hull, checked as a config's would be."""
+    cfg = ExperimentConfig(law=args.law, dim=args.dim, mu=typed_value("mu", args.mu),
+                           seed=args.seed, **extra)
+    validate_walk(cfg)
+    return cfg
 
 
 def _cmd_simulate(args) -> int:
     if args.n < 1:
         raise ConfigError("n must be >= 1")
-    law, mu = _simulate_law(args)
+    law = law_from_config(_walk_config(args))
     walk = sample_walk(law, args.n, args.seed)
     out = _out_dir(args)
     os.makedirs(out, exist_ok=True)
@@ -184,7 +160,7 @@ def _cmd_simulate(args) -> int:
         if args.kind.startswith("lln"):
             traj = lln_trajectory(walk, tkind)
         else:
-            traj = clt_trajectory(walk, tkind, mu)
+            traj = clt_trajectory(walk, tkind, law.mu)
         _write_atomic(os.path.join(out, "trajectory.csv"), csvio.trajectory_csv(traj))
         written = "trajectory.csv"
     manifest = "\n".join(
@@ -204,6 +180,7 @@ def _cmd_simulate(args) -> int:
 
 
 def _cmd_hull(args) -> int:
+    cfg = _walk_config(args, directions=args.directions)
     if args.points:
         data = np.loadtxt(args.points, delimiter=",", skiprows=1, ndmin=2)
         points = data
@@ -211,8 +188,7 @@ def _cmd_hull(args) -> int:
     else:
         if args.n < 1:
             raise ConfigError("n must be >= 1 (or pass --points CSV)")
-        law, _ = _simulate_law(args)
-        points = sample_walk(law, args.n, args.seed).sums
+        points = sample_walk(law_from_config(cfg), args.n, args.seed).sums
         source = f"law = {args.law}\ndim = {args.dim}\nn = {args.n}\nseed = {args.seed}"
     body = geometry.convex_hull(points)
     out = _out_dir(args)
@@ -225,7 +201,7 @@ def _cmd_hull(args) -> int:
         ("surface-area", geometry.surface_area(body)),
         ("volume", geometry.volume(body)),
     ]
-    lines = ["name,estimate,stderr,reference,ks,pass,threshold"]
+    lines = [CSV_HEADER]
     lines += [f"{name},{repr(float(v))},,,,," for name, v in rows]
     _write_atomic(os.path.join(out, "hull_report.csv"), "\n".join(lines) + "\n")
     manifest = f"subcommand = hull\n{source}\ndirections = {args.directions}\n"
@@ -236,27 +212,14 @@ def _cmd_hull(args) -> int:
 
 
 def _cmd_report(args) -> int:
-    import csv as _csv
-
     with open(args.csv, encoding="utf-8", newline="") as fh:
-        rows = list(_csv.reader(fh))
+        rows = list(csv.reader(fh))
     print(f"report: {args.csv}")
     for parts in rows[1:]:
         name, est, se, ref, ks, ok, thr = (parts + [""] * 7)[:7]
-        bits = [f"{name}:"]
-        if est:
-            bits.append(f"estimate={float(est):.6g}")
-        if se:
-            bits.append(f"stderr={float(se):.3g}")
-        if ref:
-            bits.append(f"reference={float(ref):.6g}")
-        if ks:
-            bits.append(f"ks={float(ks):.4g}")
-        if thr:
-            bits.append(f"threshold={float(thr):.4g}")
-        if ok:
-            bits.append("PASS" if ok == "true" else "FAIL")
-        print("  " + " ".join(bits))
+        est, se, ref, ks, thr = (float(x) if x else None for x in (est, se, ref, ks, thr))
+        passed = (ok == "true") if ok else None
+        print("  " + ReportRow(name, est, se, ref, ks, passed, thr).text())
     return 0
 
 

@@ -8,11 +8,19 @@ integer or float lists (``n_list = 1000,10000``) and colon pairs
 (``pairs = 0.5:1,1:1``).  Unknown keys are rejected.  Overrides apply
 after the file parse and before validation.  The manifest written by
 every run is itself a valid config that reproduces the run.
+
+The valid laws are the keys of ``walks.LAWS`` and the valid functionals
+those of ``functionals.FUNCTIONALS``; each table entry also says what the
+checks here enforce (a zero mean, the dimensions a functional is defined
+in, whether it has a first-order limit and in which dimensions).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, fields
+
+from .functionals import FUNCTIONALS, dims_text, in_dims
+from .walks import LAWS
 
 
 class ConfigError(Exception):
@@ -25,24 +33,6 @@ EXPERIMENTS = (
     "com-kernel",
     "etemadi",
     "hull-drift-volume",
-)
-
-FUNCTIONALS = (
-    "max",
-    "arcsine",
-    "diameter",
-    "perimeter",
-    "mean-width",
-    "volume",
-    "com",
-)
-
-LAWS = (
-    "rademacher",
-    "gaussian",
-    "uniform-cube",
-    "deterministic",
-    "lattice-simple-symmetric",
 )
 
 REFERENCES = ("auto", "closed-form", "surrogate", "none")
@@ -107,7 +97,8 @@ def parse_text(text: str) -> dict[str, str]:
     return raw
 
 
-def _typed(key: str, value: str):
+def typed_value(key: str, value: str):
+    """A config value string typed for its key; ConfigError names a bad one."""
     try:
         if key in _INT_KEYS:
             return int(value)
@@ -160,7 +151,7 @@ def build_config(raw: dict[str, str], overrides: list[str] | None = None) -> Exp
     for key, value in merged.items():
         if key not in ALL_KEYS:
             raise ConfigError(f"unknown config key: {key}")
-        values[key] = _typed(key, value)
+        values[key] = typed_value(key, value)
     cfg = ExperimentConfig(**values)
     validate_config(cfg)
     return cfg
@@ -175,41 +166,50 @@ def load_config(path, overrides: list[str] | None = None) -> ExperimentConfig:
     return build_config(parse_text(text), overrides)
 
 
-def validate_config(cfg: ExperimentConfig) -> None:
-    if cfg.experiment not in EXPERIMENTS:
-        raise ConfigError(f"unknown value for experiment: {cfg.experiment!r}")
-    if cfg.law not in LAWS:
+def validate_walk(cfg: ExperimentConfig) -> None:
+    """The law, dim, seed, mu, sigma and directions checks every walk run shares."""
+    law = LAWS.get(cfg.law)
+    if law is None:
         raise ConfigError(f"unknown value for law: {cfg.law!r}")
-    if cfg.reference not in REFERENCES:
-        raise ConfigError(f"unknown value for reference: {cfg.reference!r}")
     if cfg.dim < 1:
         raise ConfigError("dim must be >= 1")
-    if cfg.replicas < 1:
-        raise ConfigError("replicas must be >= 1")
     if cfg.seed < 0:
         raise ConfigError("seed must be >= 0")
     if cfg.mu and len(cfg.mu) != cfg.dim:
         raise ConfigError("mu must have exactly dim components")
-    zero_mean = cfg.law in ("rademacher", "lattice-simple-symmetric")
-    if zero_mean and cfg.mu and any(x != 0.0 for x in cfg.mu):
+    if law.zero_mean and cfg.mu and any(x != 0.0 for x in cfg.mu):
         raise ConfigError(f"law {cfg.law} has mean zero; mu must be 0 or omitted")
     if cfg.sigma:
         if len(cfg.sigma) != cfg.dim or any(len(r) != cfg.dim for r in cfg.sigma):
             raise ConfigError("sigma must be a dim x dim matrix")
+    if cfg.directions < 1:
+        raise ConfigError("directions must be >= 1")
+
+
+def validate_config(cfg: ExperimentConfig) -> None:
+    if cfg.experiment not in EXPERIMENTS:
+        raise ConfigError(f"unknown value for experiment: {cfg.experiment!r}")
+    validate_walk(cfg)
+    if cfg.reference not in REFERENCES:
+        raise ConfigError(f"unknown value for reference: {cfg.reference!r}")
+    if cfg.replicas < 1:
+        raise ConfigError("replicas must be >= 1")
     needs_n = cfg.experiment in ("distributional", "com-kernel", "etemadi",
                                  "hull-drift-volume")
     if needs_n and cfg.n < 1:
         raise ConfigError("n must be >= 1")
-    if cfg.experiment == "distributional" and cfg.functional not in FUNCTIONALS:
-        raise ConfigError(f"unknown value for functional: {cfg.functional!r}")
     if cfg.experiment in ("distributional", "lln-sweep"):
-        if cfg.functional == "max" and cfg.dim != 1:
-            raise ConfigError("functional max needs dim = 1")
-        if cfg.functional in ("perimeter", "mean-width", "volume") and cfg.dim < 2:
-            raise ConfigError(f"functional {cfg.functional} needs dim >= 2")
+        spec = FUNCTIONALS.get(cfg.functional)
+        if spec is None:
+            raise ConfigError(f"unknown value for functional: {cfg.functional!r}")
+        if not in_dims(cfg.dim, spec.dims):
+            raise ConfigError(f"functional {cfg.functional} needs {dims_text(spec.dims)}")
     if cfg.experiment == "lln-sweep":
-        if cfg.functional not in ("max", "diameter", "perimeter", "com"):
+        if spec.lln is None:
             raise ConfigError(f"functional {cfg.functional!r} has no first-order limit")
+        if not in_dims(cfg.dim, spec.lln_dims):
+            raise ConfigError(f"functional {cfg.functional} has a first-order limit "
+                              f"only in {dims_text(spec.lln_dims)}")
         if not cfg.n_list:
             raise ConfigError("n_list must not be empty")
         if any(b <= a for a, b in zip(cfg.n_list, cfg.n_list[1:])):
@@ -236,8 +236,6 @@ def validate_config(cfg: ExperimentConfig) -> None:
         raise ConfigError("t must lie in [0, 1]")
     if not cfg.threshold >= 0:
         raise ConfigError("threshold must be a number >= 0")
-    if cfg.directions < 1:
-        raise ConfigError("directions must be >= 1")
 
 
 def _format_value(key: str, value) -> str:

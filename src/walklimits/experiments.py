@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import geometry, laws, metrics, stats, walks
+from . import functionals, laws, stats, walks
 from .config import ConfigError, ExperimentConfig, manifest_text
 from .rng import replica_stream
 
@@ -36,6 +36,25 @@ class ReportRow:
     passed: bool | None = None
     threshold: float | None = None
     note: str = ""
+
+    def text(self) -> str:
+        """The row as one summary line (without its indent)."""
+        bits = [f"{self.name}:"]
+        if self.estimate is not None:
+            bits.append(f"estimate={self.estimate:.6g}")
+        if self.stderr is not None:
+            bits.append(f"stderr={self.stderr:.3g}")
+        if self.reference is not None:
+            bits.append(f"reference={self.reference:.6g}")
+        if self.ks is not None:
+            bits.append(f"ks={self.ks:.4g}")
+        if self.threshold is not None:
+            bits.append(f"threshold={self.threshold:.4g}")
+        if self.passed is not None:
+            bits.append("PASS" if self.passed else "FAIL")
+        if self.note:
+            bits.append(f"({self.note})")
+        return " ".join(bits)
 
 
 @dataclass
@@ -71,23 +90,7 @@ class Report:
         lines.append(f"config-hash: {self.config_hash}")
         lines.append(f"runtime-seconds: {self.runtime:.3f}")
         lines.append("")
-        for r in self.rows:
-            bits = [f"{r.name}:"]
-            if r.estimate is not None:
-                bits.append(f"estimate={r.estimate:.6g}")
-            if r.stderr is not None:
-                bits.append(f"stderr={r.stderr:.3g}")
-            if r.reference is not None:
-                bits.append(f"reference={r.reference:.6g}")
-            if r.ks is not None:
-                bits.append(f"ks={r.ks:.4g}")
-            if r.threshold is not None:
-                bits.append(f"threshold={r.threshold:.4g}")
-            if r.passed is not None:
-                bits.append("PASS" if r.passed else "FAIL")
-            if r.note:
-                bits.append(f"({r.note})")
-            lines.append("  " + " ".join(bits))
+        lines += ["  " + r.text() for r in self.rows]
         return "\n".join(lines) + "\n"
 
     @property
@@ -104,89 +107,43 @@ def _fmt(x) -> str:
 
 
 def law_from_config(cfg: ExperimentConfig) -> walks.IncrementLaw:
+    """The increment law of a validated config, built through ``walks.LAWS``."""
     d = cfg.dim
     mu = np.asarray(cfg.mu, dtype=float) if cfg.mu else np.zeros(d)
-    if cfg.law == "rademacher":
-        return walks.rademacher(d)
-    if cfg.law == "lattice-simple-symmetric":
-        return walks.lattice(d)
-    if cfg.law == "uniform-cube":
-        return walks.uniform_cube(mu)
-    if cfg.law == "deterministic":
-        return walks.deterministic(mu)
-    if cfg.law == "gaussian":
-        sigma = np.asarray(cfg.sigma, dtype=float) if cfg.sigma else np.eye(d)
-        return walks.gaussian(mu, sigma)
-    raise ConfigError(f"unknown value for law: {cfg.law!r}")
+    sigma = np.asarray(cfg.sigma, dtype=float) if cfg.sigma else np.eye(d)
+    return walks.LAWS[cfg.law].build(d, mu, sigma)
 
 
-def _batch_ranges(total: int, size: int = 256):
+# A prefix-sum batch holds at most this many replicas and, when n is large,
+# at most this many bytes (results are per replica, so batching never
+# changes a report).
+_BATCH_REPLICAS = 256
+_BATCH_BYTES = 64 << 20
+
+
+def _batches(law, n: int, seed: int, total: int):
+    """(lo, hi, prefix sums (hi-lo, n+1, d)) for replicas lo..hi-1, streams by index."""
+    size = max(1, min(_BATCH_REPLICAS, _BATCH_BYTES // ((n + 1) * law.dim * 8)))
     for lo in range(0, total, size):
-        yield lo, min(lo + size, total)
-
-
-def _sums_batch(law, n: int, seed: int, lo: int, hi: int) -> np.ndarray:
-    """Prefix sums (hi-lo, n+1, d) for replicas lo..hi-1, streams by index."""
-    out = np.empty((hi - lo, n + 1, law.dim))
-    out[:, 0] = 0.0
-    for r in range(lo, hi):
-        inc = law.sample(n, replica_stream(seed, r))
-        np.cumsum(inc, axis=0, out=out[r - lo, 1:])
-    return out
-
-
-def _functional_scale(functional: str, n: int, dim: int) -> float:
-    if functional == "volume":
-        return float(n) ** (dim / 2.0)
-    if functional == "arcsine":
-        return 1.0
-    return math.sqrt(n)
-
-
-def _eval_points_functional(functional: str, points: np.ndarray, directions: int) -> float:
-    """Functional of a point cloud at native scale."""
-    if functional == "max":
-        return float(points[:, 0].max())
-    if functional == "diameter":
-        return geometry.diameter(points)
-    body = geometry.convex_hull(points, validate=False)
-    if functional == "perimeter":
-        return geometry.surface_area(body)
-    if functional == "mean-width":
-        return geometry.mean_width(body, directions)
-    if functional == "volume":
-        return geometry.volume(body)
-    raise ConfigError(f"unknown value for functional: {functional!r}")
+        hi = min(lo + size, total)
+        out = np.empty((hi - lo, n + 1, law.dim))
+        out[:, 0] = 0.0
+        for r in range(lo, hi):
+            inc = law.sample(n, replica_stream(seed, r))
+            np.cumsum(inc, axis=0, out=out[r - lo, 1:])
+        yield lo, hi, out
 
 
 def _walk_samples(cfg: ExperimentConfig, law) -> np.ndarray:
     """One functional value per replica, at the CLT scaling of the config."""
     n, m = cfg.n, cfg.replicas
-    scale = _functional_scale(cfg.functional, n, cfg.dim)
+    spec = functionals.FUNCTIONALS[cfg.functional]
+    if spec.at_t and math.floor(n * cfg.t) < 1:
+        raise ConfigError("t too small: floor(n*t) must be >= 1")
+    scale = spec.scale(n, cfg.dim)
     out = np.empty(m)
-    region = metrics.HalfspaceCap(np.eye(cfg.dim)[0], 0.0)
-    for lo, hi in _batch_ranges(m):
-        sums = _sums_batch(law, n, cfg.seed, lo, hi)
-        if cfg.functional == "max":
-            if cfg.dim != 1:
-                raise ConfigError("functional max needs dim = 1")
-            out[lo:hi] = sums[:, :, 0].max(axis=1) / scale
-        elif cfg.functional == "arcsine":
-            pts = sums[:, 1:, :].reshape(-1, cfg.dim)
-            member = region.contains(pts).reshape(hi - lo, n)
-            out[lo:hi] = member.mean(axis=1)
-        elif cfg.functional == "com":
-            k = int(math.floor(n * cfg.t))
-            if k < 1:
-                raise ConfigError("t too small: floor(n*t) must be >= 1")
-            csum = np.cumsum(sums[:, 1:, :], axis=1)
-            out[lo:hi] = csum[:, k - 1, 0] / k / scale
-        else:
-            for b in range(hi - lo):
-                val = _eval_points_functional(
-                    cfg.functional, sums[b], cfg.directions
-                )
-                out[lo + b] = val / scale
+    for lo, hi, sums in _batches(law, n, cfg.seed, m):
+        out[lo:hi] = functionals.evaluate(cfg.functional, sums, cfg)[:, 0] / scale
     return out
 
 
@@ -204,30 +161,14 @@ def _surrogate_samples(cfg: ExperimentConfig, law) -> np.ndarray:
     out = np.empty(m2)
     for r in range(m2):
         path = walks.sample_brownian(cov, grid, cfg.seed, replica=cfg.replicas + r)
-        out[r] = _eval_points_functional(cfg.functional, path.values, cfg.directions)
+        out[r] = functionals.evaluate(cfg.functional, path.values[None], cfg)[0, 0]
     return out
-
-
-def _closed_form_cdf(cfg: ExperimentConfig, law):
-    if cfg.functional == "max":
-        sigma = math.sqrt(float(law.sigma[0, 0]))
-        if sigma == 0.0:
-            return None
-        return lambda x: laws.sup_bm_cdf(np.asarray(x) / sigma)
-    if cfg.functional == "arcsine":
-        return laws.arcsine_cdf
-    if cfg.functional == "com":
-        var = cfg.t * float(law.sigma[0, 0]) / 3.0
-        if var == 0.0 or cfg.dim != 1:
-            return None
-        sd = math.sqrt(var)
-        return lambda x: laws.std_normal_cdf(np.asarray(x) / sd)
-    return None
 
 
 def run_distributional(cfg: ExperimentConfig) -> Report:
     """Empirical CDF of a per-replica functional vs its limit law."""
     law = law_from_config(cfg)
+    spec = functionals.FUNCTIONALS[cfg.functional]
     sample = _walk_samples(cfg, law)
     m = cfg.replicas
     row = ReportRow(
@@ -238,7 +179,7 @@ def run_distributional(cfg: ExperimentConfig) -> Report:
     rows = [row]
     samples = {cfg.functional: sample}
     mode = cfg.reference
-    cdf = _closed_form_cdf(cfg, law) if mode in ("auto", "closed-form") else None
+    cdf = spec.cdf(cfg, law) if spec.cdf and mode in ("auto", "closed-form") else None
     if mode == "closed-form" and cdf is None:
         raise ConfigError(
             f"functional {cfg.functional!r} has no closed-form reference; "
@@ -254,7 +195,7 @@ def run_distributional(cfg: ExperimentConfig) -> Report:
         else:
             row.note = "ks undefined for a single replica"
     elif mode == "surrogate":
-        if cfg.functional in ("arcsine", "com"):
+        if not spec.surrogate:
             raise ConfigError(
                 f"functional {cfg.functional!r} has no surrogate mode; "
                 "set reference = closed-form or none"
@@ -282,27 +223,14 @@ def run_distributional(cfg: ExperimentConfig) -> Report:
 def run_lln_sweep(cfg: ExperimentConfig) -> Report:
     """Per-n estimates of a first-order functional against its limit constant."""
     law = law_from_config(cfg)
-    reference = np.atleast_1d(laws.lln_reference(cfg.functional, law.mu, cfg.t))
+    reference = np.atleast_1d(functionals.lln_reference(cfg.functional, law.mu, cfg.t))
     rows = []
     errors = []
     samples = {}
     for n in cfg.n_list:
         vals = np.empty((cfg.replicas, len(reference)))
-        for r in range(cfg.replicas):
-            w = walks.sample_walk(law, n, cfg.seed, replica=r)
-            if cfg.functional == "max":
-                vals[r, 0] = w.sums[:, 0].max() / n
-            elif cfg.functional == "diameter":
-                vals[r, 0] = geometry.diameter(w.sums) / n
-            elif cfg.functional == "perimeter":
-                body = geometry.convex_hull(w.sums, validate=False)
-                vals[r, 0] = geometry.surface_area(body) / n
-            elif cfg.functional == "com":
-                k = max(1, int(math.floor(n * cfg.t)))
-                csum = np.cumsum(w.sums[1:], axis=0)
-                vals[r] = csum[k - 1] / k / n
-            else:
-                raise ConfigError(f"unknown value for functional: {cfg.functional!r}")
+        for lo, hi, sums in _batches(law, n, cfg.seed, cfg.replicas):
+            vals[lo:hi] = functionals.evaluate(cfg.functional, sums, cfg) / n
         mean_vec = vals.mean(axis=0)
         err = float(np.linalg.norm(mean_vec - reference))
         errors.append(err)
@@ -347,8 +275,7 @@ def run_com_kernel_check(cfg: ExperimentConfig) -> Report:
     indices = {t: max(1, int(math.floor(n * t))) for t in times}
     values = {t: np.empty((m, d)) for t in times}
     root_n = math.sqrt(n)
-    for lo, hi in _batch_ranges(m):
-        sums = _sums_batch(law, n, cfg.seed, lo, hi)
+    for lo, hi, sums in _batches(law, n, cfg.seed, m):
         csum = np.cumsum(sums[:, 1:, :], axis=1)
         for t in times:
             k = indices[t]
@@ -400,8 +327,7 @@ def run_etemadi(cfg: ExperimentConfig) -> Report:
     xs = np.asarray(cfg.x_grid, dtype=float)
     left_counts = np.zeros(len(xs), dtype=np.int64)
     right_counts = np.zeros((len(xs), n + 1), dtype=np.int64)
-    for lo, hi in _batch_ranges(m):
-        sums = _sums_batch(law, n, cfg.seed, lo, hi)
+    for lo, hi, sums in _batches(law, n, cfg.seed, m):
         norms = np.linalg.norm(sums, axis=2)
         peak = norms.max(axis=1)
         for i, x in enumerate(xs):
@@ -439,11 +365,8 @@ def run_hull_drift_volume(cfg: ExperimentConfig) -> Report:
     d = cfg.dim
     scale = float(n) ** ((d + 1) / 2.0)
     walk_vals = np.empty(m)
-    for lo, hi in _batch_ranges(m):
-        sums = _sums_batch(law, n, cfg.seed, lo, hi)
-        for b in range(hi - lo):
-            body = geometry.convex_hull(sums[b], validate=False)
-            walk_vals[lo + b] = geometry.volume(body) / scale
+    for lo, hi, sums in _batches(law, n, cfg.seed, m):
+        walk_vals[lo:hi] = functionals.evaluate("volume", sums, cfg)[:, 0] / scale
     perp, _ = laws.sigma_mu_perp(laws.sqrt_psd(law.sigma), mu)
     det_factor = float(np.linalg.norm(mu)) * math.sqrt(
         max(float(np.linalg.det(perp.matrix)), 0.0) if perp.dim > 1
@@ -455,8 +378,7 @@ def run_hull_drift_volume(cfg: ExperimentConfig) -> Report:
     surr_vals = np.empty(m2)
     for r in range(m2):
         path = walks.sample_tilde_bd(perp, grid, cfg.seed, replica=m + r)
-        body = geometry.convex_hull(path.values, validate=False)
-        surr_vals[r] = geometry.volume(body)
+        surr_vals[r] = functionals.evaluate("volume", path.values[None], cfg)[0, 0]
     walk_mean = float(walk_vals.mean())
     walk_se = float(walk_vals.std(ddof=1) / math.sqrt(m)) if m > 1 else 0.0
     vtilde = float(surr_vals.mean())

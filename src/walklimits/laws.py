@@ -108,24 +108,6 @@ def com_kernel_eval(kernel: ComKernel, t1: float, t2: float) -> np.ndarray:
     return (s * (3.0 * t - s) / (6.0 * t)) * kernel.base.matrix
 
 
-def lln_reference(functional: str, mu, t: float = 1.0):
-    """First-order deterministic limit constant for a functional of the walk."""
-    mu = np.atleast_1d(np.asarray(mu, dtype=float))
-    if functional == "max":
-        if mu.size != 1:
-            raise ValueError("max functional is one-dimensional")
-        return max(float(mu[0]), 0.0)
-    if functional == "diameter":
-        return float(np.linalg.norm(mu))
-    if functional == "perimeter":
-        if mu.size != 2:
-            raise ValueError("perimeter limit applies in dimension 2")
-        return 2.0 * float(np.linalg.norm(mu))
-    if functional == "com":
-        return mu * (t / 2.0)
-    raise ValueError(f"unknown functional id: {functional!r}")
-
-
 def _scalar_com_kernel(grid: np.ndarray) -> np.ndarray:
     s = np.minimum.outer(grid, grid)
     t = np.maximum.outer(grid, grid)

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -10,21 +11,13 @@ from .laws import CovSpec, sqrt_psd
 from .rng import replica_stream
 from .trajectory import LINEAR, Trajectory, _frozen
 
-LAW_KINDS = (
-    "rademacher",
-    "gaussian",
-    "uniform-cube",
-    "deterministic",
-    "lattice-simple-symmetric",
-)
-
 
 @dataclass(frozen=True)
 class IncrementLaw:
     """A step distribution with exactly known mean vector and covariance.
 
-    The closed enumeration (no user plug-ins) keeps the exact mu and Sigma
-    visible to every test and reference-law computation.
+    The closed kind table ``LAWS`` (no user plug-ins) keeps the exact mu and
+    Sigma visible to every test and reference-law computation.
     """
 
     kind: str
@@ -35,22 +28,7 @@ class IncrementLaw:
 
     def sample(self, n: int, rng: np.random.Generator) -> np.ndarray:
         """Draw n increments as an (n, dim) array."""
-        d = self.dim
-        if self.kind == "rademacher":
-            return (rng.integers(0, 2, size=(n, d)) * 2 - 1).astype(float)
-        if self.kind == "gaussian":
-            z = rng.standard_normal((n, d))
-            return self.mu + z @ self._root
-        if self.kind == "uniform-cube":
-            return self.mu + rng.random((n, d)) - 0.5
-        if self.kind == "deterministic":
-            return np.tile(self.mu, (n, 1))
-        if self.kind == "lattice-simple-symmetric":
-            moves = rng.integers(0, 2 * d, size=n)
-            out = np.zeros((n, d))
-            out[np.arange(n), moves // 2] = np.where(moves % 2 == 0, 1.0, -1.0)
-            return out
-        raise ValueError(f"unknown increment law kind: {self.kind!r}")
+        return LAWS[self.kind].steps(self, n, rng)
 
 
 def _vec(mu, dim) -> np.ndarray:
@@ -96,6 +74,39 @@ def lattice(dim: int = 1) -> IncrementLaw:
         _frozen(np.zeros(dim)),
         _frozen(np.eye(dim) / dim),
     )
+
+
+def _lattice_steps(law: IncrementLaw, n: int, rng) -> np.ndarray:
+    moves = rng.integers(0, 2 * law.dim, size=n)
+    out = np.zeros((n, law.dim))
+    out[np.arange(n), moves // 2] = np.where(moves % 2 == 0, 1.0, -1.0)
+    return out
+
+
+class LawKind(NamedTuple):
+    """An increment law kind: its step sampler, its builder and whether its mean is zero."""
+
+    steps: Callable  # (law, n, rng) -> (n, dim) increments
+    build: Callable  # (dim, mu, sigma) -> IncrementLaw
+    zero_mean: bool
+
+
+LAWS = {
+    "rademacher": LawKind(
+        lambda law, n, rng: (rng.integers(0, 2, size=(n, law.dim)) * 2 - 1).astype(float),
+        lambda dim, mu, sigma: rademacher(dim), True),
+    "gaussian": LawKind(
+        lambda law, n, rng: law.mu + rng.standard_normal((n, law.dim)) @ law._root,
+        lambda dim, mu, sigma: gaussian(mu, sigma), False),
+    "uniform-cube": LawKind(
+        lambda law, n, rng: law.mu + rng.random((n, law.dim)) - 0.5,
+        lambda dim, mu, sigma: uniform_cube(mu), False),
+    "deterministic": LawKind(
+        lambda law, n, rng: np.tile(law.mu, (n, 1)),
+        lambda dim, mu, sigma: deterministic(mu), False),
+    "lattice-simple-symmetric": LawKind(
+        _lattice_steps, lambda dim, mu, sigma: lattice(dim), True),
+}
 
 
 @dataclass(frozen=True)

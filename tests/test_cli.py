@@ -2,7 +2,15 @@ import os
 import subprocess
 import sys
 
+import numpy as np
 import pytest
+
+from walklimits import csvio
+from walklimits.cli import _walk_config, build_parser, main
+from walklimits.config import build_config, parse_text
+from walklimits.experiments import law_from_config
+from walklimits.functionals import ANY_DIM, FUNCTIONALS
+from walklimits.walks import LAWS, sample_walk
 
 CONFIG_OK = """
 experiment = distributional
@@ -304,3 +312,55 @@ def test_simulate_rejects_zero_dim(tmp_path):
     assert res.returncode == 2, res.stderr
     assert "dim" in res.stderr
     assert not (tmp_path / "x").exists()
+
+
+@pytest.mark.parametrize(
+    "args,message",
+    [
+        (["simulate", "--law", "rademacher", "--mu", "1", "--n", "4", "--kind", "clt-linear"],
+         "mean zero"),
+        (["hull", "--n", "8", "--directions", "0"], "directions"),
+        (["experiment", "--builtin", "perimeter-lln", "--override", "dim=3",
+          "--override", "mu=1,0,0", "--override", "sigma="], "first-order limit"),
+    ],
+    ids=["simulate-drift-on-zero-mean-law", "hull-directions", "lln-without-constant"],
+)
+def test_walk_and_sweep_inputs_are_config_errors(tmp_path, args, message):
+    res = run_cli(*args, "--out", str(tmp_path / "x"))
+    assert res.returncode == 2, res.stderr
+    assert res.stderr.startswith("config error:") and message in res.stderr
+    assert not (tmp_path / "x").exists()
+
+
+def _bad_dim(dims):
+    return dims[0] - 1 if dims[0] > 1 else dims[1] + 1
+
+
+@pytest.mark.parametrize(
+    "functional",
+    [f for f, spec in FUNCTIONALS.items() if spec.dims != ANY_DIM],
+)
+def test_functional_dimension_constraints_exit_two(tmp_path, functional):
+    dim = _bad_dim(FUNCTIONALS[functional].dims)
+    res = run_cli("experiment", "--builtin", "max-clt", "--override", f"functional={functional}",
+                  "--override", f"dim={dim}", "--out", str(tmp_path / "x"))
+    assert res.returncode == 2, res.stderr
+    assert f"functional {functional} needs dim" in res.stderr
+
+
+@pytest.mark.parametrize("kind", sorted(LAWS))
+def test_law_table_builds_the_same_law_from_config_and_cli(tmp_path, kind):
+    mu = "0,0" if LAWS[kind].zero_mean else "0.5,-1"
+    cfg = build_config(parse_text(f"experiment = etemadi\nlaw = {kind}\ndim = 2\nmu = {mu}\n"
+                                  "sigma = 1,0;0,1\nn = 6\nx_grid = 1\nseed = 4\n"))
+    args = build_parser().parse_args(["simulate", "--law", kind, "--dim", "2", "--mu", mu,
+                                      "--n", "6", "--seed", "4", "--out", str(tmp_path)])
+    from_cli = law_from_config(_walk_config(args))
+    from_cfg = law_from_config(cfg)
+    assert from_cli.kind == from_cfg.kind == kind
+    assert np.array_equal(from_cli.mu, from_cfg.mu)
+    assert np.array_equal(from_cli.sigma, from_cfg.sigma)
+    assert main(["simulate", "--law", kind, "--dim", "2", "--mu", mu, "--n", "6",
+                 "--seed", "4", "--out", str(tmp_path)]) == 0
+    walk = sample_walk(from_cfg, 6, 4)
+    assert (tmp_path / "walk.csv").read_text() == csvio.walk_csv(walk)

@@ -18,6 +18,7 @@ from walklimits.experiments import law_from_config, run_distributional
 from walklimits.rng import replica_stream
 from walklimits.stats import kolmogorov_threshold
 from walklimits import centre_of_mass, sample_walk, rademacher
+from walklimits import convex_hull, diameter, surface_area
 
 
 def _cfg(text, overrides=None):
@@ -198,6 +199,69 @@ threshold = 1e-09
         assert abs(row.estimate - 1.0) < 1e-12
         assert row.passed
     assert rep.rows[-1].name == "error-trend"
+
+
+LLN_CASES = {
+    "max": ("dim = 1\nmu = 0.3", lambda w, n, t: w.sums[:, 0].max() / n),
+    "diameter": ("dim = 2\nmu = 0.6,-0.8", lambda w, n, t: diameter(w.sums) / n),
+    "perimeter": (
+        "dim = 2\nmu = 1,0.5",
+        lambda w, n, t: surface_area(convex_hull(w.sums, validate=False)) / n,
+    ),
+    "com": (
+        "dim = 2\nmu = 1,-2\nt = 0.5",
+        lambda w, n, t: np.cumsum(w.sums[1:], axis=0)[max(1, math.floor(n * t)) - 1]
+        / max(1, math.floor(n * t)) / n,
+    ),
+}
+
+
+@pytest.mark.parametrize("functional", sorted(LLN_CASES))
+def test_lln_sweep_batches_match_per_walk_path(functional):
+    # the batched sweep gives exactly the per-n values of one sample_walk per
+    # replica; n = 1 takes com's max(1, floor(n t)) index
+    extra, per_walk = LLN_CASES[functional]
+    cfg = _cfg(
+        f"""
+experiment = lln-sweep
+functional = {functional}
+law = gaussian
+{extra}
+n_list = 1,5,40
+replicas = 3
+seed = 17
+dump_samples = true
+"""
+    )
+    rep = run_experiment(cfg)
+    law = law_from_config(cfg)
+    for row, n in zip(rep.rows, cfg.n_list):
+        vals = np.array(
+            [np.atleast_1d(per_walk(sample_walk(law, n, 17, replica=r), n, cfg.t))
+             for r in range(3)]
+        )
+        mean = vals.mean(axis=0)
+        assert np.array_equal(rep.samples[f"{functional}@n={n}"], vals[:, 0])
+        assert row.estimate == (mean[0] if len(mean) == 1 else np.linalg.norm(mean))
+
+
+def test_distributional_com_needs_a_step_before_t():
+    cfg = _cfg(MAX_CFG, ["functional=com", "n=4", "t=0.2"])
+    with pytest.raises(ConfigError, match="floor"):
+        run_experiment(cfg)
+
+
+def test_batch_byte_budget_leaves_report_unchanged(monkeypatch):
+    import walklimits.experiments as experiments
+
+    cfg = _cfg(MAX_CFG, ["functional=volume", "law=gaussian", "dim=2", "replicas=7",
+                         "reference=none"])
+    whole = run_experiment(cfg).csv_text()
+    # three replicas of (n + 1) x 2 float64 sums per batch
+    monkeypatch.setattr(experiments, "_BATCH_BYTES", 3 * 257 * 2 * 8)
+    assert [hi - lo for lo, hi, _ in experiments._batches(law_from_config(cfg), 256, 0, 7)] \
+        == [3, 3, 1]
+    assert run_experiment(cfg).csv_text() == whole
 
 
 def test_lln_sweep_needs_increasing_n():

@@ -20,6 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass, fields
 
 from .functionals import FUNCTIONALS, dims_text, in_dims
+from .laws import sqrt_psd
 from .walks import LAWS
 
 
@@ -182,6 +183,10 @@ def validate_walk(cfg: ExperimentConfig) -> None:
     if cfg.sigma:
         if len(cfg.sigma) != cfg.dim or any(len(r) != cfg.dim for r in cfg.sigma):
             raise ConfigError("sigma must be a dim x dim matrix")
+        try:
+            sqrt_psd(cfg.sigma)
+        except ValueError as exc:
+            raise ConfigError(f"sigma: {exc}") from None
     if cfg.directions < 1:
         raise ConfigError("directions must be >= 1")
 

@@ -261,12 +261,19 @@ def hausdorff_support(a: ConvexBody, b: ConvexBody, directions: int = 4096) -> f
     return best
 
 
+# qhull's cost grows fast with d.  On a 2e4-step Gaussian walk (2-core Xeon)
+# it takes 0.02 s in d = 4, 0.24 s in d = 5 and 3.6 s in d = 6, while all
+# pairs take 23 s; at 2000 steps all pairs take 0.22 s and d = 6 qhull 0.72 s.
+# Up to d = 5 reducing to the hull vertices first wins at both sizes.
+_DIAMETER_HULL_MAX_DIM = 5
+
+
 def diameter(points) -> float:
     """Largest pairwise distance in a point set, exact."""
     pts = _as_points(points)
     if len(pts) == 0:
         raise ValueError("empty point set")
-    if len(pts) > 64 and pts.shape[1] <= 3:
+    if len(pts) > 64 and pts.shape[1] <= _DIAMETER_HULL_MAX_DIM:
         pts = convex_hull(pts, validate=False).vertices
     best = 0.0
     block = 512

@@ -4,8 +4,8 @@ rho_inf                     supremum metric, exact for piecewise inputs
 rho_skorokhod               time-change metric, exact on step pairs
 rho_skorokhod_circ          chord-slope variant on the same candidates
 lambda_circ_norm, c_lambda  norms of a time change
-modulus_w, modulus_w_prime  moduli of continuity
-max_functional, occupation  path functionals
+modulus_w, modulus_w_prime  moduli of continuity (banded lag scan, range-max DP)
+max_functional, occupation  path functionals (linear pieces cut at cone roots)
 
 The exact Skorokhod value on step functions is found by a dynamic program
 over the monotone staircase of co-occupied piece pairs; see
@@ -19,7 +19,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import brentq
 
 from .trajectory import CONSTANT, LINEAR, Trajectory, _frozen
 
@@ -109,13 +108,8 @@ def rho_inf(f: Trajectory, g: Trajectory) -> float:
 
 def _step_pieces(f: Trajectory):
     """Jump times and piece values of a step trajectory, duplicates merged."""
-    t, v = f.times, f.values
-    jumps, vals = [], [v[0]]
-    for i in range(1, len(t)):
-        if not np.array_equal(v[i], v[i - 1]):
-            jumps.append(float(t[i]))
-            vals.append(v[i])
-    return np.asarray(jumps), np.asarray(vals)
+    change = np.any(f.values[1:] != f.values[:-1], axis=1)
+    return f.times[1:][change], np.concatenate([f.values[:1], f.values[1:][change]])
 
 
 def _staircase_dp(u, a, v, b):
@@ -337,30 +331,31 @@ def modulus_w(f: Trajectory, delta: float) -> float:
     if not 0.0 < delta <= 1.0:
         raise ValueError("delta must lie in (0, 1]")
     if f.kind == CONSTANT:
-        starts, ends, vals = _piece_intervals(f)
-        best = 0.0
-        for i in range(len(vals)):
-            for j in range(i + 1, len(vals)):
-                if starts[j] - ends[i] <= delta:
-                    best = max(best, float(np.linalg.norm(vals[i] - vals[j])))
-        return best
+        return _band_sup(*_piece_intervals(f), delta)
     cand = np.concatenate([f.times, f.times - delta, f.times + delta])
     cand = np.unique(np.clip(cand, 0.0, 1.0))
-    vals = f(cand)
+    return _band_sup(cand, cand, f(cand), delta + 1e-15)
+
+
+def _band_sup(first, last, vals, reach) -> float:
+    """max |vals[j] - vals[i]| over i < j with first[j] - last[i] <= reach.
+
+    The times are sorted, so past a lag with no pair in the window there are none."""
     best = 0.0
-    for i in range(len(cand)):
-        close = np.abs(cand - cand[i]) <= delta + 1e-15
-        if np.any(close):
-            best = max(best, float(np.linalg.norm(vals[close] - vals[i], axis=1).max()))
-    return best
+    for k in range(1, len(vals)):
+        near = first[k:] - last[:-k] <= reach
+        if not near.any():
+            break
+        diff = vals[k:] - vals[:-k]
+        best = max(best, float(np.einsum("ij,ij->i", diff, diff).max(where=near, initial=0.0)))
+    return math.sqrt(best)
 
 
 def _piece_intervals(f: Trajectory):
     """Half-open constant pieces (start, end, value); the endpoint value of a
     jump at t = 1 appears as a zero-length final piece."""
     u, a = _step_pieces(f)
-    bounds = np.concatenate([[0.0], u, [1.0]])
-    return bounds[:-1], bounds[1:], a
+    return np.concatenate([[0.0], u]), np.concatenate([u, [1.0]]), a
 
 
 def modulus_w_prime(f: Trajectory, delta: float) -> float:
@@ -376,37 +371,23 @@ def modulus_w_prime(f: Trajectory, delta: float) -> float:
     if not 0.0 < delta < 1.0:
         raise ValueError("delta must lie in (0, 1)")
     starts, ends, vals = _piece_intervals(f)
-    jumps = [float(t) for t in starts[1:] if t < 1.0]
-    cand = {0.0, 1.0}
-    cand.update(jumps)
-    edges = [0.0] + jumps + [1.0]
-    for a, b in zip(edges[:-1], edges[1:]):
-        cand.add((a + b) / 2.0)
-    for t in jumps:
-        for s in (t - delta, t + delta):
-            if 0.0 < s < 1.0:
-                cand.add(s)
-    cand = sorted(cand)
-    m = len(cand)
-
-    norms = np.linalg.norm(vals[:, None, :] - vals[None, :, :], axis=2)
-
-    def osc(lo: float, hi: float) -> float:
-        live = (starts < hi) & (ends > lo)
-        idx = np.flatnonzero(live)
-        if len(idx) <= 1:
-            return 0.0
-        return float(norms[np.ix_(idx, idx)].max())
-
-    best = [math.inf] * m
-    best[0] = 0.0
-    for i in range(1, m):
-        for j in range(i):
-            if cand[i] - cand[j] > delta and best[j] < math.inf:
-                c = max(best[j], osc(cand[j], cand[i]))
-                if c < best[i]:
-                    best[i] = c
-    return best[m - 1]
+    jumps = starts[1:][starts[1:] < 1.0]
+    edges = np.concatenate([[0.0], jumps, [1.0]])
+    near = np.concatenate([jumps - delta, jumps + delta])
+    cand = np.unique(np.concatenate([edges, (edges[:-1] + edges[1:]) / 2.0,
+                                     near[(near > 0.0) & (near < 1.0)]]))
+    osc = np.linalg.norm(vals[:, None, :] - vals[None, :, :], axis=2)
+    for lag in range(1, len(vals)):  # osc[b, e]: the largest jump among pieces b..e
+        b, e = np.arange(len(vals) - lag), np.arange(lag, len(vals))
+        osc[b, e] = np.maximum.reduce([osc[b, e], osc[b, e - 1], osc[b + 1, e]])
+    # the pieces live on the cell (cand[j], cand[i]) are first[j]..last[i]
+    first = np.searchsorted(ends, cand, side="right")
+    last = np.searchsorted(starts, cand, side="left") - 1
+    best = np.zeros(len(cand))
+    for i in range(1, len(cand)):
+        sparse = cand[i] - cand[:i] > delta
+        best[i] = np.maximum(best[:i], osc[first[:i], last[i]])[sparse].min(initial=math.inf)
+    return float(best[-1])
 
 
 class FullSphere:
@@ -441,6 +422,11 @@ class HalfspaceCap:
             proj = (pts @ self.axis) / norms
         return (norms > 0.0) & (proj >= self.offset)
 
+    @property
+    def cones(self):
+        """Boundary cones (a, c), each the set x . a = c |x|."""
+        return ((self.axis, self.offset),)
+
 
 @dataclass(frozen=True)
 class SphereRect:
@@ -465,6 +451,12 @@ class SphereRect:
         ok = np.all((unit >= self.lo) & (unit <= self.hi), axis=1)
         return (norms > 0.0) & ok
 
+    @property
+    def cones(self):
+        """Boundary cones (a, c), each the set x . a = c |x|."""
+        eye = np.eye(len(self.lo))
+        return [(eye[k], b) for k in range(len(self.lo)) for b in (self.lo[k], self.hi[k])]
+
 
 def positive_halfline() -> HalfspaceCap:
     """The d = 1 region of strictly positive values."""
@@ -474,77 +466,45 @@ def positive_halfline() -> HalfspaceCap:
 def occupation(f: Trajectory, region) -> float:
     """Lebesgue measure of the times whose direction vector lies in the region.
 
-    Exact for piecewise-constant paths; piecewise-linear pieces are cut at
-    the roots of the region's boundary functions (bracketed and refined to
-    ~1e-12, well inside the 1e-6 contract).
+    Exact for piecewise-constant paths.  Linear pieces are cut where they
+    pass closest to the origin and at the closed-form roots where they meet
+    the region's boundary ``cones`` (none if it lists none); ``contains``
+    then decides each cell at its midpoint.
     """
     if not hasattr(region, "contains"):
         raise ValueError("unsupported region specification")
     if f.kind == CONSTANT:
         if len(f.times) == 1:
             return 1.0 if bool(region.contains(f.values[:1])[0]) else 0.0
-        lengths = np.diff(f.times)
-        member = region.contains(f.values[:-1])
-        return float(lengths[member].sum())
-    total = 0.0
-    for i in range(len(f.times) - 1):
-        total += _linear_piece_measure(
-            f.values[i], f.values[i + 1], float(f.times[i]), float(f.times[i + 1]), region
-        )
-    return total
+        return float(np.diff(f.times)[region.contains(f.values[:-1])].sum())
+    total, block = 0.0, 1 << 14  # pieces per block, bounding the cell arrays
+    for i in range(0, len(f.times) - 1, block):
+        t, x = f.times[i : i + block + 1], f.values[i : i + block + 1]
+        p0, seg = x[:-1], np.diff(x, axis=0)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            roots = [-(p0 * seg).sum(1) / (seg * seg).sum(1)]
+            for axis, offset in getattr(region, "cones", ()):
+                roots += _cone_roots(p0, seg, axis, offset)
+        roots = np.column_stack(roots)
+        roots[~((roots > 0.0) & (roots < 1.0))] = 1.0
+        cuts = np.sort(np.column_stack([np.zeros(len(p0)), roots, np.ones(len(p0))]), axis=1)
+        lo, hi = cuts[:, :-1], cuts[:, 1:]
+        mids = p0[:, None, :] + (0.5 * (lo + hi))[:, :, None] * seg[:, None, :]
+        inside = region.contains(mids.reshape(-1, f.dim)).reshape(lo.shape)
+        measure = np.where(inside, (hi - lo) * np.diff(t)[:, None], 0.0)
+        # summed piece by piece, left to right, like a running total
+        total = np.cumsum(np.concatenate([[total], measure.ravel()]))[-1]
+    return float(total)
 
 
-def _region_boundaries(region, p0, p1):
-    """Scalar functions whose sign changes can toggle region membership."""
-    seg = p1 - p0
-
-    def path(s):
-        return p0 + s * seg
-
-    funcs = []
-    if isinstance(region, HalfspaceCap):
-        ax, c = region.axis, region.offset
-
-        def cap(s):
-            x = path(s)
-            return float(x @ ax - c * np.linalg.norm(x))
-
-        funcs.append(cap)
-    elif isinstance(region, SphereRect):
-        for k in range(len(p0)):
-            for bound, sign in ((region.lo[k], 1.0), (region.hi[k], -1.0)):
-                def rect(s, k=k, bound=bound, sign=sign):
-                    x = path(s)
-                    return float(sign * (x[k] - bound * np.linalg.norm(x)))
-
-                funcs.append(rect)
-
-    def norm_f(s):
-        return float(np.linalg.norm(path(s)))
-
-    funcs.append(norm_f)
-    return funcs
-
-
-def _linear_piece_measure(p0, p1, t0, t1, region) -> float:
-    if np.array_equal(p0, p1):
-        inside = bool(region.contains(p0[None, :])[0])
-        return (t1 - t0) if inside else 0.0
-    cuts = {0.0, 1.0}
-    grid = np.linspace(0.0, 1.0, 65)
-    for fun in _region_boundaries(region, p0, p1):
-        vals = np.array([fun(s) for s in grid])
-        for k in range(len(grid) - 1):
-            lo, hi = vals[k], vals[k + 1]
-            if lo == 0.0:
-                cuts.add(float(grid[k]))
-            if lo * hi < 0.0:
-                cuts.add(float(brentq(fun, grid[k], grid[k + 1], xtol=1e-13)))
-    cuts = sorted(cuts)
-    seg = np.asarray(p1) - np.asarray(p0)
-    total = 0.0
-    for a, b in zip(cuts[:-1], cuts[1:]):
-        mid = p0 + 0.5 * (a + b) * seg
-        if bool(region.contains(mid[None, :])[0]):
-            total += (b - a) * (t1 - t0)
-    return total
+def _cone_roots(p0, seg, axis, offset) -> list:
+    """Roots s of (x.axis)^2 - offset^2 |x|^2 on x = p0 + s seg: crossings of the cone
+    x.axis = offset |x| or its mirror.  The discriminant offset^2 (|alpha seg - beta p0|^2
+    - offset^2 |p0 ^ seg|^2) is exactly 0 for a flat cone, so its one root stays exact."""
+    alpha, beta, c2 = p0 @ axis, seg @ axis, offset * offset
+    ps, pp, ss = (p0 * seg).sum(1), (p0 * p0).sum(1), (seg * seg).sum(1)
+    qa, qb, qc = beta * beta - c2 * ss, alpha * beta - c2 * ps, alpha * alpha - c2 * pp
+    w = alpha[:, None] * seg - beta[:, None] * p0
+    disc = c2 * ((w * w).sum(1) - c2 * (pp * ss - ps * ps))
+    q = -(qb + np.copysign(np.sqrt(disc), qb))
+    return [q / qa, qc / q]

@@ -332,6 +332,19 @@ def test_walk_and_sweep_inputs_are_config_errors(tmp_path, args, message):
     assert not (tmp_path / "x").exists()
 
 
+@pytest.mark.parametrize(
+    "sigma,message",
+    [("1,2;3,4", "symmetric"), ("1,0;0,-1", "not PSD")],
+    ids=["non-symmetric", "not-psd"],
+)
+def test_bad_covariance_is_config_error(tmp_path, sigma, message):
+    res = run_cli("experiment", "--builtin", "hull-volume-identity",
+                  "--override", f"sigma={sigma}", "--out", str(tmp_path / "x"))
+    assert res.returncode == 2, res.stderr
+    assert res.stderr.startswith("config error: sigma:") and message in res.stderr
+    assert not (tmp_path / "x").exists()
+
+
 def _bad_dim(dims):
     return dims[0] - 1 if dims[0] > 1 else dims[1] + 1
 

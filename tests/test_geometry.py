@@ -216,6 +216,15 @@ def test_diameter_matches_bruteforce_on_large_set(rng):
     assert diameter(pts) == pytest.approx(brute, abs=1e-12)
 
 
+@pytest.mark.parametrize("d", [4, 5])
+def test_diameter_hull_reduction_in_d4_d5_matches_all_pairs(d):
+    for seed in range(3):
+        for law in (gaussian(np.zeros(d), np.eye(d)), rademacher(d)):
+            pts = sample_walk(law, 200, seed=seed).sums
+            brute = float(np.sqrt(((pts[:, None, :] - pts[None, :, :]) ** 2).sum(axis=2)).max())
+            assert diameter(pts) == brute
+
+
 # ------------------------------------------------------------ mean width
 
 def test_mean_width_segment_and_disc():

@@ -30,7 +30,7 @@ from walklimits import (
     segment,
 )
 from walklimits.fixtures import jump_alignment, step_f, step_g, step_h
-from walklimits.metrics import identity_time_change
+from walklimits.metrics import _piece_intervals, identity_time_change
 
 from conftest import random_step, random_time_change
 
@@ -366,3 +366,135 @@ def test_metric_chain_hausdorff_skorokhod_sup(rng):
         di = rho_inf(f, g)
         assert dh <= ds + 1e-9
         assert ds <= di + 1e-9
+
+
+# ------------------------------------------- brute-force oracles for the moduli
+
+def _modulus_w_oracle(f, delta):
+    # every pair of pieces (step) or of candidate times (linear)
+    if f.kind == CONSTANT:
+        starts, ends, vals = _piece_intervals(f)
+        best = 0.0
+        for i in range(len(vals)):
+            for j in range(i + 1, len(vals)):
+                if starts[j] - ends[i] <= delta:
+                    best = max(best, float(np.linalg.norm(vals[i] - vals[j])))
+        return best
+    cand = np.concatenate([f.times, f.times - delta, f.times + delta])
+    cand = np.unique(np.clip(cand, 0.0, 1.0))
+    vals = f(cand)
+    best = 0.0
+    for i in range(len(cand)):
+        close = np.abs(cand - cand[i]) <= delta + 1e-15
+        if np.any(close):
+            best = max(best, float(np.linalg.norm(vals[close] - vals[i], axis=1).max()))
+    return best
+
+
+def _modulus_w_prime_oracle(f, delta):
+    # the same candidate cuts, with the oscillation recomputed for every cell
+    starts, ends, vals = _piece_intervals(f)
+    jumps = [float(t) for t in starts[1:] if t < 1.0]
+    edges = [0.0] + jumps + [1.0]
+    cand = {0.0, 1.0, *jumps, *((a + b) / 2.0 for a, b in zip(edges[:-1], edges[1:]))}
+    cand.update(s for t in jumps for s in (t - delta, t + delta) if 0.0 < s < 1.0)
+    cand = sorted(cand)
+    norms = np.linalg.norm(vals[:, None, :] - vals[None, :, :], axis=2)
+
+    def osc(lo, hi):
+        idx = np.flatnonzero((starts < hi) & (ends > lo))
+        return float(norms[np.ix_(idx, idx)].max()) if len(idx) > 1 else 0.0
+
+    best = [math.inf] * len(cand)
+    best[0] = 0.0
+    for i in range(1, len(cand)):
+        for j in range(i):
+            if cand[i] - cand[j] > delta and best[j] < math.inf:
+                best[i] = min(best[i], max(best[j], osc(cand[j], cand[i])))
+    return best[-1]
+
+
+def _random_path(rng, kind, d, n):
+    times = np.unique(np.concatenate([[0.0, 1.0], rng.random(n)]))
+    if rng.random() < 0.3:  # lattice values, so pieces repeat and merge
+        vals = 0.3 * np.cumsum(rng.integers(-1, 2, size=(len(times), d)), axis=0)
+    else:
+        vals = rng.normal(size=(len(times), d))
+    return Trajectory(kind, times, vals)
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_moduli_match_brute_force_oracles(rng, d):
+    tol = 0.0 if d == 1 else 1e-12
+    for _ in range(120):
+        n = int(rng.integers(0, 61))
+        delta = float(rng.uniform(0.005, 0.99))
+        for kind in (CONSTANT, LINEAR):
+            f = _random_path(rng, kind, d, n)
+            assert modulus_w(f, delta) == pytest.approx(_modulus_w_oracle(f, delta), abs=tol)
+        f = _random_path(rng, CONSTANT, d, int(rng.integers(0, 25)))
+        delta = min(delta, 0.6)
+        assert modulus_w_prime(f, delta) == pytest.approx(
+            _modulus_w_prime_oracle(f, delta), abs=tol)
+
+
+_ORACLE_CELLS = 20001
+
+
+def _occupation_oracle(f, region):
+    # midpoints of equal cells on every linear piece
+    s = (np.arange(_ORACLE_CELLS) + 0.5) / _ORACLE_CELLS
+    total = 0.0
+    for i in range(len(f.times) - 1):
+        x = f.values[i] + s[:, None] * (f.values[i + 1] - f.values[i])
+        total += region.contains(x).mean() * (f.times[i + 1] - f.times[i])
+    return total
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_linear_occupation_matches_dense_sampling(rng, d):
+    for _ in range(40):
+        f = _random_path(rng, LINEAR, d, int(rng.integers(0, 8)))
+        lo = rng.uniform(-1.0, 0.5, size=d)
+        regions = [
+            HalfspaceCap(rng.normal(size=d), float(rng.uniform(-1.0, 1.0))),
+            HalfspaceCap(rng.normal(size=d), 0.0),
+            SphereRect(lo, lo + rng.uniform(0.0, 1.5, size=d)),
+            SphereRect(np.zeros(d), np.ones(d)),
+            FullSphere(),
+        ]
+        for region in regions:
+            # a piece changes membership at most twice per boundary cone and
+            # once through the origin; each change can flip one oracle cell
+            changes = 1 + 2 * len(getattr(region, "cones", ()))
+            assert occupation(f, region) == pytest.approx(
+                _occupation_oracle(f, region), abs=changes / _ORACLE_CELLS)
+
+
+def test_occupation_sees_a_short_visit_to_a_narrow_cap():
+    # the direction of (1, y) is within 0.002 rad of the axis for |y| <= tan(0.002),
+    # a window of s-length tan(0.002) around s = 0.55
+    path = Trajectory(LINEAR, [0.0, 1.0], [[1.0, -1.1], [1.0, 0.9]])
+    cap = HalfspaceCap([1.0, 0.0], math.cos(0.002))
+    assert occupation(path, cap) == pytest.approx(math.tan(0.002), abs=1e-12)
+
+
+def test_linear_occupation_of_a_long_path_matches_closed_form():
+    # 40000 pieces span several blocks of the piece loop; in d = 1 the time a
+    # piece from a to b spends above 0 is a closed form
+    walk = sample_walk(rademacher(1), 40000, seed=5)
+    f = clt_trajectory(walk, LINEAR, [0.0])
+    a, b = f.values[:-1, 0], f.values[1:, 0]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        frac = np.where((a > 0) & (b > 0), 1.0, np.maximum(a, b).clip(0.0) / np.abs(b - a))
+    expected = float((frac * np.diff(f.times)).sum())
+    assert occupation(f, positive_halfline()) == pytest.approx(expected, abs=1e-9)
+
+
+def test_occupation_cuts_a_region_without_cones_at_the_origin():
+    class PositiveFirst:  # only `contains`: membership may change only through 0
+        def contains(self, points):
+            return np.atleast_2d(points)[:, 0] > 0.0
+
+    path = Trajectory(LINEAR, [0.0, 0.5, 1.0], [[-1.0, 2.0], [3.0, -6.0], [3.0, 0.0]])
+    assert occupation(path, PositiveFirst()) == pytest.approx(0.5 * 0.75 + 0.5, abs=1e-12)

@@ -85,7 +85,7 @@ def _cmd_experiment(args) -> int:
     print(report.summary_text(), end="")
     for p in paths:
         print(f"wrote {p}")
-    return 0
+    return 0 if report.passed else 3
 
 
 _METRIC_FUNCS = {
@@ -264,7 +264,11 @@ def build_parser() -> argparse.ArgumentParser:
     p_hull.add_argument("--out", default="")
     p_hull.set_defaults(func=_cmd_hull)
 
-    p_exp = sub.add_parser("experiment", help="run a Monte Carlo experiment")
+    p_exp = sub.add_parser(
+        "experiment", help="run a Monte Carlo experiment",
+        description="Run a Monte Carlo experiment and write its report.  Exit codes: "
+                    "0 every check passed, 3 a check failed (all outputs are still "
+                    "written), 2 configuration error, 1 runtime failure.")
     p_exp.add_argument("--config", default="")
     p_exp.add_argument("--builtin", default="",
                        help=f"one of: {', '.join(sorted(BUILTIN_CONFIGS))}")

@@ -2,7 +2,7 @@
 
 rho_inf                     supremum metric, exact for piecewise inputs
 rho_skorokhod               time-change metric, exact on step pairs
-rho_skorokhod_circ          chord-slope variant on the same candidates
+rho_skorokhod_circ          chord-slope variant over jump matchings (segment DP)
 lambda_circ_norm, c_lambda  norms of a time change
 modulus_w, modulus_w_prime  moduli of continuity (banded lag scan, range-max DP)
 max_functional, occupation  path functionals (linear pieces cut at cone roots)
@@ -14,7 +14,6 @@ docs/skorokhod_search.md for why that search class attains the infimum.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 
@@ -120,59 +119,57 @@ def _staircase_dp(u, a, v, b):
     which cells get co-occupied, a diagonal move being a jump of f mapped
     exactly onto a jump of g.  The cost of a path is the max of the cell
     mismatches and of the time displacements needed to realize each move;
-    minimizing over paths gives the infimum over all time changes.
+    minimizing over paths gives the infimum over all time changes.  Cells
+    depend only on their left, lower and lower-left neighbours, so each
+    anti-diagonal is filled at once.
     """
     p, q = len(u), len(v)
-    mism = np.linalg.norm(a[:, None, :] - b[None, :, :], axis=2)
+    inf = math.inf
     uu = np.concatenate([[0.0], u, [1.0]])
     vv = np.concatenate([[0.0], v, [1.0]])
-    inf = math.inf
+    # row i: f jumps at u_i into piece [u_i, u_{i+1}); column j likewise for g
+    t, t_next = uu[:-1, None], uu[1:, None]
+    x, x_next = vv[None, :-1], vv[None, 1:]
+    last_i, last_j = np.arange(p + 1)[:, None] == p, np.arange(q + 1)[None, :] == q
+    # f jumps at u_i while g stays in piece j; a zero-width final piece of g
+    # is only reachable at t = 1
+    right = np.where(x == 1.0, inf, np.maximum(0.0, np.maximum(x - t, t - x_next)))
+    right = np.where(t == 1.0, np.where(last_j, 0.0, inf), right)
+    # lambda crosses v_j while f stays in piece i (same rule for f's final piece)
+    up = np.where(t == 1.0, inf, np.maximum(0.0, np.maximum(t - x, x - t_next)))
+    up = np.where(x == 1.0, np.where(last_i, 0.0, inf), up)
+    # simultaneous jumps: lambda(u_i) = v_j
+    diag = np.where((t == 1.0) != (x == 1.0), inf, np.abs(t - x))
 
-    def disp_right(i, j):  # f jumps at u_i while g stays in piece j
-        t = u[i - 1]
-        if t == 1.0:
-            return 0.0 if j == q else inf
-        if vv[j] == 1.0:  # zero-width final piece of g is only reachable at t = 1
-            return inf
-        return max(0.0, vv[j] - t, t - vv[j + 1])
+    # flat arrays with an inf border row and column: cell (i, j) sits at
+    # (i + 1) * w + j + 1, an anti-diagonal is a slice of stride w - 1
+    w = q + 2
 
-    def disp_up(i, j):  # lambda crosses v_j while f stays in piece i
-        x = v[j - 1]
-        if x == 1.0:
-            return 0.0 if i == p else inf
-        if uu[i] == 1.0:  # zero-width final piece of f exists only at t = 1
-            return inf
-        return max(0.0, uu[i] - x, x - uu[i + 1])
+    def padded(arr):
+        out = np.full((p + 2, w), inf)
+        out[1:, 1:] = arr
+        return out.ravel()
 
-    def disp_diag(i, j):  # simultaneous jumps: lambda(u_i) = v_j
-        t, x = u[i - 1], v[j - 1]
-        if (t == 1.0) != (x == 1.0):
-            return inf
-        return abs(t - x)
-
-    cost = np.full((p + 1, q + 1), inf)
-    move = np.zeros((p + 1, q + 1), dtype=np.int8)
-    cost[0, 0] = mism[0, 0]
-    for i in range(p + 1):
-        for j in range(q + 1):
-            if i == 0 and j == 0:
-                continue
-            best, how = inf, 0
-            if i > 0:
-                c = max(cost[i - 1, j], disp_right(i, j))
-                if c < best:
-                    best, how = c, 1
-            if j > 0:
-                c = max(cost[i, j - 1], disp_up(i, j))
-                if c < best:
-                    best, how = c, 2
-            if i > 0 and j > 0:
-                c = max(cost[i - 1, j - 1], disp_diag(i, j))
-                if c < best:
-                    best, how = c, 3
-            cost[i, j] = max(best, mism[i, j])
-            move[i, j] = how
-    return float(cost[p, q]), move
+    mism = padded(np.linalg.norm(a[:, None, :] - b[None, :, :], axis=2))
+    right, up, diag = padded(right), padded(up), padded(diag)
+    cost = np.full((p + 2) * w, inf)
+    move = np.zeros((p + 2) * w, dtype=np.int8)
+    cost[w + 1] = mism[w + 1]
+    for d in range(1, p + q + 1):
+        lo, hi = max(0, d - q), min(p, d)
+        first, stop = w + 1 + d + lo * (w - 1), w + 2 + d + hi * (w - 1)
+        cells = slice(first, stop, w - 1)
+        # tie order right < up < diag: a later move wins only when strictly lower
+        best = np.maximum(cost[first - w : stop - w : w - 1], right[cells])
+        how = np.where(best < inf, 1, 0)
+        for c, k in ((np.maximum(cost[first - 1 : stop - 1 : w - 1], up[cells]), 2),
+                     (np.maximum(cost[first - w - 1 : stop - w - 1 : w - 1], diag[cells]), 3)):
+            lower = c < best
+            best = np.where(lower, c, best)
+            how = np.where(lower, k, how)
+        cost[cells] = np.maximum(best, mism[cells])
+        move[cells] = how
+    return float(cost[-1]), move.reshape(p + 2, w)[1:, 1:]
 
 
 def _witness_from_moves(u, v, move) -> TimeChange | None:
@@ -269,11 +266,12 @@ def rho_skorokhod_circ(
 ) -> MetricResult:
     """Variant minimizing max(chord-slope log norm, |f - g o lambda|).
 
-    Exact mode enumerates piecewise-linear time changes whose breakpoints
-    match jumps of f monotonically onto jumps of g; the enumeration is
-    capped at j_max jumps per side and `budget` matchings, beyond which an
-    upper bound is returned (best of the identity and the rho_skorokhod
-    witness re-scored under this objective).
+    Exact mode minimizes over piecewise-linear time changes whose
+    breakpoints match jumps of f monotonically onto jumps of g, by a
+    dynamic program over matched pairs; it is capped at j_max jumps per
+    side and `budget` candidate matchings, beyond which an upper bound is
+    returned (best of the identity and the rho_skorokhod witness re-scored
+    under this objective).
     """
     _check_pair(f, g, same_kind=True)
     if f.kind == LINEAR:
@@ -290,29 +288,64 @@ def rho_skorokhod_circ(
             if obj < best:
                 best, wit = obj, alt
         return MetricResult(best, wit, UPPER_BOUND)
-    best, wit = math.inf, None
-    for k in range(0, min(p, q) + 1):
-        for fi in itertools.combinations(range(p), k):
-            for gj in itertools.combinations(range(q), k):
-                ts, xs = [0.0], [0.0]
-                ok = True
-                for ii, jj in zip(fi, gj):
-                    t, x = u[ii], v[jj]
-                    if (t == 1.0) != (x == 1.0):
-                        ok = False
-                        break
-                    if t < 1.0:
-                        ts.append(t)
-                        xs.append(x)
-                if not ok:
-                    continue
-                ts.append(1.0)
-                xs.append(1.0)
-                lam = TimeChange(ts, xs)
-                obj = max(lambda_circ_norm(lam), _sup_diff_under(u, a, v, b, lam))
-                if obj < best:
-                    best, wit = obj, lam
-    return MetricResult(best, wit, EXACT)
+    return MetricResult(*_circ_dp(u, a, v, b), EXACT)
+
+
+def _circ_dp(u, a, v, b):
+    """Exact rho_skorokhod_circ over time changes interpolating monotone jump matchings.
+
+    Between consecutive matched nodes such a lambda is linear, so its chord
+    norm and the cells f and g o lambda co-occupy there depend only on the
+    two nodes: the objective is the max of per-segment costs, minimized by a
+    bottleneck shortest path over the matched pairs (start (0, 0), end (1, 1);
+    a pair with one side at 1 is infeasible and (1, 1) is the end itself).
+    Each segment re-maps g's jumps with the same interpolation arithmetic as
+    the whole lambda, so values equal an enumeration of all matchings.
+    """
+    p, q = len(u), len(v)
+    mism = [[float(np.linalg.norm(a[i] - b[j])) for j in range(q + 1)] for i in range(p + 1)]
+    nodes = [(0, 0)] + [(r, s) for r in range(1, p + 1) if u[r - 1] < 1.0
+                        for s in range(1, q + 1) if v[s - 1] < 1.0] + [(p + 1, q + 1)]
+    ts = np.array([0.0] + [u[r - 1] for r, _ in nodes[1:-1]] + [1.0])
+    xs = np.array([0.0] + [v[s - 1] for _, s in nodes[1:-1]] + [1.0])
+    with np.errstate(divide="ignore", invalid="ignore"):
+        chord = np.abs(np.log((xs[None, :] - xs[:, None]) / (ts[None, :] - ts[:, None]))).tolist()
+    uf, end = u.tolist(), len(nodes) - 1
+
+    def segment(m, k):
+        """sup |f - g o lambda| over the segment's own event times."""
+        (r, s), (r2, s2) = nodes[m], nodes[k]
+        fe, ge = uf[r : r2 - 1], v[s : s2 - 1]
+        ge = np.interp(ge, xs[[m, k]], ts[[m, k]]).tolist() if len(ge) else []
+        # events landing on the right node belong to the next segment's start
+        stop = math.inf if k == end else ts[k]
+        cost = 0.0 if ge and ge[0] == ts[m] else mism[r][s]
+        i = j = 0
+        while True:
+            at = min(fe[i] if i < len(fe) else math.inf, ge[j] if j < len(ge) else math.inf)
+            if at >= stop:
+                return cost
+            while i < len(fe) and fe[i] == at:
+                i += 1
+            while j < len(ge) and ge[j] == at:
+                j += 1
+            cost = max(cost, mism[r + i][s + j])
+
+    best, back = [mism[0][0]] + [math.inf] * end, [0] * (end + 1)
+    for k in range(1, end + 1):
+        r2, s2 = nodes[k]
+        # predecessors by their lower bound, stopping once none can improve
+        for bound, m in sorted((max(best[m], chord[m][k]), m) for m in range(k)
+                               if nodes[m][0] < r2 and nodes[m][1] < s2):
+            if bound >= best[k]:
+                break
+            c = max(bound, segment(m, k))
+            if c < best[k]:
+                best[k], back[k] = c, m
+    path = [end]
+    while path[-1]:
+        path.append(back[path[-1]])
+    return best[end], TimeChange(ts[path[::-1]], xs[path[::-1]])
 
 
 def max_functional(f: Trajectory) -> float:
@@ -376,17 +409,20 @@ def modulus_w_prime(f: Trajectory, delta: float) -> float:
     near = np.concatenate([jumps - delta, jumps + delta])
     cand = np.unique(np.concatenate([edges, (edges[:-1] + edges[1:]) / 2.0,
                                      near[(near > 0.0) & (near < 1.0)]]))
-    osc = np.linalg.norm(vals[:, None, :] - vals[None, :, :], axis=2)
-    for lag in range(1, len(vals)):  # osc[b, e]: the largest jump among pieces b..e
-        b, e = np.arange(len(vals) - lag), np.arange(lag, len(vals))
-        osc[b, e] = np.maximum.reduce([osc[b, e], osc[b, e - 1], osc[b + 1, e]])
     # the pieces live on the cell (cand[j], cand[i]) are first[j]..last[i]
     first = np.searchsorted(ends, cand, side="right")
     last = np.searchsorted(starts, cand, side="left") - 1
+    # osc[b]: the largest distance between pieces b..e, one right end e at a time
+    # (last is non-decreasing, so each column is built once from the one before)
+    osc, e = np.zeros(len(vals)), -1
     best = np.zeros(len(cand))
     for i in range(1, len(cand)):
+        while e < last[i]:
+            e += 1
+            reach = np.linalg.norm(vals[: e + 1] - vals[e], axis=1)
+            osc[: e + 1] = np.maximum(osc[: e + 1], np.maximum.accumulate(reach[::-1])[::-1])
         sparse = cand[i] - cand[:i] > delta
-        best[i] = np.maximum(best[:i], osc[first[:i], last[i]])[sparse].min(initial=math.inf)
+        best[i] = np.maximum(best[:i], osc[first[:i]])[sparse].min(initial=math.inf)
     return float(best[-1])
 
 

@@ -300,6 +300,20 @@ def test_negative_seed_is_config_error(tmp_path, args):
     assert not (tmp_path / "x").exists()
 
 
+def test_experiment_exits_three_on_a_failing_report(tmp_path):
+    res = run_cli("experiment", "--builtin", "perimeter-lln", "--out", str(tmp_path))
+    assert res.returncode == 3, res.stderr
+    assert "FAIL" in res.stdout
+    assert ",false," in (tmp_path / "report.csv").read_text()
+    assert (tmp_path / "manifest.cfg").exists()
+
+
+def test_experiment_exits_zero_on_a_passing_report(tmp_path):
+    res = run_cli("experiment", "--builtin", "max-clt", "--out", str(tmp_path))
+    assert res.returncode == 0, res.stderr
+    assert ",false," not in (tmp_path / "report.csv").read_text()
+
+
 def test_nan_threshold_is_config_error(tmp_path):
     res = run_cli("experiment", "--builtin", "perimeter-lln",
                   "--override", "threshold=nan", "--out", str(tmp_path / "x"))

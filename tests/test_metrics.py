@@ -1,5 +1,7 @@
 
+import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -30,7 +32,13 @@ from walklimits import (
     segment,
 )
 from walklimits.fixtures import jump_alignment, step_f, step_g, step_h
-from walklimits.metrics import _piece_intervals, identity_time_change
+from walklimits.metrics import (
+    _piece_intervals,
+    _staircase_dp,
+    _step_pieces,
+    _sup_diff_under,
+    identity_time_change,
+)
 
 from conftest import random_step, random_time_change
 
@@ -498,3 +506,155 @@ def test_occupation_cuts_a_region_without_cones_at_the_origin():
 
     path = Trajectory(LINEAR, [0.0, 0.5, 1.0], [[-1.0, 2.0], [3.0, -6.0], [3.0, 0.0]])
     assert occupation(path, PositiveFirst()) == pytest.approx(0.5 * 0.75 + 0.5, abs=1e-12)
+
+
+# ------------------------------- oracles for the two Skorokhod dynamic programs
+
+def _circ_enumeration_oracle(f, g):
+    # every monotone matching of f's jumps onto g's, interpolated and scored whole
+    u, a = _step_pieces(f)
+    v, b = _step_pieces(g)
+    best = math.inf
+    for k in range(0, min(len(u), len(v)) + 1):
+        for fi in itertools.combinations(range(len(u)), k):
+            for gj in itertools.combinations(range(len(v)), k):
+                pairs = [(u[i], v[j]) for i, j in zip(fi, gj)]
+                if any((t == 1.0) != (x == 1.0) for t, x in pairs):
+                    continue
+                pairs = [(0.0, 0.0)] + [(t, x) for t, x in pairs if t < 1.0] + [(1.0, 1.0)]
+                lam = TimeChange(*zip(*pairs))
+                best = min(best, max(lambda_circ_norm(lam), _sup_diff_under(u, a, v, b, lam)))
+    return best
+
+
+def _staircase_oracle(u, a, v, b):
+    # the staircase DP filled one cell at a time
+    p, q = len(u), len(v)
+    mism = np.linalg.norm(a[:, None, :] - b[None, :, :], axis=2)
+    uu = np.concatenate([[0.0], u, [1.0]])
+    vv = np.concatenate([[0.0], v, [1.0]])
+
+    def disp_right(i, j):
+        t = u[i - 1]
+        if t == 1.0:
+            return 0.0 if j == q else math.inf
+        if vv[j] == 1.0:
+            return math.inf
+        return max(0.0, vv[j] - t, t - vv[j + 1])
+
+    def disp_up(i, j):
+        x = v[j - 1]
+        if x == 1.0:
+            return 0.0 if i == p else math.inf
+        if uu[i] == 1.0:
+            return math.inf
+        return max(0.0, uu[i] - x, x - uu[i + 1])
+
+    def disp_diag(i, j):
+        t, x = u[i - 1], v[j - 1]
+        return math.inf if (t == 1.0) != (x == 1.0) else abs(t - x)
+
+    cost = np.full((p + 1, q + 1), math.inf)
+    move = np.zeros((p + 1, q + 1), dtype=np.int8)
+    cost[0, 0] = mism[0, 0]
+    for i in range(p + 1):
+        for j in range(q + 1):
+            if i == 0 and j == 0:
+                continue
+            best, how = math.inf, 0
+            if i > 0 and max(cost[i - 1, j], disp_right(i, j)) < best:
+                best, how = max(cost[i - 1, j], disp_right(i, j)), 1
+            if j > 0 and max(cost[i, j - 1], disp_up(i, j)) < best:
+                best, how = max(cost[i, j - 1], disp_up(i, j)), 2
+            if i > 0 and j > 0 and max(cost[i - 1, j - 1], disp_diag(i, j)) < best:
+                best, how = max(cost[i - 1, j - 1], disp_diag(i, j)), 3
+            cost[i, j] = max(best, mism[i, j])
+            move[i, j] = how
+    return float(cost[p, q]), move
+
+
+def _lattice_step(rng, denom, max_jumps, d=1, jump_at_one=False):
+    # jumps on a dyadic grid, so event times tie across f and g o lambda
+    u = np.unique(rng.integers(1, denom, size=int(rng.integers(0, max_jumps + 1))) / denom)
+    if jump_at_one:
+        u = np.append(u, 1.0)
+    vals = 0.5 * np.cumsum(rng.integers(-1, 2, size=(len(u) + 1, d)), axis=0)
+    if jump_at_one:
+        vals[-1] += 1.0  # the final piece has zero width
+        return Trajectory(CONSTANT, np.concatenate([[0.0], u]), vals)
+    return Trajectory(CONSTANT, np.concatenate([[0.0], u, [1.0]]), np.vstack([vals, vals[-1:]]))
+
+
+def _rademacher_path(n, seed):
+    return clt_trajectory(sample_walk(rademacher(1), n, seed), CONSTANT, [0.0])
+
+
+def _circ_pairs(rng, family):
+    if family == "continuous":
+        return [(random_step(rng, max_jumps=6), random_step(rng, max_jumps=6)) for _ in range(40)]
+    if family == "dyadic":
+        return [(_lattice_step(rng, 8, 6), _lattice_step(rng, 16, 6)) for _ in range(40)]
+    if family == "rademacher":
+        return [(_rademacher_path(n, n), _rademacher_path(m, 50 + n))
+                for n in range(1, 9) for m in (n, max(1, n - 3))]
+    if family == "jump-at-one":
+        return [(_lattice_step(rng, 8, 5, jump_at_one=True),
+                 _lattice_step(rng, 8, 5, jump_at_one=bool(k % 2))) for k in range(40)]
+    return [(random_step(rng, d=2, max_jumps=5), _lattice_step(rng, 8, 5, d=2))
+            for _ in range(40)]
+
+
+@pytest.mark.parametrize("family", ["continuous", "dyadic", "rademacher", "jump-at-one", "d2"])
+def test_rho_skorokhod_circ_matches_matching_enumeration(rng, family):
+    for f, g in _circ_pairs(rng, family):
+        res = rho_skorokhod_circ(f, g)
+        assert res.mode == "exact"
+        assert res.value == _circ_enumeration_oracle(f, g)
+        u, a = _step_pieces(f)
+        v, b = _step_pieces(g)
+        lam = res.witness
+        assert max(lambda_circ_norm(lam), _sup_diff_under(u, a, v, b, lam)) == res.value
+
+
+def _step_path(jumps, vals):
+    return Trajectory(CONSTANT, [0.0, *jumps, 1.0], [[x] for x in [*vals, vals[-1]]])
+
+
+def test_rho_skorokhod_circ_keeps_events_rounded_onto_a_node():
+    # matching 0.5 -> 0.25 and its float successor -> 0.75 maps g's jump at 0.35
+    # (0.65 in the mirrored pair) back onto a node exactly, so g's piece worth
+    # 1000 is never co-occupied; the value is that matching's chord norm
+    e, s = math.nextafter(0.5, 1.0), math.nextafter(0.5, 0.0)
+    pairs = [
+        (_step_path([0.5, e], [0.0, 1.0, 2.0]), _step_path([0.25, 0.35, 0.75], [0.0, 1000.0, 1.0, 2.0])),
+        (_step_path([s, 0.5], [0.0, 1.0, 2.0]), _step_path([0.25, 0.65, 0.75], [0.0, 1.0, 1000.0, 2.0])),
+    ]
+    for f, g in pairs:
+        value = rho_skorokhod_circ(f, g).value
+        assert value == _circ_enumeration_oracle(f, g)
+        assert 36.0 < value < 37.0
+
+
+def test_staircase_dp_matches_cell_loop(rng):
+    pairs = [(_rademacher_path(64, 2 * k), _rademacher_path(64, 2 * k + 1)) for k in range(4)]
+    pairs += [(random_step(rng, max_jumps=64), random_step(rng, max_jumps=64)) for _ in range(4)]
+    pairs += [(_lattice_step(rng, 64, 64, d=2, jump_at_one=bool(k % 2)),
+               _lattice_step(rng, 64, 64, d=2, jump_at_one=k > 1)) for k in range(4)]
+    for f, g in pairs:
+        u, a = _step_pieces(f)
+        v, b = _step_pieces(g)
+        value, move = _staircase_dp(u, a, v, b)
+        expected, expected_move = _staircase_oracle(u, a, v, b)
+        assert value == expected
+        assert np.array_equal(move, expected_move)
+
+
+def test_modulus_w_prime_memory_is_linear_in_pieces():
+    f = _rademacher_path(4000, 0)
+    tracemalloc.start()
+    try:
+        modulus_w_prime(f, 0.05)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 64 * 2**20

@@ -3,7 +3,8 @@
 Subcommands: simulate, metric, hull, experiment, report.  Every run writes
 a manifest echoing its fully-resolved config next to its outputs, and all
 files are written to a temp name then renamed, so interrupted runs never
-leave partial output.  Exit codes: 0 success, 2 configuration error
+leave partial output.  Exit codes: 0 success, 3 an experiment report with a
+failing check (every output is still written), 2 configuration error
 (diagnostic names the offending key), 1 runtime failure.  The default
 output directory comes from $WALKLIMITS_OUT (falling back to '.').
 """
@@ -196,7 +197,7 @@ def _cmd_hull(args) -> int:
     _write_atomic(os.path.join(out, "vertices.csv"), csvio.vertices_csv(body))
     _write_atomic(os.path.join(out, "body.off"), csvio.off_text(body))
     rows = [
-        ("diameter", geometry.diameter(points)),
+        ("diameter", geometry.diameter(body)),
         ("mean-width", geometry.mean_width(body, args.directions)),
         ("surface-area", geometry.surface_area(body)),
         ("volume", geometry.volume(body)),

@@ -27,17 +27,22 @@ def _header(prefix: str, dim: int) -> str:
     return prefix + "," + ",".join(f"x{i + 1}" for i in range(dim))
 
 
+def _floats(a) -> list:
+    """Python floats (nested as the array), so repr(x) is repr(float(element))."""
+    return np.asarray(a, dtype=float).tolist()
+
+
 def walk_csv(walk: Walk) -> str:
     lines = [_header("k", walk.dim)]
-    for k, row in enumerate(walk.sums):
-        lines.append(str(k) + "," + ",".join(repr(float(x)) for x in row))
+    for k, row in enumerate(_floats(walk.sums)):
+        lines.append(str(k) + "," + ",".join(map(repr, row)))
     return "\n".join(lines) + "\n"
 
 
 def trajectory_csv(traj: Trajectory) -> str:
     lines = [f"# kind = {traj.kind}", _header("t", traj.dim)]
-    for t, row in zip(traj.times, traj.values):
-        lines.append(repr(float(t)) + "," + ",".join(repr(float(x)) for x in row))
+    for t, row in zip(_floats(traj.times), _floats(traj.values)):
+        lines.append(repr(t) + "," + ",".join(map(repr, row)))
     return "\n".join(lines) + "\n"
 
 
@@ -55,15 +60,15 @@ def read_trajectory_csv(text: str, kind: str | None = None) -> Trajectory:
 
 def samples_csv(values) -> str:
     lines = ["sample_id,value"]
-    for i, v in enumerate(np.asarray(values).ravel()):
-        lines.append(f"{i},{repr(float(v))}")
+    for i, v in enumerate(_floats(np.ravel(values))):
+        lines.append(f"{i},{v!r}")
     return "\n".join(lines) + "\n"
 
 
 def vertices_csv(body: ConvexBody) -> str:
     lines = [",".join(f"x{i + 1}" for i in range(body.dim))]
-    for row in body.vertices:
-        lines.append(",".join(repr(float(x)) for x in row))
+    for row in _floats(body.vertices):
+        lines.append(",".join(map(repr, row)))
     return "\n".join(lines) + "\n"
 
 
@@ -81,8 +86,8 @@ def off_text(body: ConvexBody) -> str:
         index = {tuple(v): i for i, v in enumerate(map(tuple, verts))}
         faces.append([index[tuple(p)] for p in body.loop])
     lines = ["OFF", f"{len(verts)} {len(faces)} 0"]
-    for row in verts:
-        lines.append(" ".join(repr(float(x)) for x in row))
+    for row in _floats(verts):
+        lines.append(" ".join(map(repr, row)))
     for face in faces:
         lines.append(str(len(face)) + " " + " ".join(map(str, face)))
     return "\n".join(lines) + "\n"

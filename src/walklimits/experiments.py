@@ -122,16 +122,20 @@ _BATCH_BYTES = 64 << 20
 
 
 def _batches(law, n: int, seed: int, total: int):
-    """(lo, hi, prefix sums (hi-lo, n+1, d)) for replicas lo..hi-1, streams by index."""
+    """(lo, hi, prefix sums (hi-lo, n+1, d)) for replicas lo..hi-1, streams by index.
+
+    Every batch is a view of one buffer, so the next batch overwrites it: use
+    a batch fully before advancing.
+    """
     size = max(1, min(_BATCH_REPLICAS, _BATCH_BYTES // ((n + 1) * law.dim * 8)))
+    buf = np.empty((min(size, total), n + 1, law.dim))
+    buf[:, 0] = 0.0
     for lo in range(0, total, size):
         hi = min(lo + size, total)
-        out = np.empty((hi - lo, n + 1, law.dim))
-        out[:, 0] = 0.0
         for r in range(lo, hi):
             inc = law.sample(n, replica_stream(seed, r))
-            np.cumsum(inc, axis=0, out=out[r - lo, 1:])
-        yield lo, hi, out
+            np.cumsum(inc, axis=0, out=buf[r - lo, 1:])
+        yield lo, hi, buf[: hi - lo]
 
 
 def _walk_samples(cfg: ExperimentConfig, law) -> np.ndarray:
@@ -272,14 +276,12 @@ def run_com_kernel_check(cfg: ExperimentConfig) -> Report:
     kernel = laws.ComKernel(laws.sqrt_psd(law.sigma))
     n, m, d = cfg.n, cfg.replicas, cfg.dim
     times = sorted({t for pair in cfg.pairs for t in pair})
-    indices = {t: max(1, int(math.floor(n * t))) for t in times}
+    ks = [max(1, int(math.floor(n * t))) for t in times]
     values = {t: np.empty((m, d)) for t in times}
     root_n = math.sqrt(n)
     for lo, hi, sums in _batches(law, n, cfg.seed, m):
-        csum = np.cumsum(sums[:, 1:, :], axis=1)
-        for t in times:
-            k = indices[t]
-            values[t][lo:hi] = csum[:, k - 1, :] / k / root_n
+        for t, g in zip(times, functionals.com_at(sums, ks)):
+            values[t][lo:hi] = g / root_n
     rows = []
     threshold = cfg.threshold or 0.05
     for t1, t2 in cfg.pairs:

@@ -43,15 +43,22 @@ def dims_text(dims: tuple) -> str:
 
 
 def _arcsine(sums, cfg) -> np.ndarray:
-    b, n1, d = sums.shape
-    region = metrics.HalfspaceCap(np.eye(d)[0], 0.0)
-    return region.contains(sums[:, 1:, :].reshape(-1, d)).reshape(b, n1 - 1).mean(axis=1)
+    region = metrics.HalfspaceCap(np.eye(sums.shape[2])[0], 0.0)
+    return np.array([region.contains(p[1:]).mean() for p in sums])
+
+
+def com_at(sums, ks) -> list:
+    """G_k = (S_1 + ... + S_k) / k as (b, d) for each k in ks (each k >= 1).
+
+    One sequential cumsum through max(ks) serves every k.
+    """
+    csum = np.cumsum(sums[:, 1 : max(ks) + 1, :], axis=1)
+    return [csum[:, k - 1, :] / k for k in ks]
 
 
 def _com(sums, cfg) -> np.ndarray:
-    """G_k = (S_1 + ... + S_k) / k at k = max(1, floor(n t)), every coordinate."""
-    k = max(1, math.floor((sums.shape[1] - 1) * cfg.t))
-    return np.cumsum(sums[:, 1:, :], axis=1)[:, k - 1, :] / k
+    """G_k at k = max(1, floor(n t)), every coordinate."""
+    return com_at(sums, [max(1, math.floor((sums.shape[1] - 1) * cfg.t))])[0]
 
 
 def _per_hull(measure):

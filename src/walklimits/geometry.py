@@ -269,12 +269,19 @@ _DIAMETER_HULL_MAX_DIM = 5
 
 
 def diameter(points) -> float:
-    """Largest pairwise distance in a point set, exact."""
-    pts = _as_points(points)
-    if len(pts) == 0:
-        raise ValueError("empty point set")
-    if len(pts) > 64 and pts.shape[1] <= _DIAMETER_HULL_MAX_DIM:
-        pts = convex_hull(pts, validate=False).vertices
+    """Largest pairwise distance in a point set, exact.
+
+    A ConvexBody stands for its vertices, so a hull already built is not
+    built again.
+    """
+    if isinstance(points, ConvexBody):
+        pts = points.vertices
+    else:
+        pts = _as_points(points)
+        if len(pts) == 0:
+            raise ValueError("empty point set")
+        if len(pts) > 64 and pts.shape[1] <= _DIAMETER_HULL_MAX_DIM:
+            pts = convex_hull(pts, validate=False).vertices
     best = 0.0
     block = 512
     for i in range(0, len(pts), block):

@@ -91,10 +91,18 @@ class LawKind(NamedTuple):
     zero_mean: bool
 
 
+def _rademacher_steps(law: IncrementLaw, n: int, rng) -> np.ndarray:
+    # Equals (rng.integers(0, 2, (n, dim)) * 2 - 1) only on a fresh stream with
+    # 64-bit output (Philox, PCG64): integers(0, 2) is the top bit of each
+    # 32-bit half of a raw word, low half first.
+    m = n * law.dim
+    halves = rng.bit_generator.random_raw(-(-m // 2)).astype("<u8", copy=False).view("<u4")
+    return ((halves[:m] >> 31) * 2.0 - 1.0).reshape(n, law.dim)
+
+
 LAWS = {
     "rademacher": LawKind(
-        lambda law, n, rng: (rng.integers(0, 2, size=(n, law.dim)) * 2 - 1).astype(float),
-        lambda dim, mu, sigma: rademacher(dim), True),
+        _rademacher_steps, lambda dim, mu, sigma: rademacher(dim), True),
     "gaussian": LawKind(
         lambda law, n, rng: law.mu + rng.standard_normal((n, law.dim)) @ law._root,
         lambda dim, mu, sigma: gaussian(mu, sigma), False),

@@ -10,7 +10,9 @@ from walklimits.cli import _walk_config, build_parser, main
 from walklimits.config import build_config, parse_text
 from walklimits.experiments import law_from_config
 from walklimits.functionals import ANY_DIM, FUNCTIONALS
-from walklimits.walks import LAWS, sample_walk
+from walklimits.geometry import ConvexBody
+from walklimits.trajectory import LINEAR, Trajectory
+from walklimits.walks import LAWS, Walk, sample_walk
 
 CONFIG_OK = """
 experiment = distributional
@@ -391,3 +393,27 @@ def test_law_table_builds_the_same_law_from_config_and_cli(tmp_path, kind):
                  "--seed", "4", "--out", str(tmp_path)]) == 0
     walk = sample_walk(from_cfg, 6, 4)
     assert (tmp_path / "walk.csv").read_text() == csvio.walk_csv(walk)
+
+
+SPECIAL_ROWS = np.array([[-0.0, 1e16, 1e-5], [0.1 + 0.2, np.inf, np.nan], [-np.inf, 1.0, -2.5]])
+
+
+def _per_element_row(row, sep=","):
+    """The row formatter csvio used before rows went through tolist()."""
+    return sep.join(repr(float(x)) for x in row)
+
+
+def test_csv_rows_match_per_element_repr():
+    walk = Walk(dim=3, increments=SPECIAL_ROWS, sums=np.vstack([np.zeros(3), SPECIAL_ROWS]))
+    assert csvio.walk_csv(walk).splitlines()[1:] == [
+        f"{k},{_per_element_row(r)}" for k, r in enumerate(walk.sums)]
+    traj = Trajectory(LINEAR, [0.0, 0.1 + 0.2, 1.0], SPECIAL_ROWS)
+    assert csvio.trajectory_csv(traj).splitlines()[2:] == [
+        f"{_per_element_row([t])},{_per_element_row(r)}" for t, r in zip(traj.times, traj.values)]
+    for values in (SPECIAL_ROWS, np.arange(3), [True, 2, 0.5]):
+        assert csvio.samples_csv(values).splitlines()[1:] == [
+            f"{i},{_per_element_row([v])}" for i, v in enumerate(np.ravel(values))]
+    body = ConvexBody(dim=3, vertices=SPECIAL_ROWS)
+    assert csvio.vertices_csv(body).splitlines()[1:] == [_per_element_row(r) for r in SPECIAL_ROWS]
+    assert csvio.off_text(body).splitlines()[2:] == [
+        _per_element_row(r, " ") for r in SPECIAL_ROWS]

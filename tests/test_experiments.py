@@ -18,7 +18,8 @@ from walklimits.experiments import law_from_config, run_distributional
 from walklimits.rng import replica_stream
 from walklimits.stats import kolmogorov_threshold
 from walklimits import centre_of_mass, sample_walk, rademacher
-from walklimits import convex_hull, diameter, surface_area
+from walklimits import convex_hull, diameter, functionals, gaussian, surface_area
+from walklimits.metrics import HalfspaceCap
 
 
 def _cfg(text, overrides=None):
@@ -262,6 +263,46 @@ def test_batch_byte_budget_leaves_report_unchanged(monkeypatch):
     assert [hi - lo for lo, hi, _ in experiments._batches(law_from_config(cfg), 256, 0, 7)] \
         == [3, 3, 1]
     assert run_experiment(cfg).csv_text() == whole
+
+
+@pytest.mark.parametrize("law", [rademacher(2), gaussian([0.5, -1.0], [[2.0, 0.3], [0.3, 1.0]])])
+def test_batches_reuse_one_buffer_without_stale_rows(monkeypatch, law):
+    import walklimits.experiments as experiments
+
+    n, total = 50, 7
+    monkeypatch.setattr(experiments, "_BATCH_BYTES", 3 * (n + 1) * 2 * 8)
+    seen = []
+    for lo, hi, sums in experiments._batches(law, n, 11, total):
+        assert sums.shape == (hi - lo, n + 1, 2)
+        for r in range(lo, hi):
+            assert np.array_equal(sums[r - lo], sample_walk(law, n, 11, replica=r).sums)
+        seen.append(hi - lo)
+    assert seen == [3, 3, 1]
+
+
+def _arcsine_reshape(sums):
+    """The arcsine functional as first written: one (b n, d) reshape of the batch."""
+    b, n1, d = sums.shape
+    region = HalfspaceCap(np.eye(d)[0], 0.0)
+    return region.contains(sums[:, 1:, :].reshape(-1, d)).reshape(b, n1 - 1).mean(axis=1)
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_arcsine_per_replica_matches_reshape_formula(d):
+    for law in (rademacher(d), gaussian(np.zeros(d), np.eye(d))):
+        for n in (1, 2, 101, 1000):
+            sums = np.stack([sample_walk(law, n, 5, replica=r).sums for r in range(9)])
+            got = functionals.evaluate("arcsine", sums, None)[:, 0]
+            assert np.array_equal(got, _arcsine_reshape(sums))
+
+
+def test_com_at_reads_one_cumsum_through_the_largest_k():
+    sums = np.stack([sample_walk(gaussian([0.3], [[1.0]]), 40, 2, replica=r).sums
+                     for r in range(4)])
+    full = np.cumsum(sums[:, 1:, :], axis=1)
+    ks = [17, 40, 1]
+    for k, g in zip(ks, functionals.com_at(sums, ks)):
+        assert np.array_equal(g, full[:, k - 1, :] / k)
 
 
 def test_lln_sweep_needs_increasing_n():

@@ -225,6 +225,16 @@ def test_diameter_hull_reduction_in_d4_d5_matches_all_pairs(d):
             assert diameter(pts) == brute
 
 
+@pytest.mark.parametrize("d", [1, 2, 3, 6])
+def test_diameter_of_a_hull_is_the_diameter_of_its_points(d):
+    # the hull subcommand reads the diameter off the body it has built
+    for seed in range(3):
+        for n in (30, 300):
+            for law in (gaussian(np.zeros(d), np.eye(d)), rademacher(d)):
+                pts = sample_walk(law, n, seed=seed).sums
+                assert diameter(convex_hull(pts)) == diameter(pts)
+
+
 # ------------------------------------------------------------ mean width
 
 def test_mean_width_segment_and_disc():

@@ -91,6 +91,24 @@ def test_rademacher_mean_clt_bound():
     assert abs(mean) < 3.0 / math.sqrt(reps * n)
 
 
+def _integers_steps(n, d, rng):
+    """The Rademacher sampler as first written: int64 draws, doubled and cast."""
+    return (rng.integers(0, 2, size=(n, d)) * 2 - 1).astype(float)
+
+
+@pytest.mark.parametrize("seed,replica", [(0, 0), (7, 3), (20260812, 41), (2**40 + 1, 999)])
+def test_rademacher_steps_equal_integers_draws(seed, replica):
+    # steps read from raw words equal integers(0, 2) on a fresh stream, odd n * d too
+    for n in (1, 2, 3, 7, 1000, 10001):
+        for d in (1, 2, 3):
+            law = rademacher(d)
+            for fresh in (lambda: replica_stream(seed, replica),
+                          lambda: np.random.default_rng(seed + replica)):
+                got = law.sample(n, fresh())
+                assert got.shape == (n, d) and got.dtype == np.float64
+                assert np.array_equal(got, _integers_steps(n, d, fresh()))
+
+
 def test_lln_trajectory_grid_agreement():
     walk = sample_walk(rademacher(1), 64, seed=3)
     lin = lln_trajectory(walk, LINEAR)

@@ -15,8 +15,9 @@ import argparse
 import csv
 import os
 import re
+import secrets
 import sys
-import tempfile
+from typing import Iterable
 
 import numpy as np
 
@@ -29,13 +30,18 @@ from .trajectory import CONSTANT, LINEAR
 from .walks import clt_trajectory, lln_trajectory, sample_walk
 
 
-def _write_atomic(path: str, text: str) -> None:
+def _write_atomic(path: str, text: str | Iterable[str]) -> None:
+    """Write a str, or the strs of an iterable, to a temp file renamed onto path.
+
+    The temp file is created with mode 0666 less the umask, as open() would.
+    """
     directory = os.path.dirname(path) or "."
     os.makedirs(directory, exist_ok=True)
-    fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-", suffix=".part")
+    tmp = os.path.join(directory, f".tmp-{secrets.token_hex(8)}.part")
+    fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
     try:
         with os.fdopen(fd, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(text)
+            fh.writelines([text] if isinstance(text, str) else text)
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
@@ -61,7 +67,7 @@ def _write_report(report: Report, out: str) -> list[str]:
     paths.append(txt_path)
     for name, values in report.samples.items():
         sample_path = os.path.join(out, f"samples_{_slug(name)}.csv")
-        _write_atomic(sample_path, csvio.samples_csv(values))
+        _write_atomic(sample_path, csvio.samples_blocks(values))
         paths.append(sample_path)
     return paths
 
@@ -114,6 +120,8 @@ def _cmd_metric(args) -> int:
         raise ConfigError(f"unknown metric: {args.metric}")
     res = fn(f, g)
     print(f"{args.metric}(f,g) = {res.value:.10g} mode={res.mode}")
+    if res.witness is not None:
+        print(f"witness sup|lambda - id| = {res.witness.sup_deviation():.10g}")
     return 0
 
 
@@ -154,7 +162,7 @@ def _cmd_simulate(args) -> int:
     out = _out_dir(args)
     os.makedirs(out, exist_ok=True)
     if args.kind == "walk":
-        _write_atomic(os.path.join(out, "walk.csv"), csvio.walk_csv(walk))
+        _write_atomic(os.path.join(out, "walk.csv"), csvio.walk_blocks(walk))
         written = "walk.csv"
     else:
         tkind = CONSTANT if args.kind.endswith("constant") else LINEAR
@@ -162,7 +170,7 @@ def _cmd_simulate(args) -> int:
             traj = lln_trajectory(walk, tkind)
         else:
             traj = clt_trajectory(walk, tkind, law.mu)
-        _write_atomic(os.path.join(out, "trajectory.csv"), csvio.trajectory_csv(traj))
+        _write_atomic(os.path.join(out, "trajectory.csv"), csvio.trajectory_blocks(traj))
         written = "trajectory.csv"
     manifest = "\n".join(
         [

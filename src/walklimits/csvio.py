@@ -12,6 +12,10 @@ The OFF-like facet dump starts with the literal line 'OFF', then
 '<vertices> <faces> 0', the vertex coordinate lines, and one face line per
 facet ('<count> i j k ...', indices into the vertex list).  A planar body
 (d = 2 or a flat hull) dumps its single polygon loop as one face.
+
+The O(n) writers (walk, trajectory, samples) also come as ``*_blocks``
+generators that format a few thousand rows at a time, so a long walk can
+be streamed to a file; ``*_csv`` joins the same blocks.
 """
 
 from __future__ import annotations
@@ -32,18 +36,40 @@ def _floats(a) -> list:
     return np.asarray(a, dtype=float).tolist()
 
 
+# Rows formatted per block by the O(n) writers: a block's Python floats and
+# text are all that is held, however long the walk.
+_BLOCK_ROWS = 4096
+
+
+def _blocks(head: str, values, index=None):
+    """head, then 'key,x1,...,xd' lines in blocks of _BLOCK_ROWS rows.
+
+    The key is the row number, or repr of the matching ``index`` float.
+    """
+    yield head
+    values = np.asarray(values, dtype=float)
+    for lo in range(0, len(values), _BLOCK_ROWS):
+        rows = values[lo : lo + _BLOCK_ROWS].tolist()
+        keys = (range(lo, lo + len(rows)) if index is None
+                else map(repr, index[lo : lo + _BLOCK_ROWS].tolist()))
+        yield "".join(f"{k},{','.join(map(repr, row))}\n" for k, row in zip(keys, rows))
+
+
+def walk_blocks(walk: Walk):
+    return _blocks(_header("k", walk.dim) + "\n", walk.sums)
+
+
 def walk_csv(walk: Walk) -> str:
-    lines = [_header("k", walk.dim)]
-    for k, row in enumerate(_floats(walk.sums)):
-        lines.append(str(k) + "," + ",".join(map(repr, row)))
-    return "\n".join(lines) + "\n"
+    return "".join(walk_blocks(walk))
+
+
+def trajectory_blocks(traj: Trajectory):
+    return _blocks(f"# kind = {traj.kind}\n" + _header("t", traj.dim) + "\n",
+                   traj.values, traj.times)
 
 
 def trajectory_csv(traj: Trajectory) -> str:
-    lines = [f"# kind = {traj.kind}", _header("t", traj.dim)]
-    for t, row in zip(_floats(traj.times), _floats(traj.values)):
-        lines.append(repr(t) + "," + ",".join(map(repr, row)))
-    return "\n".join(lines) + "\n"
+    return "".join(trajectory_blocks(traj))
 
 
 def read_trajectory_csv(text: str, kind: str | None = None) -> Trajectory:
@@ -58,11 +84,12 @@ def read_trajectory_csv(text: str, kind: str | None = None) -> Trajectory:
     return Trajectory(kind, data[:, 0], data[:, 1:])
 
 
+def samples_blocks(values):
+    return _blocks("sample_id,value\n", np.reshape(np.asarray(values, dtype=float), (-1, 1)))
+
+
 def samples_csv(values) -> str:
-    lines = ["sample_id,value"]
-    for i, v in enumerate(_floats(np.ravel(values))):
-        lines.append(f"{i},{v!r}")
-    return "\n".join(lines) + "\n"
+    return "".join(samples_blocks(values))
 
 
 def vertices_csv(body: ConvexBody) -> str:

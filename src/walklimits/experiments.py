@@ -116,9 +116,25 @@ def law_from_config(cfg: ExperimentConfig) -> walks.IncrementLaw:
 
 # A prefix-sum batch holds at most this many replicas and, when n is large,
 # at most this many bytes (results are per replica, so batching never
-# changes a report).
+# changes a report).  The byte budget is the L2 size of a 2-core x86-64 host
+# (2 MiB per core).  Time there does not choose it: in-process seconds,
+# median [quartiles] of 10 alternating rounds at the benchmark's sizes
+# (max-clt at 256 x 2*10^5), do not separate 2, 4 and 8 MiB, and only
+# max-clt is slower at 64 MiB:
+#
+#   op             2 MiB               4 MiB               64 MiB
+#   com-kernel     1.729 [1.714 1.750] 1.731 [1.678 1.798] 1.748 [1.665 1.795]
+#   max-clt        0.541 [0.517 0.561] 0.549 [0.524 0.558] 0.597 [0.565 0.629]
+#   arcsine        0.270 [0.260 0.275] 0.254 [0.230 0.268] 0.258 [0.249 0.268]
+#   etemadi-d2     0.186 [0.179 0.194] 0.175 [0.167 0.186] 0.185 [0.177 0.188]
+#   drift-volume   0.721 [0.694 0.740] 0.719 [0.645 0.755] 0.682 [0.640 0.735]
+#
+# (8 MiB: 1.738, 0.554, 0.271, 0.182, 0.722.)  Memory does choose it: 2 MiB
+# holds the peak RSS of one `experiment` process 2-7 MB below 4 MiB
+# (com-kernel 74.5 -> 71.4 MB, etemadi-d2 79.3 -> 72.5 MB).  A replica
+# larger than the budget gets a batch of its own.
 _BATCH_REPLICAS = 256
-_BATCH_BYTES = 64 << 20
+_BATCH_BYTES = 2 << 20
 
 
 def _batches(law, n: int, seed: int, total: int):

@@ -86,7 +86,7 @@ def _lattice_steps(law: IncrementLaw, n: int, rng) -> np.ndarray:
 class LawKind(NamedTuple):
     """An increment law kind: its step sampler, its builder and whether its mean is zero."""
 
-    steps: Callable  # (law, n, rng) -> (n, dim) increments
+    steps: Callable  # (law, n, rng) -> a fresh (n, dim) float array of increments
     build: Callable  # (dim, mu, sigma) -> IncrementLaw
     zero_mean: bool
 
@@ -100,15 +100,28 @@ def _rademacher_steps(law: IncrementLaw, n: int, rng) -> np.ndarray:
     return ((halves[:m] >> 31) * 2.0 - 1.0).reshape(n, law.dim)
 
 
+# The in-place forms below are mu + z @ root and (mu + u) - 0.5: the same
+# IEEE operations in the same order, without a second (n, d) temporary.
+def _gaussian_steps(law: IncrementLaw, n: int, rng) -> np.ndarray:
+    x = rng.standard_normal((n, law.dim)) @ law._root
+    x += law.mu
+    return x
+
+
+def _uniform_cube_steps(law: IncrementLaw, n: int, rng) -> np.ndarray:
+    x = rng.random((n, law.dim))
+    x += law.mu
+    x -= 0.5
+    return x
+
+
 LAWS = {
     "rademacher": LawKind(
         _rademacher_steps, lambda dim, mu, sigma: rademacher(dim), True),
     "gaussian": LawKind(
-        lambda law, n, rng: law.mu + rng.standard_normal((n, law.dim)) @ law._root,
-        lambda dim, mu, sigma: gaussian(mu, sigma), False),
+        _gaussian_steps, lambda dim, mu, sigma: gaussian(mu, sigma), False),
     "uniform-cube": LawKind(
-        lambda law, n, rng: law.mu + rng.random((n, law.dim)) - 0.5,
-        lambda dim, mu, sigma: uniform_cube(mu), False),
+        _uniform_cube_steps, lambda dim, mu, sigma: uniform_cube(mu), False),
     "deterministic": LawKind(
         lambda law, n, rng: np.tile(law.mu, (n, 1)),
         lambda dim, mu, sigma: deterministic(mu), False),
@@ -130,19 +143,18 @@ class Walk:
         return len(self.increments)
 
 
-def _walk_from_increments(increments: np.ndarray) -> Walk:
-    inc = np.asarray(increments, dtype=float)
-    d = inc.shape[1]
-    sums = np.vstack([np.zeros(d), np.cumsum(inc, axis=0)])
-    return Walk(dim=d, increments=_frozen(inc), sums=_frozen(sums))
-
-
 def sample_walk(law: IncrementLaw, n: int, seed: int, replica: int = 0) -> Walk:
     """Sample a walk of n steps; identical (law, n, seed, replica) reproduce it."""
     if n < 1:
         raise ValueError("walk length n must be >= 1")
     inc = law.sample(n, replica_stream(seed, replica))
-    return _walk_from_increments(inc)
+    sums = np.empty((n + 1, law.dim))
+    sums[0] = 0.0
+    np.cumsum(inc, axis=0, out=sums[1:])
+    # the sampler's array is fresh, so it is frozen in place, not copied
+    inc.setflags(write=False)
+    sums.setflags(write=False)
+    return Walk(dim=law.dim, increments=inc, sums=sums)
 
 
 def lln_trajectory(walk: Walk, kind: str) -> Trajectory:

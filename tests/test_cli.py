@@ -1,12 +1,14 @@
 import os
+import stat
 import subprocess
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from walklimits import csvio
-from walklimits.cli import _walk_config, build_parser, main
+from walklimits.cli import _walk_config, _write_atomic, build_parser, main
 from walklimits.config import build_config, parse_text
 from walklimits.experiments import law_from_config
 from walklimits.functionals import ANY_DIM, FUNCTIONALS
@@ -157,14 +159,20 @@ def test_metric_prints_mode(tmp_path):
             path.write_text(csvio.trajectory_csv(traj))
         res = run_cli("metric", "--f", str(paths[0]), "--g", str(paths[1]), "--metric", name)
         assert res.returncode == 0, res.stderr
-        return res.stdout.strip()
+        return res.stdout.splitlines()
 
-    assert metric("rho-s", step_f(), step_h()) == "rho-s(f,g) = 0.05 mode=exact"
-    # piecewise-linear pairs only get the rho_inf upper bound
+    # a time change found by the search prints its deviation from the identity
     for name in ("rho-s", "rho-s-circ"):
-        line = metric(name, segment([1.0]), segment([2.0]))
-        assert line == f"{name}(f,g) = 1 mode=upper-bound"
-    assert metric("rho-inf", segment([1.0]), segment([2.0])) == "rho-inf(f,g) = 1 mode=exact"
+        assert metric(name, step_f(), step_h()) == [
+            f"{name}(f,g) = 0.05 mode=exact", "witness sup|lambda - id| = 0.01"]
+    # piecewise-linear pairs only get the rho_inf upper bound, whose witness
+    # is the identity
+    for name in ("rho-s", "rho-s-circ"):
+        assert metric(name, segment([1.0]), segment([2.0])) == [
+            f"{name}(f,g) = 1 mode=upper-bound", "witness sup|lambda - id| = 0"]
+    # rho_inf has no time change, so no witness line
+    for f, g, value in [(step_f(), step_h(), "0.95"), (segment([1.0]), segment([2.0]), "1")]:
+        assert metric("rho-inf", f, g) == [f"rho-inf(f,g) = {value} mode=exact"]
 
 
 def test_simulate_writes_walk_and_manifest(tmp_path):
@@ -417,3 +425,93 @@ def test_csv_rows_match_per_element_repr():
     assert csvio.vertices_csv(body).splitlines()[1:] == [_per_element_row(r) for r in SPECIAL_ROWS]
     assert csvio.off_text(body).splitlines()[2:] == [
         _per_element_row(r, " ") for r in SPECIAL_ROWS]
+
+
+def _one_string_walk_csv(walk):
+    """walk_csv as first written: every line in one list, joined once."""
+    lines = ["k," + ",".join(f"x{i + 1}" for i in range(walk.dim))]
+    for k, row in enumerate(np.asarray(walk.sums, dtype=float).tolist()):
+        lines.append(str(k) + "," + ",".join(map(repr, row)))
+    return "\n".join(lines) + "\n"
+
+
+def _one_string_trajectory_csv(traj):
+    lines = [f"# kind = {traj.kind}", "t," + ",".join(f"x{i + 1}" for i in range(traj.dim))]
+    for t, row in zip(traj.times.tolist(), traj.values.tolist()):
+        lines.append(repr(t) + "," + ",".join(map(repr, row)))
+    return "\n".join(lines) + "\n"
+
+
+def _one_string_samples_csv(values):
+    lines = ["sample_id,value"]
+    for i, v in enumerate(np.asarray(np.ravel(values), dtype=float).tolist()):
+        lines.append(f"{i},{v!r}")
+    return "\n".join(lines) + "\n"
+
+
+B = csvio._BLOCK_ROWS
+
+
+@pytest.mark.parametrize("rows", [1, B - 1, B, B + 1, 3 * B])
+def test_streamed_csv_equals_one_string_writers(rows):
+    # the special values (-0.0, 1e16, 1e-5, nan, +-inf) lead every table
+    values = np.random.default_rng(rows).normal(scale=1e3, size=(rows, 3))
+    values.ravel()[: SPECIAL_ROWS.size] = SPECIAL_ROWS.ravel()[: values.size]
+    walk = Walk(dim=3, increments=values[1:], sums=values)
+    traj = Trajectory(LINEAR, np.linspace(0.0, 1.0, rows) if rows > 1 else [0.0], values)
+    samples = values.ravel()[:rows]
+    for blocks, joined, oracle in [
+        (csvio.walk_blocks(walk), csvio.walk_csv(walk), _one_string_walk_csv(walk)),
+        (csvio.trajectory_blocks(traj), csvio.trajectory_csv(traj),
+         _one_string_trajectory_csv(traj)),
+        (csvio.samples_blocks(samples), csvio.samples_csv(samples),
+         _one_string_samples_csv(samples)),
+    ]:
+        blocks = list(blocks)
+        assert joined == oracle == "".join(blocks)
+        assert len(blocks) == 1 + -(-rows // B)
+        assert all(block.count("\n") <= B for block in blocks[1:])
+
+
+def test_write_atomic_leaves_nothing_when_the_blocks_fail(tmp_path):
+    def blocks():
+        yield "k,x1\n"
+        yield "0,1.0\n" * 100000
+        raise RuntimeError("formatting failed")
+
+    fresh, kept = tmp_path / "fresh.csv", tmp_path / "kept.csv"
+    kept.write_text("old\n")
+    for target in (fresh, kept):
+        with pytest.raises(RuntimeError, match="formatting failed"):
+            _write_atomic(str(target), blocks())
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["kept.csv"]
+    assert kept.read_text() == "old\n"
+
+
+@pytest.mark.parametrize("umask", [0o022, 0o027, 0o077, 0o002], ids=oct)
+def test_outputs_get_the_mode_open_would_give(tmp_path, umask):
+    previous = os.umask(umask)
+    try:
+        assert main(["simulate", "--n", "5", "--out", str(tmp_path / "sim")]) == 0
+        with open(tmp_path / "by-open", "w", encoding="utf-8"):
+            pass
+    finally:
+        os.umask(previous)
+    want = stat.S_IMODE((tmp_path / "by-open").stat().st_mode)
+    assert want == 0o666 & ~umask
+    for name in ("walk.csv", "manifest.cfg"):
+        assert stat.S_IMODE((tmp_path / "sim" / name).stat().st_mode) == want
+
+
+def test_simulate_memory_stays_bounded(tmp_path):
+    # a 2e5-step d = 2 walk is streamed to walk.csv block by block; building
+    # the file as one string took 49 MB of traced memory
+    tracemalloc.start()
+    try:
+        assert main(["simulate", "--law", "gaussian", "--dim", "2", "--mu", "1,0",
+                     "--n", "200000", "--seed", "102", "--out", str(tmp_path)]) == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (tmp_path / "walk.csv").stat().st_size > 8 * 10**6
+    assert peak < 16 * 2**20

@@ -280,6 +280,18 @@ def test_batches_reuse_one_buffer_without_stale_rows(monkeypatch, law):
     assert seen == [3, 3, 1]
 
 
+@pytest.mark.parametrize("n,dim,total", [(100, 1, 1000), (10000, 2, 300), (600000, 1, 2)])
+def test_batch_buffer_holds_at_most_the_budget_or_one_replica(n, dim, total):
+    import walklimits.experiments as experiments
+
+    one = (n + 1) * dim * 8
+    bases = set()
+    for lo, hi, sums in experiments._batches(rademacher(dim), n, 0, total):
+        assert sums.base is not None and sums.base.nbytes <= max(experiments._BATCH_BYTES, one)
+        bases.add(id(sums.base))
+    assert len(bases) == 1
+
+
 def _arcsine_reshape(sums):
     """The arcsine functional as first written: one (b n, d) reshape of the batch."""
     b, n1, d = sums.shape

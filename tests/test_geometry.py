@@ -1,4 +1,6 @@
+import dataclasses
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -422,3 +424,40 @@ def test_mean_width_bound_exponent_monitor_d3(rng):
             worst = max(worst, dw / (2 * np.pi * dh**2))
     assert np.isfinite(worst)
     print(f"d=3 width-vs-distance^2 worst observed ratio: {worst:.3f}")
+
+
+def test_hull_validation_memory_is_bounded():
+    # validating the hull of a 3e5-step d = 3 walk (310 facets) holds one
+    # block x facets temporary, about 1.7 MB; 4096-row blocks took 11 MB
+    pts = sample_walk(gaussian([1.0, 0.0, 0.0], np.eye(3)), 300000, 101).sums
+    tracemalloc.start()
+    try:
+        body = convex_hull(pts)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(body.offsets) > 100
+    assert peak < 4 * 2**20
+
+
+@pytest.mark.parametrize("d", [2, 3])
+def test_hull_validation_fails_a_shrunk_facet(monkeypatch, d):
+    import walklimits.geometry as geometry
+
+    true_hull = geometry._hull_nd
+
+    def shrunk(pts, dim):
+        body = true_hull(pts, dim)
+        # shrink the facet that the walk reaches latest, past the first block
+        first_touch = (np.abs(pts @ body.normals.T - body.offsets) <= 1e-9).argmax(axis=0)
+        assert first_touch.max() > geometry._CONTAINS_BLOCK
+        offsets = body.offsets.copy()
+        offsets[first_touch.argmax()] -= 1e-6
+        return dataclasses.replace(body, offsets=offsets)
+
+    pts = sample_walk(gaussian(np.zeros(d), np.eye(d)), 5000, 3).sums
+    convex_hull(pts)
+    monkeypatch.setattr(geometry, "_hull_nd", shrunk)
+    with pytest.raises(AssertionError, match="does not contain"):
+        convex_hull(pts)
+    convex_hull(pts, validate=False)

@@ -109,6 +109,33 @@ def test_rademacher_steps_equal_integers_draws(seed, replica):
                 assert np.array_equal(got, _integers_steps(n, d, fresh()))
 
 
+def _old_steps(law, n, rng):
+    """The Gaussian and uniform-cube samplers as first written, out of place."""
+    if law.kind == "gaussian":
+        return law.mu + rng.standard_normal((n, law.dim)) @ law._root
+    if law.kind == "uniform-cube":
+        return law.mu + rng.random((n, law.dim)) - 0.5
+    return law.sample(n, rng)
+
+
+@pytest.mark.parametrize("law", [
+    rademacher(2), gaussian([0.5, -1.0], [[2.0, 0.3], [0.3, 1.0]]), uniform_cube([0.1, -0.7]),
+    deterministic([0.25, -3.0]), lattice(2)], ids=lambda law: law.kind)
+def test_sample_walk_arrays_are_frozen_and_separate(law):
+    # the walk freezes the sampler's fresh array in place and fills its sums
+    # with one cumsum: the same values as the old copy-and-vstack construction
+    for n in (1, 2, 999):
+        walk = sample_walk(law, n, 13, replica=4)
+        inc = _old_steps(law, n, replica_stream(13, 4))
+        assert np.array_equal(walk.increments, inc)
+        assert np.array_equal(walk.sums, np.vstack([np.zeros(2), np.cumsum(inc, axis=0)]))
+        assert walk.increments.dtype == walk.sums.dtype == np.float64
+        assert not walk.increments.flags.writeable and not walk.sums.flags.writeable
+        assert not np.shares_memory(walk.increments, walk.sums)
+        with pytest.raises(ValueError):
+            walk.sums[0, 0] = 1.0
+
+
 def test_lln_trajectory_grid_agreement():
     walk = sample_walk(rademacher(1), 64, seed=3)
     lin = lln_trajectory(walk, LINEAR)

@@ -21,7 +21,7 @@ import numpy as np
 
 from . import functionals, laws, stats, walks
 from .config import ConfigError, ExperimentConfig, manifest_text
-from .rng import replica_stream
+from .rng import replica_streams
 
 CSV_HEADER = "name,estimate,stderr,reference,ks,pass,threshold"
 
@@ -146,11 +146,11 @@ def _batches(law, n: int, seed: int, total: int):
     size = max(1, min(_BATCH_REPLICAS, _BATCH_BYTES // ((n + 1) * law.dim * 8)))
     buf = np.empty((min(size, total), n + 1, law.dim))
     buf[:, 0] = 0.0
+    streams = replica_streams(seed, 0, total)
     for lo in range(0, total, size):
         hi = min(lo + size, total)
-        for r in range(lo, hi):
-            inc = law.sample(n, replica_stream(seed, r))
-            np.cumsum(inc, axis=0, out=buf[r - lo, 1:])
+        for row, rng in zip(buf[: hi - lo], streams):
+            np.cumsum(law.sample(n, rng), axis=0, out=row[1:])
         yield lo, hi, buf[: hi - lo]
 
 
@@ -286,6 +286,25 @@ def run_lln_sweep(cfg: ExperimentConfig) -> Report:
     return _finish(cfg, rows, samples)
 
 
+def _com_samples(law, n: int, seed: int, m: int, ks) -> np.ndarray:
+    """G_k = (S_1 + ... + S_k) / k of replicas 0..m-1 for each k in ks, as (m, len(ks), d)."""
+    out = np.empty((m, len(ks), law.dim))
+    if walks.LAWS[law.kind].integer and n * (n + 1) // 2 <= 2**53:
+        # T_k = S_1 + ... + S_k = sum_{i<=k} (k-i+1) xi_i has integer terms and
+        # every partial sum is at most n(n+1)/2 <= 2**53 in size, so one
+        # weighted product of the steps is exact in any summation order and
+        # equals com_at's sequential cumsum of cumsums bit for bit.
+        kmax = max(ks)
+        weights = np.maximum(np.array(ks, dtype=float)[:, None] - np.arange(kmax), 0.0)
+        for row, rng in zip(out, replica_streams(seed, 0, m)):
+            np.matmul(weights, law.sample(n, rng)[:kmax], out=row)
+        out /= np.array(ks, dtype=float)[:, None]
+    else:
+        for lo, hi, sums in _batches(law, n, seed, m):
+            out[lo:hi] = np.stack(functionals.com_at(sums, ks), axis=1)
+    return out
+
+
 def run_com_kernel_check(cfg: ExperimentConfig) -> Report:
     """Empirical covariances of the scaled centre of mass vs the limit kernel."""
     law = law_from_config(cfg)
@@ -293,11 +312,9 @@ def run_com_kernel_check(cfg: ExperimentConfig) -> Report:
     n, m, d = cfg.n, cfg.replicas, cfg.dim
     times = sorted({t for pair in cfg.pairs for t in pair})
     ks = [max(1, int(math.floor(n * t))) for t in times]
-    values = {t: np.empty((m, d)) for t in times}
+    coms = _com_samples(law, n, cfg.seed, m, ks)
     root_n = math.sqrt(n)
-    for lo, hi, sums in _batches(law, n, cfg.seed, m):
-        for t, g in zip(times, functionals.com_at(sums, ks)):
-            values[t][lo:hi] = g / root_n
+    values = {t: coms[:, j] / root_n for j, t in enumerate(times)}
     rows = []
     threshold = cfg.threshold or 0.05
     for t1, t2 in cfg.pairs:

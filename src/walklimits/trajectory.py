@@ -15,6 +15,10 @@ CONSTANT = "piecewise-constant"
 
 
 def _frozen(a, dtype=float) -> np.ndarray:
+    """A read-only array of a; one that is read-only already and owns its data is kept."""
+    if (isinstance(a, np.ndarray) and a.dtype == dtype and a.flags.owndata
+            and not a.flags.writeable):
+        return a
     out = np.array(a, dtype=dtype)
     out.setflags(write=False)
     return out

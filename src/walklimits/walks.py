@@ -84,11 +84,13 @@ def _lattice_steps(law: IncrementLaw, n: int, rng) -> np.ndarray:
 
 
 class LawKind(NamedTuple):
-    """An increment law kind: its step sampler, its builder and whether its mean is zero."""
+    """An increment law kind: its step sampler, its builder, whether its mean is
+    zero and whether every step is an integer vector."""
 
     steps: Callable  # (law, n, rng) -> a fresh (n, dim) float array of increments
     build: Callable  # (dim, mu, sigma) -> IncrementLaw
     zero_mean: bool
+    integer: bool
 
 
 def _rademacher_steps(law: IncrementLaw, n: int, rng) -> np.ndarray:
@@ -117,16 +119,16 @@ def _uniform_cube_steps(law: IncrementLaw, n: int, rng) -> np.ndarray:
 
 LAWS = {
     "rademacher": LawKind(
-        _rademacher_steps, lambda dim, mu, sigma: rademacher(dim), True),
+        _rademacher_steps, lambda dim, mu, sigma: rademacher(dim), True, True),
     "gaussian": LawKind(
-        _gaussian_steps, lambda dim, mu, sigma: gaussian(mu, sigma), False),
+        _gaussian_steps, lambda dim, mu, sigma: gaussian(mu, sigma), False, False),
     "uniform-cube": LawKind(
-        _uniform_cube_steps, lambda dim, mu, sigma: uniform_cube(mu), False),
+        _uniform_cube_steps, lambda dim, mu, sigma: uniform_cube(mu), False, False),
     "deterministic": LawKind(
         lambda law, n, rng: np.tile(law.mu, (n, 1)),
-        lambda dim, mu, sigma: deterministic(mu), False),
+        lambda dim, mu, sigma: deterministic(mu), False, False),
     "lattice-simple-symmetric": LawKind(
-        _lattice_steps, lambda dim, mu, sigma: lattice(dim), True),
+        _lattice_steps, lambda dim, mu, sigma: lattice(dim), True, True),
 }
 
 
@@ -157,22 +159,30 @@ def sample_walk(law: IncrementLaw, n: int, seed: int, replica: int = 0) -> Walk:
     return Walk(dim=law.dim, increments=inc, sums=sums)
 
 
-def lln_trajectory(walk: Walk, kind: str) -> Trajectory:
-    """Law-of-large-numbers scaling: values S_k / n at breakpoints k / n."""
-    n = walk.n
+def _scaled_trajectory(kind: str, values: np.ndarray) -> Trajectory:
+    """A trajectory at breakpoints k / n that keeps its fresh values array (frozen in place)."""
+    n = len(values) - 1
     times = np.arange(n + 1) / n
     times[-1] = 1.0
-    return Trajectory(kind, times, walk.sums / n)
+    times.setflags(write=False)
+    values.setflags(write=False)
+    return Trajectory(kind, times, values)
+
+
+def lln_trajectory(walk: Walk, kind: str) -> Trajectory:
+    """Law-of-large-numbers scaling: values S_k / n at breakpoints k / n."""
+    return _scaled_trajectory(kind, walk.sums / walk.n)
 
 
 def clt_trajectory(walk: Walk, kind: str, mu) -> Trajectory:
     """Central-limit scaling of the centred walk: (S_k - k mu) / sqrt(n)."""
     n = walk.n
     mu = np.atleast_1d(np.asarray(mu, dtype=float))
-    times = np.arange(n + 1) / n
-    times[-1] = 1.0
-    centered = walk.sums - np.outer(np.arange(n + 1), mu)
-    return Trajectory(kind, times, centered / np.sqrt(n))
+    # one fresh array: S_k - k mu, then divided in place
+    values = np.outer(np.arange(n + 1), mu)
+    np.subtract(walk.sums, values, out=values)
+    values /= np.sqrt(n)
+    return _scaled_trajectory(kind, values)
 
 
 @dataclass(frozen=True)

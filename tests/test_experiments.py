@@ -1,3 +1,4 @@
+import hashlib
 import math
 
 import numpy as np
@@ -14,10 +15,11 @@ from walklimits import (
     wilson_interval,
 )
 from walklimits.config import parse_text
+from walklimits.fixtures import BUILTIN_CONFIGS
 from walklimits.experiments import law_from_config, run_distributional
 from walklimits.rng import replica_stream
 from walklimits.stats import kolmogorov_threshold
-from walklimits import centre_of_mass, sample_walk, rademacher
+from walklimits import centre_of_mass, lattice, sample_walk, rademacher
 from walklimits import convex_hull, diameter, functionals, gaussian, surface_area
 from walklimits.metrics import HalfspaceCap
 
@@ -291,6 +293,70 @@ def test_batch_buffer_holds_at_most_the_budget_or_one_replica(n, dim, total):
         bases.add(id(sums.base))
     assert len(bases) == 1
 
+
+
+@pytest.mark.parametrize("law", [rademacher(1), rademacher(2), lattice(1), lattice(2)],
+                         ids=lambda law: f"{law.kind}-d{law.dim}")
+def test_integer_step_com_equals_com_at(law):
+    # the one weighted product of the steps gives com_at's sequential cumsum
+    # of cumsums bit for bit, at k = 1, a k below n and k = n
+    import walklimits.experiments as experiments
+
+    n, m, ks = 600, 300, [1, 299, 600]
+    got = experiments._com_samples(law, n, 21, m, ks)
+    assert got.shape == (m, len(ks), law.dim)
+    for r in range(m):
+        want = functionals.com_at(sample_walk(law, n, 21, replica=r).sums[None], ks)
+        for j in range(len(ks)):
+            assert np.array_equal(got[r, j], want[j][0])
+
+
+# com-kernel reports of real-valued laws, recorded before the integer-step path existed
+REAL_COM_PINS = {"gaussian": "93c9b68ef43cde2c", "uniform-cube": "955847b478e4ec33"}
+
+
+@pytest.mark.parametrize("kind", ["gaussian", "uniform-cube", "rademacher"])
+def test_only_integer_step_com_kernel_skips_com_at(monkeypatch, kind):
+    import walklimits.experiments as experiments
+
+    calls = []
+    com_at = functionals.com_at
+    monkeypatch.setattr(functionals, "com_at",
+                        lambda sums, ks: calls.append(len(sums)) or com_at(sums, ks))
+    cfg = _cfg(BUILTIN_CONFIGS["com-kernel"], [f"law={kind}", "replicas=2000", "n=500"])
+    text = experiments.run_experiment(cfg).csv_text()
+    if kind in REAL_COM_PINS:
+        assert sum(calls) == 2000
+        assert hashlib.sha256(text.encode()).hexdigest()[:16] == REAL_COM_PINS[kind]
+    else:
+        assert calls == []
+
+
+# sha256 prefixes of every builtin's report.csv at reduced sizes (each well
+# under a second), recorded before batched streams and the integer-step
+# centre of mass: a speed-up must leave every one of them unchanged
+BUILTIN_REPORT_PINS = {
+    "max-clt": (["replicas=1000"], "cbe4db1f6c4de9eb"),
+    "arcsine": (["replicas=1000"], "0924e384839b9aa9"),
+    "perimeter-lln": ([], "4760d756fb62f4d5"),
+    "com-kernel": (["replicas=4000", "n=1000"], "5baf6072f4dee9af"),
+    "hull-volume-identity": (["replicas=200"], "f1d89d74a6a63cc6"),
+    "hull-volume-sigma41": (["replicas=200"], "00681f168704a696"),
+    "drift-volume": (["replicas=100"], "86fdd895bcacb059"),
+    "etemadi-d1": (["replicas=2000"], "0549c61052261253"),
+    "etemadi-d2": (["replicas=2000"], "2c00fecfde50bded"),
+}
+
+
+def test_report_pins_cover_every_builtin():
+    assert set(BUILTIN_REPORT_PINS) == set(BUILTIN_CONFIGS)
+
+
+@pytest.mark.parametrize("name", sorted(BUILTIN_REPORT_PINS))
+def test_builtin_report_is_byte_identical(name):
+    overrides, digest = BUILTIN_REPORT_PINS[name]
+    report = run_experiment(_cfg(BUILTIN_CONFIGS[name], overrides))
+    assert hashlib.sha256(report.csv_text().encode()).hexdigest()[:16] == digest
 
 def _arcsine_reshape(sums):
     """The arcsine functional as first written: one (b n, d) reshape of the batch."""

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -173,6 +174,33 @@ def test_clt_trajectory_centering_and_grid():
     ts = np.arange(51) / 50
     assert np.allclose(con(ts)[:, 0], walk.sums[:, 0] / math.sqrt(50))
 
+
+
+@pytest.mark.parametrize("scaling", ["lln", "clt"])
+def test_scaled_trajectory_memory_is_one_array(scaling):
+    # (S_k - k mu) / sqrt(n) and S_k / n are built in one fresh array that the
+    # trajectory keeps: the same values as the out-of-place form, and traced
+    # memory of one values array and one grid, plus the grid's check for
+    # increasing breakpoints (two more copies of the values before)
+    n, mu = 200_000, np.array([1.0, -0.5])
+    walk = sample_walk(gaussian(mu, [[2.0, 0.3], [0.3, 1.0]]), n, seed=102)
+    tracemalloc.start()
+    try:
+        if scaling == "lln":
+            traj = lln_trajectory(walk, LINEAR)
+        else:
+            traj = clt_trajectory(walk, CONSTANT, mu)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    if scaling == "lln":
+        want = walk.sums / n
+    else:
+        want = (walk.sums - np.outer(np.arange(n + 1), mu)) / np.sqrt(n)
+    assert np.array_equal(traj.values, want)
+    assert np.array_equal(traj.times[:-1], np.arange(n) / n) and traj.times[-1] == 1.0
+    assert not traj.values.flags.writeable and not traj.times.flags.writeable
+    assert peak < traj.values.nbytes + 2 * traj.times.nbytes + 2**20
 
 def test_clt_endpoint_variance():
     n, reps = 10_000, 10_000

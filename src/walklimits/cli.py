@@ -17,14 +17,15 @@ import os
 import re
 import secrets
 import sys
+from dataclasses import replace
 from typing import Iterable
 
 import numpy as np
 
 from . import csvio, geometry, metrics
 from .config import ConfigError, ExperimentConfig, build_config, load_config
-from .config import manifest_text, parse_text, typed_value, validate_walk
-from .experiments import CSV_HEADER, Report, ReportRow, law_from_config, run_experiment
+from .config import manifest_text, parse_text, typed_value, validate_config, validate_walk
+from .experiments import Report, ReportRow, law_from_config, rows_csv, run_experiment
 from .fixtures import BUILTIN_CONFIGS, FIXTURES, builtin_examples, get_fixture
 from .trajectory import CONSTANT, LINEAR
 from .walks import clt_trajectory, lln_trajectory, sample_walk
@@ -83,7 +84,8 @@ def _cmd_experiment(args) -> int:
     else:
         cfg = load_config(args.config, args.override)
     if args.seed is not None:
-        cfg = build_config(parse_text(manifest_text(cfg)), [f"seed={args.seed}"])
+        cfg = replace(cfg, seed=args.seed)
+        validate_config(cfg)
     out = _out_dir(args)
     report = run_experiment(cfg)
     os.makedirs(out, exist_ok=True)
@@ -210,9 +212,8 @@ def _cmd_hull(args) -> int:
         ("surface-area", geometry.surface_area(body)),
         ("volume", geometry.volume(body)),
     ]
-    lines = [CSV_HEADER]
-    lines += [f"{name},{repr(float(v))},,,,," for name, v in rows]
-    _write_atomic(os.path.join(out, "hull_report.csv"), "\n".join(lines) + "\n")
+    _write_atomic(os.path.join(out, "hull_report.csv"),
+                  rows_csv([ReportRow(name, estimate=v) for name, v in rows]))
     manifest = f"subcommand = hull\n{source}\ndirections = {args.directions}\n"
     _write_atomic(os.path.join(out, "manifest.cfg"), manifest)
     for name, v in rows:

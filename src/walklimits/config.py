@@ -5,21 +5,22 @@ with ``#`` are ignored.  Values are typed per key: integers, floats,
 booleans (``true``/``false``), comma-separated vectors (``mu = 1,0``),
 semicolon-separated matrix rows (``sigma = 4,0;0,1``), comma-separated
 integer or float lists (``n_list = 1000,10000``) and colon pairs
-(``pairs = 0.5:1,1:1``).  Unknown keys are rejected.  Overrides apply
-after the file parse and before validation.  The manifest written by
-every run is itself a valid config that reproduces the run.
+(``pairs = 0.5:1,1:1``).  Each ``ExperimentConfig`` field carries its key's
+codec, so a key is declared once, with its default and its type.  Unknown
+keys are rejected.  Overrides apply after the file parse and before
+validation.  The manifest written by every run is itself a valid config
+that reproduces the run.
 
-The valid laws are the keys of ``walks.LAWS`` and the valid functionals
-those of ``functionals.FUNCTIONALS``; each table entry also says what the
-checks here enforce (a zero mean, the dimensions a functional is defined
-in, whether it has a first-order limit and in which dimensions).
+The valid laws are the keys of ``walks.LAWS`` and the valid experiments
+those of ``experiments.EXPERIMENTS``; each experiment entry holds its own
+checks (its functional, dimensions and lists), after the shared ones here.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, field, fields
+from typing import Callable, NamedTuple
 
-from .functionals import FUNCTIONALS, dims_text, in_dims
 from .laws import sqrt_psd
 from .walks import LAWS
 
@@ -28,55 +29,84 @@ class ConfigError(Exception):
     """A configuration problem; the message names the offending key."""
 
 
-EXPERIMENTS = (
-    "distributional",
-    "lln-sweep",
-    "com-kernel",
-    "etemadi",
-    "hull-drift-volume",
-)
-
 REFERENCES = ("auto", "closed-form", "surrogate", "none")
+
+
+class Codec(NamedTuple):
+    """How a key's value string is parsed (ValueError if bad) and written back."""
+
+    parse: Callable[[str], object]
+    format: Callable[[object], str]
+
+
+def _bool(value: str) -> bool:
+    if value.lower() in ("true", "1", "yes"):
+        return True
+    if value.lower() in ("false", "0", "no"):
+        return False
+    raise ValueError(value)
+
+
+def _floats(text: str) -> tuple:
+    return tuple(float(x) for x in text.split(","))
+
+
+def _pair(text: str) -> tuple:
+    a, _, b = text.partition(":")
+    return float(a), float(b)
+
+
+def _tuple(parse_item, sep: str = ","):
+    """Parse sep-separated items into a tuple; the empty string is ()."""
+    return lambda value: tuple(parse_item(x) for x in value.split(sep)) if value else ()
+
+
+def _reprs(xs) -> str:
+    return ",".join(repr(float(x)) for x in xs)
+
+
+INT = Codec(int, str)
+FLOAT = Codec(float, lambda v: repr(float(v)))
+STR = Codec(str, str)
+BOOL = Codec(_bool, lambda v: "true" if v else "false")
+VECTOR = Codec(_tuple(float), _reprs)
+INT_LIST = Codec(_tuple(int), lambda v: ",".join(str(int(x)) for x in v))
+MATRIX = Codec(_tuple(_floats, ";"), lambda v: ";".join(_reprs(row) for row in v))
+PAIRS = Codec(_tuple(_pair),
+              lambda v: ",".join(f"{repr(float(a))}:{repr(float(b))}" for a, b in v))
+
+
+def _key(default, codec: Codec):
+    return field(default=default, metadata={"codec": codec})
 
 
 @dataclass(frozen=True)
 class ExperimentConfig:
     """Fully-resolved parameters of one experiment run."""
 
-    experiment: str = "distributional"
-    functional: str = ""
-    law: str = "rademacher"
-    dim: int = 1
-    mu: tuple = ()
-    sigma: tuple = ()
-    n: int = 0
-    n_list: tuple = ()
-    replicas: int = 1
-    seed: int = 0
-    t: float = 1.0
-    pairs: tuple = ()
-    x_grid: tuple = ()
-    directions: int = 512
-    reference: str = "auto"
-    surrogate_grid: int = 0
-    surrogate_replicas: int = 0
-    threshold: float = 0.0
-    dump_samples: bool = False
-    out: str = ""
+    experiment: str = _key("distributional", STR)
+    functional: str = _key("", STR)
+    law: str = _key("rademacher", STR)
+    dim: int = _key(1, INT)
+    mu: tuple = _key((), VECTOR)
+    sigma: tuple = _key((), MATRIX)
+    n: int = _key(0, INT)
+    n_list: tuple = _key((), INT_LIST)
+    replicas: int = _key(1, INT)
+    seed: int = _key(0, INT)
+    t: float = _key(1.0, FLOAT)
+    pairs: tuple = _key((), PAIRS)
+    x_grid: tuple = _key((), VECTOR)
+    directions: int = _key(512, INT)
+    reference: str = _key("auto", STR)
+    surrogate_grid: int = _key(0, INT)
+    surrogate_replicas: int = _key(0, INT)
+    threshold: float = _key(0.0, FLOAT)
+    dump_samples: bool = _key(False, BOOL)
+    out: str = _key("", STR)
 
 
-_INT_KEYS = {"dim", "n", "replicas", "seed", "directions", "surrogate_grid",
-             "surrogate_replicas"}
-_FLOAT_KEYS = {"t", "threshold"}
-_STR_KEYS = {"experiment", "functional", "law", "reference", "out"}
-_BOOL_KEYS = {"dump_samples"}
-_VEC_KEYS = {"mu", "x_grid"}
-_INTLIST_KEYS = {"n_list"}
-_MATRIX_KEYS = {"sigma"}
-_PAIRS_KEYS = {"pairs"}
-
-ALL_KEYS = (_INT_KEYS | _FLOAT_KEYS | _STR_KEYS | _BOOL_KEYS | _VEC_KEYS
-            | _INTLIST_KEYS | _MATRIX_KEYS | _PAIRS_KEYS)
+_CODECS = {f.name: f.metadata["codec"] for f in fields(ExperimentConfig)}
 
 
 def parse_text(text: str) -> dict[str, str]:
@@ -100,44 +130,13 @@ def parse_text(text: str) -> dict[str, str]:
 
 def typed_value(key: str, value: str):
     """A config value string typed for its key; ConfigError names a bad one."""
+    codec = _CODECS.get(key)
+    if codec is None:
+        raise ConfigError(f"unknown config key: {key}")
     try:
-        if key in _INT_KEYS:
-            return int(value)
-        if key in _FLOAT_KEYS:
-            return float(value)
-        if key in _STR_KEYS:
-            return value
-        if key in _BOOL_KEYS:
-            if value.lower() in ("true", "1", "yes"):
-                return True
-            if value.lower() in ("false", "0", "no"):
-                return False
-            raise ValueError(value)
-        if key in _VEC_KEYS:
-            if not value:
-                return ()
-            return tuple(float(x) for x in value.split(","))
-        if key in _INTLIST_KEYS:
-            if not value:
-                return ()
-            return tuple(int(x) for x in value.split(","))
-        if key in _MATRIX_KEYS:
-            if not value:
-                return ()
-            return tuple(
-                tuple(float(x) for x in row.split(",")) for row in value.split(";")
-            )
-        if key in _PAIRS_KEYS:
-            if not value:
-                return ()
-            out = []
-            for item in value.split(","):
-                a, _, b = item.partition(":")
-                out.append((float(a), float(b)))
-            return tuple(out)
+        return codec.parse(value)
     except ValueError as exc:
         raise ConfigError(f"bad value for config key {key}: {value!r}") from exc
-    raise ConfigError(f"unknown config key: {key}")
 
 
 def build_config(raw: dict[str, str], overrides: list[str] | None = None) -> ExperimentConfig:
@@ -148,12 +147,7 @@ def build_config(raw: dict[str, str], overrides: list[str] | None = None) -> Exp
             raise ConfigError(f"override must look like key=value, got {item!r}")
         key, _, value = item.partition("=")
         merged[key.strip()] = value.strip()
-    values = {}
-    for key, value in merged.items():
-        if key not in ALL_KEYS:
-            raise ConfigError(f"unknown config key: {key}")
-        values[key] = typed_value(key, value)
-    cfg = ExperimentConfig(**values)
+    cfg = ExperimentConfig(**{key: typed_value(key, value) for key, value in merged.items()})
     validate_config(cfg)
     return cfg
 
@@ -192,76 +186,27 @@ def validate_walk(cfg: ExperimentConfig) -> None:
 
 
 def validate_config(cfg: ExperimentConfig) -> None:
-    if cfg.experiment not in EXPERIMENTS:
+    """The shared checks, then the experiment's own (``experiments.EXPERIMENTS``)."""
+    from .experiments import EXPERIMENTS
+
+    kind = EXPERIMENTS.get(cfg.experiment)
+    if kind is None:
         raise ConfigError(f"unknown value for experiment: {cfg.experiment!r}")
     validate_walk(cfg)
     if cfg.reference not in REFERENCES:
         raise ConfigError(f"unknown value for reference: {cfg.reference!r}")
     if cfg.replicas < 1:
         raise ConfigError("replicas must be >= 1")
-    needs_n = cfg.experiment in ("distributional", "com-kernel", "etemadi",
-                                 "hull-drift-volume")
-    if needs_n and cfg.n < 1:
+    if kind.needs_n and cfg.n < 1:
         raise ConfigError("n must be >= 1")
-    if cfg.experiment in ("distributional", "lln-sweep"):
-        spec = FUNCTIONALS.get(cfg.functional)
-        if spec is None:
-            raise ConfigError(f"unknown value for functional: {cfg.functional!r}")
-        if not in_dims(cfg.dim, spec.dims):
-            raise ConfigError(f"functional {cfg.functional} needs {dims_text(spec.dims)}")
-    if cfg.experiment == "lln-sweep":
-        if spec.lln is None:
-            raise ConfigError(f"functional {cfg.functional!r} has no first-order limit")
-        if not in_dims(cfg.dim, spec.lln_dims):
-            raise ConfigError(f"functional {cfg.functional} has a first-order limit "
-                              f"only in {dims_text(spec.lln_dims)}")
-        if not cfg.n_list:
-            raise ConfigError("n_list must not be empty")
-        if any(b <= a for a, b in zip(cfg.n_list, cfg.n_list[1:])):
-            raise ConfigError("n_list must be strictly increasing")
-        if min(cfg.n_list) < 1:
-            raise ConfigError("n_list entries must be >= 1")
-    if cfg.experiment == "com-kernel":
-        if not cfg.pairs:
-            raise ConfigError("pairs must not be empty")
-        for t1, t2 in cfg.pairs:
-            if not (0.0 < t1 <= 1.0 and 0.0 < t2 <= 1.0):
-                raise ConfigError("pairs entries must lie in (0, 1]")
-    if cfg.experiment == "etemadi":
-        if not cfg.x_grid:
-            raise ConfigError("x_grid must not be empty")
-        if any(x < 0 for x in cfg.x_grid):
-            raise ConfigError("x_grid entries must be >= 0")
-    if cfg.experiment == "hull-drift-volume":
-        if cfg.dim < 2:
-            raise ConfigError("dim must be >= 2 for hull-drift-volume")
-        if not cfg.mu or not any(x != 0.0 for x in cfg.mu):
-            raise ConfigError("mu must be a nonzero drift for hull-drift-volume")
+    kind.check(cfg)
     if not (0.0 <= cfg.t <= 1.0):
         raise ConfigError("t must lie in [0, 1]")
     if not cfg.threshold >= 0:
         raise ConfigError("threshold must be a number >= 0")
 
 
-def _format_value(key: str, value) -> str:
-    if key in _BOOL_KEYS:
-        return "true" if value else "false"
-    if key in _VEC_KEYS:
-        return ",".join(repr(float(x)) for x in value)
-    if key in _INTLIST_KEYS:
-        return ",".join(str(int(x)) for x in value)
-    if key in _MATRIX_KEYS:
-        return ";".join(",".join(repr(float(x)) for x in row) for row in value)
-    if key in _PAIRS_KEYS:
-        return ",".join(f"{repr(float(a))}:{repr(float(b))}" for a, b in value)
-    if key in _FLOAT_KEYS:
-        return repr(float(value))
-    return str(value)
-
-
 def manifest_text(cfg: ExperimentConfig) -> str:
     """Canonical serialization of the fully-resolved config (round-trips)."""
-    lines = []
-    for f in sorted(fields(cfg), key=lambda f: f.name):
-        lines.append(f"{f.name} = {_format_value(f.name, getattr(cfg, f.name))}")
+    lines = [f"{key} = {_CODECS[key].format(getattr(cfg, key))}" for key in sorted(_CODECS)]
     return "\n".join(lines) + "\n"

@@ -6,6 +6,10 @@ per replica, and compares the empirical distribution or moments against
 the matching reference law.  Replica loops run in fixed index order and
 reductions are ordered, so every report is bit-reproducible from
 (config, seed).
+
+``EXPERIMENTS`` declares each experiment kind once: its runner, whether it
+needs ``n``, and its own config checks, which ``config.validate_config``
+runs after the shared ones.
 """
 
 from __future__ import annotations
@@ -16,11 +20,13 @@ import io
 import math
 import time
 from dataclasses import dataclass, field
+from typing import Callable, NamedTuple
 
 import numpy as np
 
 from . import functionals, laws, stats, walks
 from .config import ConfigError, ExperimentConfig, manifest_text
+from .functionals import dims_text, in_dims
 from .rng import replica_streams
 
 CSV_HEADER = "name,estimate,stderr,reference,ks,pass,threshold"
@@ -67,22 +73,7 @@ class Report:
     samples: dict = field(default_factory=dict)
 
     def csv_text(self) -> str:
-        out = io.StringIO()
-        writer = csv.writer(out, lineterminator="\n")
-        writer.writerow(CSV_HEADER.split(","))
-        for r in self.rows:
-            writer.writerow(
-                [
-                    r.name,
-                    _fmt(r.estimate),
-                    _fmt(r.stderr),
-                    _fmt(r.reference),
-                    _fmt(r.ks),
-                    "" if r.passed is None else ("true" if r.passed else "false"),
-                    _fmt(r.threshold),
-                ]
-            )
-        return out.getvalue()
+        return rows_csv(self.rows)
 
     def summary_text(self) -> str:
         lines = [f"experiment: {self.experiment}"]
@@ -104,6 +95,26 @@ def _fmt(x) -> str:
     if isinstance(x, float) and math.isnan(x):
         return "nan"
     return repr(float(x))
+
+
+def rows_csv(rows) -> str:
+    """Report rows as CSV text under CSV_HEADER."""
+    out = io.StringIO()
+    writer = csv.writer(out, lineterminator="\n")
+    writer.writerow(CSV_HEADER.split(","))
+    for r in rows:
+        writer.writerow(
+            [
+                r.name,
+                _fmt(r.estimate),
+                _fmt(r.stderr),
+                _fmt(r.reference),
+                _fmt(r.ks),
+                "" if r.passed is None else ("true" if r.passed else "false"),
+                _fmt(r.threshold),
+            ]
+        )
+    return out.getvalue()
 
 
 def law_from_config(cfg: ExperimentConfig) -> walks.IncrementLaw:
@@ -154,48 +165,54 @@ def _batches(law, n: int, seed: int, total: int):
         yield lo, hi, buf[: hi - lo]
 
 
-def _walk_samples(cfg: ExperimentConfig, law) -> np.ndarray:
-    """One functional value per replica, at the CLT scaling of the config."""
-    n, m = cfg.n, cfg.replicas
-    spec = functionals.FUNCTIONALS[cfg.functional]
-    if spec.at_t and math.floor(n * cfg.t) < 1:
-        raise ConfigError("t too small: floor(n*t) must be >= 1")
-    scale = spec.scale(n, cfg.dim)
-    out = np.empty(m)
-    for lo, hi, sums in _batches(law, n, cfg.seed, m):
-        out[lo:hi] = functionals.evaluate(cfg.functional, sums, cfg)[:, 0] / scale
-    return out
+def _values(functional: str, law, n: int, cfg: ExperimentConfig) -> np.ndarray:
+    """Native-scale values of a functional on walks 0..replicas-1 of n steps,
+    as (replicas, width)."""
+    return np.concatenate([functionals.evaluate(functional, sums, cfg)
+                           for _, _, sums in _batches(law, n, cfg.seed, cfg.replicas)])
 
 
-def _surrogate_samples(cfg: ExperimentConfig, law) -> np.ndarray:
-    """Functional values of Brownian-path surrogates at the limit scale.
+def _surrogate_values(functional: str, sample, cov, steps: int,
+                      cfg: ExperimentConfig) -> np.ndarray:
+    """The functional on surrogate paths ``sample(cov, grid, seed, replica)``.
 
     Walks and surrogates share the seed but use disjoint replica indices.
-    The default grid matches the walk's step count so both sides carry the
-    same discretization bias.
+    The grid has ``surrogate_grid`` steps, or ``steps`` when that is 0.
     """
-    steps = cfg.surrogate_grid or cfg.n
     m2 = cfg.surrogate_replicas or cfg.replicas
-    grid = np.linspace(0.0, 1.0, steps + 1)
-    cov = laws.sqrt_psd(law.sigma)
+    grid = np.linspace(0.0, 1.0, (cfg.surrogate_grid or steps) + 1)
     out = np.empty(m2)
     for r in range(m2):
-        path = walks.sample_brownian(cov, grid, cfg.seed, replica=cfg.replicas + r)
-        out[r] = functionals.evaluate(cfg.functional, path.values[None], cfg)[0, 0]
+        path = sample(cov, grid, cfg.seed, replica=cfg.replicas + r)
+        out[r] = functionals.evaluate(functional, path.values[None], cfg)[0, 0]
     return out
+
+
+def _mean_row(name: str, values, single=None) -> ReportRow:
+    """The mean of values and its standard error (``single`` for one value)."""
+    m = len(values)
+    stderr = float(values.std(ddof=1) / math.sqrt(m)) if m > 1 else single
+    return ReportRow(name=name, estimate=float(values.mean()), stderr=stderr)
+
+
+def _check_functional(cfg: ExperimentConfig):
+    spec = functionals.FUNCTIONALS.get(cfg.functional)
+    if spec is None:
+        raise ConfigError(f"unknown value for functional: {cfg.functional!r}")
+    if not in_dims(cfg.dim, spec.dims):
+        raise ConfigError(f"functional {cfg.functional} needs {dims_text(spec.dims)}")
+    return spec
 
 
 def run_distributional(cfg: ExperimentConfig) -> Report:
     """Empirical CDF of a per-replica functional vs its limit law."""
     law = law_from_config(cfg)
     spec = functionals.FUNCTIONALS[cfg.functional]
-    sample = _walk_samples(cfg, law)
-    m = cfg.replicas
-    row = ReportRow(
-        name=cfg.functional,
-        estimate=float(sample.mean()),
-        stderr=float(sample.std(ddof=1) / math.sqrt(m)) if m > 1 else None,
-    )
+    n, m = cfg.n, cfg.replicas
+    if spec.at_t and math.floor(n * cfg.t) < 1:
+        raise ConfigError("t too small: floor(n*t) must be >= 1")
+    sample = _values(cfg.functional, law, n, cfg)[:, 0] / spec.scale(n, cfg.dim)
+    row = _mean_row(cfg.functional, sample)
     rows = [row]
     samples = {cfg.functional: sample}
     mode = cfg.reference
@@ -220,17 +237,12 @@ def run_distributional(cfg: ExperimentConfig) -> Report:
                 f"functional {cfg.functional!r} has no surrogate mode; "
                 "set reference = closed-form or none"
             )
-        surr = _surrogate_samples(cfg, law)
+        # the default grid matches the walk's step count so both sides carry
+        # the same discretization bias
+        surr = _surrogate_values(cfg.functional, walks.sample_brownian,
+                                 laws.sqrt_psd(law.sigma), n, cfg)
         samples[cfg.functional + "-surrogate"] = surr
-        rows.append(
-            ReportRow(
-                name=cfg.functional + "-surrogate",
-                estimate=float(surr.mean()),
-                stderr=float(surr.std(ddof=1) / math.sqrt(len(surr)))
-                if len(surr) > 1
-                else None,
-            )
-        )
+        rows.append(_mean_row(cfg.functional + "-surrogate", surr))
         if m > 1 and len(surr) > 1:
             row.ks = stats.ks_two_sample(sample, surr)
             row.threshold = cfg.threshold or stats.kolmogorov_threshold_two(m, len(surr))
@@ -238,6 +250,21 @@ def run_distributional(cfg: ExperimentConfig) -> Report:
         else:
             row.note = "ks undefined for a single replica"
     return _finish(cfg, rows, samples)
+
+
+def _check_lln_sweep(cfg: ExperimentConfig) -> None:
+    spec = _check_functional(cfg)
+    if spec.lln is None:
+        raise ConfigError(f"functional {cfg.functional!r} has no first-order limit")
+    if not in_dims(cfg.dim, spec.lln_dims):
+        raise ConfigError(f"functional {cfg.functional} has a first-order limit "
+                          f"only in {dims_text(spec.lln_dims)}")
+    if not cfg.n_list:
+        raise ConfigError("n_list must not be empty")
+    if any(b <= a for a, b in zip(cfg.n_list, cfg.n_list[1:])):
+        raise ConfigError("n_list must be strictly increasing")
+    if min(cfg.n_list) < 1:
+        raise ConfigError("n_list entries must be >= 1")
 
 
 def run_lln_sweep(cfg: ExperimentConfig) -> Report:
@@ -248,9 +275,7 @@ def run_lln_sweep(cfg: ExperimentConfig) -> Report:
     errors = []
     samples = {}
     for n in cfg.n_list:
-        vals = np.empty((cfg.replicas, len(reference)))
-        for lo, hi, sums in _batches(law, n, cfg.seed, cfg.replicas):
-            vals[lo:hi] = functionals.evaluate(cfg.functional, sums, cfg) / n
+        vals = _values(cfg.functional, law, n, cfg) / n
         mean_vec = vals.mean(axis=0)
         err = float(np.linalg.norm(mean_vec - reference))
         errors.append(err)
@@ -305,6 +330,14 @@ def _com_samples(law, n: int, seed: int, m: int, ks) -> np.ndarray:
     return out
 
 
+def _check_com_kernel(cfg: ExperimentConfig) -> None:
+    if not cfg.pairs:
+        raise ConfigError("pairs must not be empty")
+    for t1, t2 in cfg.pairs:
+        if not (0.0 < t1 <= 1.0 and 0.0 < t2 <= 1.0):
+            raise ConfigError("pairs entries must lie in (0, 1]")
+
+
 def run_com_kernel_check(cfg: ExperimentConfig) -> Report:
     """Empirical covariances of the scaled centre of mass vs the limit kernel."""
     law = law_from_config(cfg)
@@ -350,6 +383,13 @@ def run_com_kernel_check(cfg: ExperimentConfig) -> Report:
     return _finish(cfg, rows, samples)
 
 
+def _check_etemadi(cfg: ExperimentConfig) -> None:
+    if not cfg.x_grid:
+        raise ConfigError("x_grid must not be empty")
+    if any(x < 0 for x in cfg.x_grid):
+        raise ConfigError("x_grid entries must be >= 0")
+
+
 def run_etemadi(cfg: ExperimentConfig) -> Report:
     """Falsification-only check of the maximal inequality on an x grid.
 
@@ -392,39 +432,31 @@ def run_etemadi(cfg: ExperimentConfig) -> Report:
     return _finish(cfg, rows, {})
 
 
+def _check_drift_volume(cfg: ExperimentConfig) -> None:
+    if cfg.dim < 2:
+        raise ConfigError("dim must be >= 2 for hull-drift-volume")
+    if not cfg.mu or not any(x != 0.0 for x in cfg.mu):
+        raise ConfigError("mu must be a nonzero drift for hull-drift-volume")
+
+
 def run_hull_drift_volume(cfg: ExperimentConfig) -> Report:
     """Scaled hull volume of a drifting walk vs the time-space path surrogate."""
     law = law_from_config(cfg)
     mu = law.mu
-    n, m = cfg.n, cfg.replicas
-    d = cfg.dim
-    scale = float(n) ** ((d + 1) / 2.0)
-    walk_vals = np.empty(m)
-    for lo, hi, sums in _batches(law, n, cfg.seed, m):
-        walk_vals[lo:hi] = functionals.evaluate("volume", sums, cfg)[:, 0] / scale
+    n, d = cfg.n, cfg.dim
+    walk_vals = _values("volume", law, n, cfg)[:, 0] / float(n) ** ((d + 1) / 2.0)
     perp, _ = laws.sigma_mu_perp(laws.sqrt_psd(law.sigma), mu)
     det_factor = float(np.linalg.norm(mu)) * math.sqrt(
         max(float(np.linalg.det(perp.matrix)), 0.0) if perp.dim > 1
         else float(perp.matrix[0, 0])
     )
-    steps = cfg.surrogate_grid or 2048
-    m2 = cfg.surrogate_replicas or m
-    grid = np.linspace(0.0, 1.0, steps + 1)
-    surr_vals = np.empty(m2)
-    for r in range(m2):
-        path = walks.sample_tilde_bd(perp, grid, cfg.seed, replica=m + r)
-        surr_vals[r] = functionals.evaluate("volume", path.values[None], cfg)[0, 0]
-    walk_mean = float(walk_vals.mean())
-    walk_se = float(walk_vals.std(ddof=1) / math.sqrt(m)) if m > 1 else 0.0
-    vtilde = float(surr_vals.mean())
-    vtilde_se = float(surr_vals.std(ddof=1) / math.sqrt(m2)) if m2 > 1 else 0.0
-    theory = det_factor * vtilde
-    theory_se = det_factor * vtilde_se
-    rows = [
-        ReportRow(name="walk-side", estimate=walk_mean, stderr=walk_se),
-        ReportRow(name="vtilde", estimate=vtilde, stderr=vtilde_se),
-        ReportRow(name="theory-side", estimate=theory, stderr=theory_se),
-    ]
+    surr_vals = _surrogate_values("volume", walks.sample_tilde_bd, perp, 2048, cfg)
+    walk = _mean_row("walk-side", walk_vals, 0.0)
+    vtilde = _mean_row("vtilde", surr_vals, 0.0)
+    walk_mean, walk_se = walk.estimate, walk.stderr
+    theory = det_factor * vtilde.estimate
+    theory_se = det_factor * vtilde.stderr
+    rows = [walk, vtilde, ReportRow(name="theory-side", estimate=theory, stderr=theory_se)]
     threshold = cfg.threshold or 0.15
     if theory > 0.0 and walk_mean > 0.0:
         ratio = walk_mean / theory
@@ -455,21 +487,29 @@ def run_hull_drift_volume(cfg: ExperimentConfig) -> Report:
     )
 
 
-_RUNNERS = {
-    "distributional": run_distributional,
-    "lln-sweep": run_lln_sweep,
-    "com-kernel": run_com_kernel_check,
-    "etemadi": run_etemadi,
-    "hull-drift-volume": run_hull_drift_volume,
+class Experiment(NamedTuple):
+    """One experiment kind: its runner and its own config checks."""
+
+    run: Callable  # cfg -> Report
+    needs_n: bool  # n must be >= 1
+    check: Callable  # cfg -> None, raises ConfigError after the shared checks
+
+
+EXPERIMENTS = {
+    "distributional": Experiment(run_distributional, True, _check_functional),
+    "lln-sweep": Experiment(run_lln_sweep, False, _check_lln_sweep),
+    "com-kernel": Experiment(run_com_kernel_check, True, _check_com_kernel),
+    "etemadi": Experiment(run_etemadi, True, _check_etemadi),
+    "hull-drift-volume": Experiment(run_hull_drift_volume, True, _check_drift_volume),
 }
 
 
 def run_experiment(cfg: ExperimentConfig) -> Report:
-    runner = _RUNNERS.get(cfg.experiment)
-    if runner is None:
+    kind = EXPERIMENTS.get(cfg.experiment)
+    if kind is None:
         raise ConfigError(f"unknown value for experiment: {cfg.experiment!r}")
     start = time.perf_counter()
-    report = runner(cfg)
+    report = kind.run(cfg)
     report.runtime = time.perf_counter() - start
     return report
 

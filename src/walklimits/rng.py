@@ -27,11 +27,6 @@ _MASK = 0xFFFFFFFF
 _KEY_BATCH = 256
 
 
-def stream(seed: int) -> np.random.Generator:
-    """Root generator for a run with the given 64-bit seed."""
-    return np.random.Generator(np.random.Philox(np.random.SeedSequence(seed)))
-
-
 def replica_stream(seed: int, replica: int) -> np.random.Generator:
     """Independent generator for one replica, stable under scheduling.
 

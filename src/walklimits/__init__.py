@@ -8,7 +8,6 @@ from .geometry import (
     PointSet,
     convex_hull,
     diameter,
-    drift_map,
     hausdorff,
     mean_width,
     steiner_neighborhood_volume,
@@ -21,7 +20,6 @@ from .laws import (
     CovSpec,
     arcsine_cdf,
     com_kernel_eval,
-    sample_com_gp,
     sigma_mu_perp,
     sqrt_psd,
     sup_bm_cdf,
@@ -43,7 +41,7 @@ from .metrics import (
     rho_skorokhod,
     rho_skorokhod_circ,
 )
-from .stats import empirical_cdf, ks_statistic, ks_two_sample, wilson_interval
+from .stats import ks_statistic, ks_two_sample, wilson_interval
 from .trajectory import CONSTANT, LINEAR, Trajectory, segment
 from .walks import (
     ComSeries,

@@ -1,9 +1,11 @@
 """Batch command-line frontend.
 
 Subcommands: simulate, metric, hull, experiment, report.  Every run writes
-a manifest echoing its fully-resolved config next to its outputs, and all
-files are written to a temp name then renamed, so interrupted runs never
-leave partial output.  Exit codes: 0 success, 3 an experiment report with a
+a manifest echoing its fully-resolved config next to its outputs; only an
+``experiment`` manifest is a config (``--config`` rejects the ``subcommand``
+and ``kind`` keys of ``simulate`` and ``hull`` manifests).  All files are
+written to a temp name then renamed, so interrupted runs never leave partial
+output.  Exit codes: 0 success, 3 an experiment report with a
 failing check (every output is still written), 2 configuration error
 (diagnostic names the offending key), 1 runtime failure.  The default
 output directory comes from $WALKLIMITS_OUT (falling back to '.').
@@ -26,7 +28,7 @@ from . import csvio, geometry, metrics
 from .config import ConfigError, ExperimentConfig, build_config, load_config
 from .config import manifest_text, parse_text, typed_value, validate_config, validate_walk
 from .experiments import Report, ReportRow, law_from_config, rows_csv, run_experiment
-from .fixtures import BUILTIN_CONFIGS, FIXTURES, builtin_examples, get_fixture
+from .fixtures import BUILTIN_CONFIGS, builtin_examples, get_fixture
 from .trajectory import CONSTANT, LINEAR
 from .walks import clt_trajectory, lln_trajectory, sample_walk
 
@@ -128,12 +130,12 @@ def _cmd_metric(args) -> int:
 
 
 def _metric_example(name: str) -> int:
-    if name not in ("paper-2.1", "paper-2.2") and name not in FIXTURES:
-        raise ConfigError(f"unknown example: {name}")
+    if name not in ("paper-2.1", "paper-2.2"):
+        raise ConfigError(f"unknown example: {name} (choose paper-2.1 or paper-2.2)")
     f = get_fixture("paper-2.1-f")
     g = get_fixture("paper-2.1-g")
     h = get_fixture("paper-2.1-h")
-    if name == "paper-2.1" or name.startswith("paper-2.1"):
+    if name == "paper-2.1":
         print(f"rho_inf(f,g) = {metrics.rho_inf(f, g):.10g}")
         print(f"rho_inf(f,h) = {metrics.rho_inf(f, h):.10g}")
         return 0

@@ -8,8 +8,10 @@ integer or float lists (``n_list = 1000,10000``) and colon pairs
 (``pairs = 0.5:1,1:1``).  Each ``ExperimentConfig`` field carries its key's
 codec, so a key is declared once, with its default and its type.  Unknown
 keys are rejected.  Overrides apply after the file parse and before
-validation.  The manifest written by every run is itself a valid config
-that reproduces the run.
+validation.  The manifest an ``experiment`` run writes is itself a valid
+config that reproduces the run; ``simulate`` and ``hull`` manifests carry
+``subcommand`` (and ``kind``) keys, which are rejected, so they are records,
+not configs.
 
 The valid laws are the keys of ``walks.LAWS`` and the valid experiments
 those of ``experiments.EXPERIMENTS``; each experiment entry holds its own
@@ -103,7 +105,6 @@ class ExperimentConfig:
     surrogate_replicas: int = _key(0, INT)
     threshold: float = _key(0.0, FLOAT)
     dump_samples: bool = _key(False, BOOL)
-    out: str = _key("", STR)
 
 
 _CODECS = {f.name: f.metadata["codec"] for f in fields(ExperimentConfig)}

@@ -105,8 +105,7 @@ FUNCTIONALS = {
         _per_hull(lambda body, cfg: geometry.volume(body)),
         lambda n, dim: float(n) ** (dim / 2.0), PLANAR_UP),
     "com": Functional(
-        _com, _root_n, ANY_DIM, _com_cdf, lambda mu, t: mu * (t / 2.0),
-        surrogate=False, at_t=True),
+        _com, _root_n, ANY_DIM, _com_cdf, lambda mu, t: mu * (t / 2.0), at_t=True),
 }
 
 

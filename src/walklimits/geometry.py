@@ -7,7 +7,7 @@ d = 2 (plus the Steiner formula), tetrahedron and facet-triangle sums in
 d = 3, qhull's volume and facet areas above.  Flat bodies are legal and are
 built in coordinates of their affine hull.  Only the mean width, a sphere
 integral of the support function, is a quadrature (exact trapezoid rule in
-d = 2, quasi-random sphere points with a standard error above).
+d = 2, quasi-random sphere points above).
 """
 
 from __future__ import annotations
@@ -335,7 +335,7 @@ def mean_width(body: ConvexBody, directions: int = 4096) -> float:
     normalized mean width; in d = 2 it equals the perimeter.  d = 2 uses
     the trapezoid rule on a uniform angle grid (deterministic, O(m^-2));
     d >= 3 uses deterministic quasi-random sphere points times the sphere
-    area, with the standard error available from mean_width_stderr.
+    area.
     """
     if directions < 1:
         raise ValueError("direction count must be >= 1")
@@ -347,15 +347,6 @@ def mean_width(body: ConvexBody, directions: int = 4096) -> float:
     if d == 2:
         return float(h.mean() * 2.0 * np.pi)
     return float(h.mean() * sphere_area(d))
-
-
-def mean_width_stderr(body: ConvexBody, directions: int = 4096) -> float:
-    """Quadrature standard error of mean_width (0 for the exact d <= 2 path)."""
-    if body.dim <= 2:
-        return 0.0
-    dirs = sphere_directions(body.dim, directions)
-    h = body.support_many(dirs)
-    return float(h.std(ddof=1) / math.sqrt(len(h)) * sphere_area(body.dim))
 
 
 def _perimeter(loop: np.ndarray) -> float:
@@ -457,13 +448,3 @@ def drift_basis(mu, dim: int | None = None) -> np.ndarray:
     basis = np.column_stack(cols)
     basis.setflags(write=False)
     return basis
-
-
-def drift_map(x, n: int, mu) -> np.ndarray:
-    """Drift-frame rescaling: along-drift part / (n|mu|), the rest / sqrt(n)."""
-    mu = np.atleast_1d(np.asarray(mu, dtype=float))
-    basis = drift_basis(mu)
-    comp = np.asarray(x, dtype=float) @ basis
-    scale = np.full(mu.size, 1.0 / math.sqrt(n))
-    scale[0] = 1.0 / (n * np.linalg.norm(mu))
-    return comp * scale

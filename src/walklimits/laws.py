@@ -7,8 +7,6 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import erf
 
-from .rng import replica_stream
-from .trajectory import LINEAR, Trajectory
 
 
 @dataclass(frozen=True)
@@ -106,46 +104,3 @@ def com_kernel_eval(kernel: ComKernel, t1: float, t2: float) -> np.ndarray:
     if t == 0.0:
         return np.zeros_like(kernel.base.matrix)
     return (s * (3.0 * t - s) / (6.0 * t)) * kernel.base.matrix
-
-
-def _scalar_com_kernel(grid: np.ndarray) -> np.ndarray:
-    s = np.minimum.outer(grid, grid)
-    t = np.maximum.outer(grid, grid)
-    return s * (3.0 * t - s) / (6.0 * t)
-
-
-def sample_com_gp(kernel: ComKernel, grid, seed: int, replica: int = 0) -> Trajectory:
-    """Sample the centre-of-mass Gaussian process on a grid in (0, 1].
-
-    Uses a Cholesky factor of the grid Gram matrix with a diagonal jitter
-    escalating from 1e-10 by factors of 10 up to 1e-6 before failing.
-    The grid must end at 1; the path is pinned to 0 at time 0.
-    """
-    grid = np.asarray(grid, dtype=float)
-    if grid.ndim != 1 or len(grid) < 1:
-        raise ValueError("grid must be a nonempty 1-d array")
-    if np.any(np.diff(grid) <= 0) or grid[0] <= 0.0 or grid[-1] != 1.0:
-        raise ValueError("grid must be strictly increasing in (0, 1] and end at 1")
-    d = kernel.base.dim
-    if np.all(kernel.base.matrix == 0.0):
-        times = np.concatenate([[0.0], grid])
-        return Trajectory(LINEAR, times, np.zeros((len(times), d)))
-    scalar = _scalar_com_kernel(grid)
-    cov = np.kron(scalar, kernel.base.matrix) if d > 1 else scalar
-    chol = None
-    jitter = 1e-10
-    while jitter <= 1e-6:
-        try:
-            chol = np.linalg.cholesky(cov + jitter * np.eye(cov.shape[0]))
-            break
-        except np.linalg.LinAlgError:
-            jitter *= 10.0
-    if chol is None:
-        raise np.linalg.LinAlgError(
-            "covariance Gram matrix is not PSD even with jitter up to 1e-6"
-        )
-    z = replica_stream(seed, replica).standard_normal(cov.shape[0])
-    vals = (chol @ z).reshape(len(grid), d)
-    times = np.concatenate([[0.0], grid])
-    values = np.vstack([np.zeros(d), vals])
-    return Trajectory(LINEAR, times, values)

@@ -7,25 +7,6 @@ import math
 import numpy as np
 
 
-class EmpiricalCdf:
-    """Right-continuous step CDF of a sample; ties accumulate jumps of 1/m."""
-
-    def __init__(self, sample):
-        xs = np.sort(np.asarray(sample, dtype=float))
-        if xs.size == 0:
-            raise ValueError("empty sample")
-        self.xs = xs
-
-    def __call__(self, x):
-        out = np.searchsorted(self.xs, np.asarray(x, dtype=float), side="right")
-        out = out / len(self.xs)
-        return float(out) if out.ndim == 0 else out
-
-
-def empirical_cdf(sample) -> EmpiricalCdf:
-    return EmpiricalCdf(sample)
-
-
 def ks_statistic(sample, cdf) -> float:
     """Sup distance between the empirical CDF and a reference CDF.
 

@@ -89,11 +89,3 @@ def segment(mu) -> Trajectory:
     """The straight path t -> mu*t as a piecewise-linear trajectory."""
     mu = np.atleast_1d(np.asarray(mu, dtype=float))
     return Trajectory(LINEAR, [0.0, 1.0], np.vstack([np.zeros_like(mu), mu]))
-
-
-def constant_path(value, dim=None) -> Trajectory:
-    """A trajectory that sits at one point for all time."""
-    v = np.atleast_1d(np.asarray(value, dtype=float))
-    if dim is not None and v.size == 1:
-        v = np.full(dim, v[0])
-    return Trajectory(CONSTANT, [0.0, 1.0], np.vstack([v, v]))

@@ -125,6 +125,11 @@ def test_metric_example_values():
     assert "0.01" in res.stdout
     res = run_cli("metric", "--example", "paper-2.1")
     assert "rho_inf(f,h) = 0.95" in res.stdout
+    for name in ("segment-unit-drift", "paper-2.1-g"):
+        res = run_cli("metric", "--example", name)
+        assert res.returncode == 2
+        assert res.stdout == ""
+        assert "paper-2.1" in res.stderr and "paper-2.2" in res.stderr
 
 
 def test_metric_listing_contains_fixtures():
@@ -322,6 +327,16 @@ def test_experiment_exits_zero_on_a_passing_report(tmp_path):
     res = run_cli("experiment", "--builtin", "max-clt", "--out", str(tmp_path))
     assert res.returncode == 0, res.stderr
     assert ",false," not in (tmp_path / "report.csv").read_text()
+
+
+def test_com_in_the_plane_runs_against_its_brownian_surrogate(tmp_path):
+    cfg = tmp_path / "com.cfg"
+    cfg.write_text("experiment = distributional\nfunctional = com\nlaw = rademacher\n"
+                   "dim = 2\nn = 500\nreplicas = 2000\nseed = 21\nt = 0.5\n")
+    res = run_cli("experiment", "--config", str(cfg), "--out", str(tmp_path / "x"))
+    assert res.returncode == 0, res.stderr
+    rows = (tmp_path / "x" / "report.csv").read_text().splitlines()[1:]
+    assert [row.split(",")[0] for row in rows] == ["com", "com-surrogate"]
 
 
 def test_nan_threshold_is_config_error(tmp_path):

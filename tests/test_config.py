@@ -1,5 +1,7 @@
 import hashlib
+import re
 from dataclasses import fields
+from pathlib import Path
 
 import pytest
 
@@ -70,7 +72,6 @@ NON_DEFAULT = ExperimentConfig(
     surrogate_replicas=5,
     threshold=0.125,
     dump_samples=True,
-    out="runs/sweep-1",
 )
 
 
@@ -81,6 +82,12 @@ def test_every_key_round_trips_the_manifest():
     text = manifest_text(NON_DEFAULT)
     assert len(parse_text(text)) == len(fields(ExperimentConfig))
     assert build_config(parse_text(text)) == NON_DEFAULT
+
+
+def test_readme_lists_every_key_in_field_order():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    paragraph = re.search(r"^Keys: (.*?)\n\n", readme, re.M | re.S).group(1)
+    assert re.findall(r"`([a-z_]+)`", paragraph) == [f.name for f in fields(ExperimentConfig)]
 
 
 # one unparsable string per codec (every string parses as a str)
@@ -115,18 +122,19 @@ def test_unknown_key_is_rejected():
     assert str(built.value) == "unknown config key: steps"
 
 
-# sha256 of manifest_text for every builtin, recorded before the config keys
-# carried their own codecs: the manifests must not change by a byte
+# sha256 of manifest_text for every builtin, recorded when the unread key
+# `out` was deleted (each manifest lost exactly its `out = ` line); a manifest
+# must not change by a byte without a deliberate re-pin
 MANIFEST_PINS = {
-    "arcsine": "512d9b8fee45817999d5af28bdc970f899d6c644cc0240876203f51bff2169ca",
-    "com-kernel": "48ff368403411392fd696bc93e8593e5a6f1aa844d66137dbbca40fb39399617",
-    "drift-volume": "a229d2ab2e8cc98081a694f574e8f2f9fecdeb155b86fc0551c2abe7cfa73fb2",
-    "etemadi-d1": "187266e3cfc64e5b3108bf9ecd1628fac25f8b3458d1ae2f5ff3b242fb7cf973",
-    "etemadi-d2": "11f1324d80e081ad7ebdec16b8ae2d69fb1280f308c750d41fac37905bd3f4ff",
-    "hull-volume-identity": "eaf3cfce00ff2c51c50d6adb49b869f48451b173f0074f4b063199424cde05c5",
-    "hull-volume-sigma41": "aa3faf9ece20fd9f213046ee527bf5d064ef9b3de4ea5e5218e197ccd95bb02e",
-    "max-clt": "3e7eb05b82f2b611e5ad3ce07016f6ec9a524114fffd2f9e0d0e51700e73fd7e",
-    "perimeter-lln": "43a0cae3de1115195177ebd474bf836b8d62d0fcfd792d0e1b4fa11a0aa114e7",
+    "arcsine": "5753ab809740f502745f3c3596e37d61cbd235aceb52551ab41742da27845f63",
+    "com-kernel": "4b4abf2575b6ce3aee1f21ea3095b4c0211c3720fbccee03d739e70bf0091fb0",
+    "drift-volume": "a0582e700c042c20f1985b76bb5d7e6686ceabc653db7624f4f8eea09b14fe40",
+    "etemadi-d1": "280b92de1d8a6470370ab8952dbcacafc3be3e54f66326654a395c8528924267",
+    "etemadi-d2": "5e5fbad9fac154768efce3d7227d92e42f5073e635901084a7fe24fc1c759e3c",
+    "hull-volume-identity": "490524851817915b7216d44d1f070098aedc0b577497c33d308706354f145991",
+    "hull-volume-sigma41": "e26e55f1eeceb4da4ac6966c7ff5f21159641123e2c675bc5f94de0b86970619",
+    "max-clt": "0fee72a0856a07b84d07eba5eb67ed3dc23c03e7ba7b86885e3ea8f1198d0813",
+    "perimeter-lln": "a94117633b47bf35636dfff691103447aac28ab5597846a190c2ddf9bc0777e3",
 }
 
 

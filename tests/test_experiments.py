@@ -7,7 +7,6 @@ import pytest
 from walklimits import (
     ConfigError,
     build_config,
-    empirical_cdf,
     ks_statistic,
     ks_two_sample,
     manifest_text,
@@ -29,19 +28,6 @@ def _cfg(text, overrides=None):
 
 
 # ------------------------------------------------------------- stats
-
-def test_empirical_cdf_reference_values():
-    cdf = empirical_cdf([0.5])
-    assert cdf(0.4) == 0.0
-    assert cdf(0.5) == 1.0
-    ties = empirical_cdf([1.0, 1.0])
-    assert ties(1.0 - 1e-12) == 0.0
-    assert ties(1.0) == 1.0
-    sample = np.array([3.0, 1.0, 2.0])
-    assert empirical_cdf(sample)(sample.max()) == 1.0
-    with pytest.raises(ValueError):
-        empirical_cdf([])
-
 
 def test_ks_statistic_hand_values():
     uniform = lambda x: np.clip(x, 0.0, 1.0)
@@ -169,6 +155,17 @@ t = 0.5
     )
     rep = run_experiment(cfg)
     assert rep.rows[0].passed
+
+
+def test_distributional_com_surrogate_variance():
+    # G(t) = t^-1 int_0^t b(s) ds has variance t/3 for a standard b
+    t, m = 0.5, 4000
+    cfg = _cfg(MAX_CFG, ["functional=com", "n=1000", f"replicas={m}", f"t={t}",
+                         "reference=surrogate", "dump_samples=true"])
+    surr = run_experiment(cfg).samples["com-surrogate"]
+    assert len(surr) == m
+    se = (t / 3.0) * math.sqrt(2.0 / m)
+    assert abs(surr.var(ddof=1) - t / 3.0) <= 4.0 * se
 
 
 def test_law_from_config_moments():

@@ -7,12 +7,11 @@ from walklimits import (
     com_kernel_eval,
     lln_reference,
     sample_brownian,
-    sample_com_gp,
     sigma_mu_perp,
     sqrt_psd,
     sup_bm_cdf,
 )
-from walklimits.laws import _scalar_com_kernel, std_normal_cdf
+from walklimits.laws import std_normal_cdf
 
 
 # --------------------------------------------------------------- sqrt_psd
@@ -138,37 +137,6 @@ def test_lln_reference_values():
     assert np.allclose(lln_reference("com", [1.0], t=1.0), [0.5])
     with pytest.raises(ValueError):
         lln_reference("area", [1.0])
-
-
-# ------------------------------------------------------------- com GP
-
-def test_sample_com_gp_zero_covariance():
-    k = ComKernel(sqrt_psd([[0.0]]))
-    path = sample_com_gp(k, [0.25, 0.5, 1.0], seed=3)
-    assert np.all(path.values == 0.0)
-
-
-def test_sample_com_gp_gram_psd():
-    grid = np.array([0.25, 0.5, 1.0])
-    gram = _scalar_com_kernel(grid)
-    assert np.linalg.eigvalsh(gram).min() >= -1e-10
-
-
-def test_sample_com_gp_variance_at_one():
-    k = ComKernel(sqrt_psd([[1.0]]))
-    reps = 100_000
-    vals = np.empty(reps)
-    for r in range(reps):
-        vals[r] = sample_com_gp(k, [0.25, 0.5, 1.0], seed=5, replica=r)(1.0)[0]
-    assert abs(vals.var(ddof=1) - 1.0 / 3.0) <= 0.02 / 3.0
-
-
-def test_sample_com_gp_rejects_bad_grid():
-    k = ComKernel(sqrt_psd([[1.0]]))
-    with pytest.raises(ValueError):
-        sample_com_gp(k, [0.0, 0.5, 1.0], seed=0)
-    with pytest.raises(ValueError):
-        sample_com_gp(k, [0.2, 0.5], seed=0)
 
 
 # ----------------------------------------------- Brownian-integral checks

@@ -198,6 +198,9 @@ def validate_config(cfg: ExperimentConfig) -> None:
         raise ConfigError(f"unknown value for reference: {cfg.reference!r}")
     if cfg.replicas < 1:
         raise ConfigError("replicas must be >= 1")
+    for key in ("surrogate_grid", "surrogate_replicas"):
+        if getattr(cfg, key) < 0:
+            raise ConfigError(f"{key} must be >= 0 (0 takes the default)")
     if kind.needs_n and cfg.n < 1:
         raise ConfigError("n must be >= 1")
     kind.check(cfg)

@@ -3,7 +3,10 @@
 Each runner simulates `replicas` independent walks (per-replica derived
 streams, so results are schedule-independent), evaluates one functional
 per replica, and compares the empirical distribution or moments against
-the matching reference law.  Replica loops run in fixed index order and
+the matching reference law.  Walks and Brownian surrogates both arrive as
+prefix-sum batches from ``walks.prefix_sum_batches`` (surrogates on the
+replica indices after the walks'), and one evaluator turns either stream
+into (replicas, width) values.  Replica loops run in fixed index order and
 reductions are ordered, so every report is bit-reproducible from
 (config, seed).
 
@@ -125,67 +128,27 @@ def law_from_config(cfg: ExperimentConfig) -> walks.IncrementLaw:
     return walks.LAWS[cfg.law].build(d, mu, sigma)
 
 
-# A prefix-sum batch holds at most this many replicas and, when n is large,
-# at most this many bytes (results are per replica, so batching never
-# changes a report).  The byte budget is the L2 size of a 2-core x86-64 host
-# (2 MiB per core).  Time there does not choose it: in-process seconds,
-# median [quartiles] of 10 alternating rounds at the benchmark's sizes
-# (max-clt at 256 x 2*10^5), do not separate 2, 4 and 8 MiB, and only
-# max-clt is slower at 64 MiB:
-#
-#   op             2 MiB               4 MiB               64 MiB
-#   com-kernel     1.729 [1.714 1.750] 1.731 [1.678 1.798] 1.748 [1.665 1.795]
-#   max-clt        0.541 [0.517 0.561] 0.549 [0.524 0.558] 0.597 [0.565 0.629]
-#   arcsine        0.270 [0.260 0.275] 0.254 [0.230 0.268] 0.258 [0.249 0.268]
-#   etemadi-d2     0.186 [0.179 0.194] 0.175 [0.167 0.186] 0.185 [0.177 0.188]
-#   drift-volume   0.721 [0.694 0.740] 0.719 [0.645 0.755] 0.682 [0.640 0.735]
-#
-# (8 MiB: 1.738, 0.554, 0.271, 0.182, 0.722.)  Memory does choose it: 2 MiB
-# holds the peak RSS of one `experiment` process 2-7 MB below 4 MiB
-# (com-kernel 74.5 -> 71.4 MB, etemadi-d2 79.3 -> 72.5 MB).  A replica
-# larger than the budget gets a batch of its own.
-_BATCH_REPLICAS = 256
-_BATCH_BYTES = 2 << 20
+def _walks(law, n: int, seed: int, total: int):
+    """Prefix-sum batches of walks 0..total-1 of n steps."""
+    return walks.prefix_sum_batches(lambda rng: law.sample(n, rng), n, law.dim, seed, 0, total)
 
 
-def _batches(law, n: int, seed: int, total: int):
-    """(lo, hi, prefix sums (hi-lo, n+1, d)) for replicas lo..hi-1, streams by index.
-
-    Every batch is a view of one buffer, so the next batch overwrites it: use
-    a batch fully before advancing.
-    """
-    size = max(1, min(_BATCH_REPLICAS, _BATCH_BYTES // ((n + 1) * law.dim * 8)))
-    buf = np.empty((min(size, total), n + 1, law.dim))
-    buf[:, 0] = 0.0
-    streams = replica_streams(seed, 0, total)
-    for lo in range(0, total, size):
-        hi = min(lo + size, total)
-        for row, rng in zip(buf[: hi - lo], streams):
-            np.cumsum(law.sample(n, rng), axis=0, out=row[1:])
-        yield lo, hi, buf[: hi - lo]
-
-
-def _values(functional: str, law, n: int, cfg: ExperimentConfig) -> np.ndarray:
-    """Native-scale values of a functional on walks 0..replicas-1 of n steps,
-    as (replicas, width)."""
-    return np.concatenate([functionals.evaluate(functional, sums, cfg)
-                           for _, _, sums in _batches(law, n, cfg.seed, cfg.replicas)])
-
-
-def _surrogate_values(functional: str, sample, cov, steps: int,
-                      cfg: ExperimentConfig) -> np.ndarray:
-    """The functional on surrogate paths ``sample(cov, grid, seed, replica)``.
+def _surrogates(sample, cov, steps: int, cfg: ExperimentConfig):
+    """Batches of surrogate paths ``sample(cov, grid, seed, lo, hi)``.
 
     Walks and surrogates share the seed but use disjoint replica indices.
     The grid has ``surrogate_grid`` steps, or ``steps`` when that is 0.
     """
-    m2 = cfg.surrogate_replicas or cfg.replicas
     grid = np.linspace(0.0, 1.0, (cfg.surrogate_grid or steps) + 1)
-    out = np.empty(m2)
-    for r in range(m2):
-        path = sample(cov, grid, cfg.seed, replica=cfg.replicas + r)
-        out[r] = functionals.evaluate(functional, path.values[None], cfg)[0, 0]
-    return out
+    m2 = cfg.surrogate_replicas or cfg.replicas
+    return sample(cov, grid, cfg.seed, cfg.replicas, cfg.replicas + m2)
+
+
+def _values(functional: str, batches, cfg: ExperimentConfig) -> np.ndarray:
+    """Native-scale values of a functional on every path of a batch stream,
+    as (replicas, width)."""
+    return np.concatenate([functionals.evaluate(functional, sums, cfg)
+                           for _, _, sums in batches])
 
 
 def _mean_row(name: str, values, single=None) -> ReportRow:
@@ -205,50 +168,54 @@ def _check_functional(cfg: ExperimentConfig):
 
 
 def run_distributional(cfg: ExperimentConfig) -> Report:
-    """Empirical CDF of a per-replica functional vs its limit law."""
+    """Empirical CDF of a per-replica functional vs its limit law, one row per
+    coordinate of a vector functional (named ``<functional>.x<i>``)."""
     law = law_from_config(cfg)
     spec = functionals.FUNCTIONALS[cfg.functional]
     n, m = cfg.n, cfg.replicas
     if spec.at_t and math.floor(n * cfg.t) < 1:
         raise ConfigError("t too small: floor(n*t) must be >= 1")
-    sample = _values(cfg.functional, law, n, cfg)[:, 0] / spec.scale(n, cfg.dim)
-    row = _mean_row(cfg.functional, sample)
-    rows = [row]
-    samples = {cfg.functional: sample}
     mode = cfg.reference
     cdf = spec.cdf(cfg, law) if spec.cdf and mode in ("auto", "closed-form") else None
     if mode == "closed-form" and cdf is None:
-        raise ConfigError(
-            f"functional {cfg.functional!r} has no closed-form reference; "
-            "set reference = surrogate"
-        )
+        raise ConfigError(f"functional {cfg.functional!r} has no closed-form reference; "
+                          "set reference = surrogate")
     if mode == "auto" and cdf is None:
         mode = "surrogate"
-    if cdf is not None and mode in ("auto", "closed-form"):
-        if m > 1:
-            row.ks = stats.ks_statistic(sample, cdf)
-            row.threshold = cfg.threshold or stats.kolmogorov_threshold(m)
-            row.passed = row.ks <= row.threshold
-        else:
-            row.note = "ks undefined for a single replica"
-    elif mode == "surrogate":
-        if not spec.surrogate:
-            raise ConfigError(
-                f"functional {cfg.functional!r} has no surrogate mode; "
-                "set reference = closed-form or none"
-            )
+    if mode == "surrogate" and not spec.surrogate:
+        raise ConfigError(f"functional {cfg.functional!r} has no surrogate mode; "
+                          "set reference = closed-form or none")
+    values = _values(cfg.functional, _walks(law, n, cfg.seed, m), cfg) / spec.scale(n, cfg.dim)
+    if mode == "surrogate":
         # the default grid matches the walk's step count so both sides carry
         # the same discretization bias
-        surr = _surrogate_values(cfg.functional, walks.sample_brownian,
-                                 laws.sqrt_psd(law.sigma), n, cfg)
-        samples[cfg.functional + "-surrogate"] = surr
-        rows.append(_mean_row(cfg.functional + "-surrogate", surr))
-        if m > 1 and len(surr) > 1:
-            row.ks = stats.ks_two_sample(sample, surr)
-            row.threshold = cfg.threshold or stats.kolmogorov_threshold_two(m, len(surr))
-            row.passed = row.ks <= row.threshold
-        else:
-            row.note = "ks undefined for a single replica"
+        surr = _values(cfg.functional, _surrogates(
+            walks.sample_brownian, laws.sqrt_psd(law.sigma), n, cfg), cfg)
+    rows, samples = [], {}
+    width = values.shape[1]
+    for j in range(width):
+        name = cfg.functional if width == 1 else f"{cfg.functional}.x{j + 1}"
+        sample = values[:, j]
+        row = _mean_row(name, sample)
+        rows.append(row)
+        samples[name] = sample
+        if cdf is not None:
+            if m > 1:
+                row.ks = stats.ks_statistic(sample, cdf)
+                row.threshold = cfg.threshold or stats.kolmogorov_threshold(m)
+                row.passed = row.ks <= row.threshold
+            else:
+                row.note = "ks undefined for a single replica"
+        elif mode == "surrogate":
+            s = surr[:, j]
+            samples[name + "-surrogate"] = s
+            rows.append(_mean_row(name + "-surrogate", s))
+            if m > 1 and len(s) > 1:
+                row.ks = stats.ks_two_sample(sample, s)
+                row.threshold = cfg.threshold or stats.kolmogorov_threshold_two(m, len(s))
+                row.passed = row.ks <= row.threshold
+            else:
+                row.note = "ks undefined for a single replica"
     return _finish(cfg, rows, samples)
 
 
@@ -275,7 +242,7 @@ def run_lln_sweep(cfg: ExperimentConfig) -> Report:
     errors = []
     samples = {}
     for n in cfg.n_list:
-        vals = _values(cfg.functional, law, n, cfg) / n
+        vals = _values(cfg.functional, _walks(law, n, cfg.seed, cfg.replicas), cfg) / n
         mean_vec = vals.mean(axis=0)
         err = float(np.linalg.norm(mean_vec - reference))
         errors.append(err)
@@ -325,7 +292,7 @@ def _com_samples(law, n: int, seed: int, m: int, ks) -> np.ndarray:
             np.matmul(weights, law.sample(n, rng)[:kmax], out=row)
         out /= np.array(ks, dtype=float)[:, None]
     else:
-        for lo, hi, sums in _batches(law, n, seed, m):
+        for lo, hi, sums in _walks(law, n, seed, m):
             out[lo:hi] = np.stack(functionals.com_at(sums, ks), axis=1)
     return out
 
@@ -402,7 +369,7 @@ def run_etemadi(cfg: ExperimentConfig) -> Report:
     xs = np.asarray(cfg.x_grid, dtype=float)
     left_counts = np.zeros(len(xs), dtype=np.int64)
     right_counts = np.zeros((len(xs), n + 1), dtype=np.int64)
-    for lo, hi, sums in _batches(law, n, cfg.seed, m):
+    for _, _, sums in _walks(law, n, cfg.seed, m):
         norms = np.linalg.norm(sums, axis=2)
         peak = norms.max(axis=1)
         for i, x in enumerate(xs):
@@ -444,47 +411,32 @@ def run_hull_drift_volume(cfg: ExperimentConfig) -> Report:
     law = law_from_config(cfg)
     mu = law.mu
     n, d = cfg.n, cfg.dim
-    walk_vals = _values("volume", law, n, cfg)[:, 0] / float(n) ** ((d + 1) / 2.0)
-    perp, _ = laws.sigma_mu_perp(laws.sqrt_psd(law.sigma), mu)
+    walk_vals = _values("volume", _walks(law, n, cfg.seed, cfg.replicas), cfg)[:, 0]
+    walk_vals /= float(n) ** ((d + 1) / 2.0)
+    perp = laws.sigma_mu_perp(laws.sqrt_psd(law.sigma), mu)
     det_factor = float(np.linalg.norm(mu)) * math.sqrt(
         max(float(np.linalg.det(perp.matrix)), 0.0) if perp.dim > 1
         else float(perp.matrix[0, 0])
     )
-    surr_vals = _surrogate_values("volume", walks.sample_tilde_bd, perp, 2048, cfg)
+    surr_vals = _values("volume", _surrogates(walks.sample_tilde_bd, perp, 2048, cfg),
+                        cfg)[:, 0]
     walk = _mean_row("walk-side", walk_vals, 0.0)
     vtilde = _mean_row("vtilde", surr_vals, 0.0)
     walk_mean, walk_se = walk.estimate, walk.stderr
     theory = det_factor * vtilde.estimate
     theory_se = det_factor * vtilde.stderr
     rows = [walk, vtilde, ReportRow(name="theory-side", estimate=theory, stderr=theory_se)]
-    threshold = cfg.threshold or 0.15
+    ratio = ReportRow(name="ratio", reference=1.0, threshold=cfg.threshold or 0.15)
     if theory > 0.0 and walk_mean > 0.0:
-        ratio = walk_mean / theory
-        ratio_se = ratio * math.sqrt(
+        ratio.estimate = walk_mean / theory
+        ratio.stderr = ratio.estimate * math.sqrt(
             (walk_se / walk_mean) ** 2 + (theory_se / theory) ** 2
         )
-        rows.append(
-            ReportRow(
-                name="ratio",
-                estimate=ratio,
-                stderr=ratio_se,
-                reference=1.0,
-                passed=abs(ratio - 1.0) <= threshold,
-                threshold=threshold,
-            )
-        )
+        ratio.passed = abs(ratio.estimate - 1.0) <= ratio.threshold
     else:
-        rows.append(
-            ReportRow(
-                name="ratio",
-                reference=1.0,
-                threshold=threshold,
-                note="undefined: a side is degenerate (zero volume)",
-            )
-        )
-    return _finish(
-        cfg, rows, {"walk-volume": walk_vals, "surrogate-volume": surr_vals}
-    )
+        ratio.note = "undefined: a side is degenerate (zero volume)"
+    rows.append(ratio)
+    return _finish(cfg, rows, {"walk-volume": walk_vals, "surrogate-volume": surr_vals})
 
 
 class Experiment(NamedTuple):
@@ -516,12 +468,5 @@ def run_experiment(cfg: ExperimentConfig) -> Report:
 
 def _finish(cfg: ExperimentConfig, rows, samples) -> Report:
     digest = hashlib.sha256(manifest_text(cfg).encode()).hexdigest()[:16]
-    report = Report(
-        experiment=cfg.experiment,
-        rows=rows,
-        seed=cfg.seed,
-        config_hash=digest,
-        runtime=0.0,
-        samples=samples if cfg.dump_samples else {},
-    )
-    return report
+    return Report(experiment=cfg.experiment, rows=rows, seed=cfg.seed, config_hash=digest,
+                  runtime=0.0, samples=samples if cfg.dump_samples else {})

@@ -47,13 +47,11 @@ def sqrt_psd(sigma) -> CovSpec:
     return CovSpec(matrix=matrix, root=root)
 
 
-def sigma_mu_perp(cov: CovSpec, mu) -> tuple[CovSpec, np.ndarray]:
+def sigma_mu_perp(cov: CovSpec, mu) -> CovSpec:
     """Covariance of the increment component orthogonal to the drift.
 
-    Rotates by the deterministic drift basis (first axis = normalized mu),
-    extracts the lower-right (d-1)x(d-1) block, and also returns the root
-    extended back to d dimensions with a 1 in the (1,1) entry and zeros
-    elsewhere in the first row and column.
+    Rotates by the deterministic drift basis (first axis = normalized mu) and
+    extracts the lower-right (d-1)x(d-1) block.
     """
     from .geometry import drift_basis
 
@@ -62,12 +60,7 @@ def sigma_mu_perp(cov: CovSpec, mu) -> tuple[CovSpec, np.ndarray]:
         raise ValueError("needs dimension >= 2")
     basis = drift_basis(mu, d)
     rotated = basis.T @ cov.matrix @ basis
-    perp = sqrt_psd(rotated[1:, 1:])
-    extended = np.zeros((d, d))
-    extended[0, 0] = 1.0
-    extended[1:, 1:] = perp.root
-    extended.setflags(write=False)
-    return perp, extended
+    return sqrt_psd(rotated[1:, 1:])
 
 
 def std_normal_cdf(x):

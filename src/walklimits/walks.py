@@ -1,4 +1,9 @@
-"""Random walks, their rescaled trajectories and centre-of-mass series."""
+"""Random walks, their rescaled trajectories and centre-of-mass series.
+
+``prefix_sum_batches`` builds every prefix-sum batch: of walk ensembles and
+of Brownian surrogates (``sample_brownian``, ``sample_tilde_bd``) alike.  A
+single walk (``sample_walk``) keys its one stream with ``rng.replica_stream``.
+"""
 
 from __future__ import annotations
 
@@ -8,8 +13,8 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from .laws import CovSpec, sqrt_psd
-from .rng import replica_stream
-from .trajectory import LINEAR, Trajectory, _frozen
+from .rng import replica_stream, replica_streams
+from .trajectory import Trajectory, _frozen
 
 
 @dataclass(frozen=True)
@@ -159,6 +164,48 @@ def sample_walk(law: IncrementLaw, n: int, seed: int, replica: int = 0) -> Walk:
     return Walk(dim=law.dim, increments=inc, sums=sums)
 
 
+# A prefix-sum batch holds at most this many replicas and, when n is large,
+# at most this many bytes (results are per replica, so batching never
+# changes a report).  The byte budget is the L2 size of a 2-core x86-64 host
+# (2 MiB per core).  Time there does not choose it: in-process seconds,
+# median [quartiles] of 10 alternating rounds at the benchmark's sizes
+# (max-clt at 256 x 2*10^5), do not separate 2, 4 and 8 MiB, and only
+# max-clt is slower at 64 MiB:
+#
+#   op             2 MiB               4 MiB               64 MiB
+#   com-kernel     1.729 [1.714 1.750] 1.731 [1.678 1.798] 1.748 [1.665 1.795]
+#   max-clt        0.541 [0.517 0.561] 0.549 [0.524 0.558] 0.597 [0.565 0.629]
+#   arcsine        0.270 [0.260 0.275] 0.254 [0.230 0.268] 0.258 [0.249 0.268]
+#   etemadi-d2     0.186 [0.179 0.194] 0.175 [0.167 0.186] 0.185 [0.177 0.188]
+#   drift-volume   0.721 [0.694 0.740] 0.719 [0.645 0.755] 0.682 [0.640 0.735]
+#
+# (8 MiB: 1.738, 0.554, 0.271, 0.182, 0.722.)  Memory does choose it: 2 MiB
+# holds the peak RSS of one `experiment` process 2-7 MB below 4 MiB
+# (com-kernel 74.5 -> 71.4 MB, etemadi-d2 79.3 -> 72.5 MB).  A replica
+# larger than the budget gets a batch of its own.
+_BATCH_REPLICAS = 256
+_BATCH_BYTES = 2 << 20
+
+
+def prefix_sum_batches(steps: Callable, n: int, dim: int, seed: int,
+                       lo: int, hi: int):
+    """(a, b, prefix sums (b-a, n+1, dim)) for replicas a..b-1 of lo..hi-1, where
+    replica r's path is the cumsum of ``steps(rng) -> (n, dim)`` on its stream.
+
+    Every batch is a view of one buffer, so the next batch overwrites it: use
+    a batch fully before advancing.
+    """
+    size = max(1, min(_BATCH_REPLICAS, _BATCH_BYTES // ((n + 1) * dim * 8)))
+    buf = np.empty((min(size, hi - lo), n + 1, dim))
+    buf[:, 0] = 0.0
+    streams = replica_streams(seed, lo, hi)
+    for a in range(lo, hi, size):
+        b = min(a + size, hi)
+        for row, rng in zip(buf[: b - a], streams):
+            np.cumsum(steps(rng), axis=0, out=row[1:])
+        yield a, b, buf[: b - a]
+
+
 def _scaled_trajectory(kind: str, values: np.ndarray) -> Trajectory:
     """A trajectory at breakpoints k / n that keeps its fresh values array (frozen in place)."""
     n = len(values) - 1
@@ -206,29 +253,33 @@ def centre_of_mass_weighted(walk: Walk) -> np.ndarray:
     return weights @ walk.increments
 
 
-def sample_brownian(cov: CovSpec, grid, seed: int, replica: int = 0) -> Trajectory:
-    """Brownian sample on a grid: independent N(0, dt * Sigma) increments.
+def sample_brownian(cov: CovSpec, grid, seed: int, lo: int, hi: int):
+    """Brownian paths lo..hi-1 on a grid, as ``prefix_sum_batches``: independent
+    N(0, dt * Sigma) increments, drawn from the streams of replicas lo..hi-1.
 
-    The grid must be strictly increasing from 0 to 1 (a Trajectory spans
-    [0, 1]); the value at 0 is 0.
+    The grid must be strictly increasing from 0 to 1; each path is 0 at 0.
     """
     grid = np.asarray(grid, dtype=float)
     if grid.ndim != 1 or len(grid) < 2:
         raise ValueError("grid must have at least two points")
     if grid[0] != 0.0 or grid[-1] != 1.0 or np.any(np.diff(grid) <= 0):
         raise ValueError("grid must increase strictly from 0 to 1")
-    d = cov.dim
-    dt = np.diff(grid)
-    z = replica_stream(seed, replica).standard_normal((len(grid) - 1, d))
-    steps = np.sqrt(dt)[:, None] * (z @ cov.root)
-    values = np.vstack([np.zeros(d), np.cumsum(steps, axis=0)])
-    return Trajectory(LINEAR, grid, values)
+    root_dt = np.sqrt(np.diff(grid))[:, None]
+
+    def steps(rng):
+        # sqrt(dt) * (z @ root), scaled in place: the same IEEE operations
+        x = rng.standard_normal((len(root_dt), cov.dim)) @ cov.root
+        x *= root_dt
+        return x
+
+    return prefix_sum_batches(steps, len(root_dt), cov.dim, seed, lo, hi)
 
 
-def sample_tilde_bd(cov_perp: CovSpec, grid, seed: int, replica: int = 0) -> Trajectory:
-    """Time-space path (t, b_{d-1}(t)): first coordinate is exactly t."""
+def sample_tilde_bd(cov_perp: CovSpec, grid, seed: int, lo: int, hi: int):
+    """Time-space paths (t, b_{d-1}(t)) lo..hi-1: ``sample_brownian``'s batches
+    with the grid as coordinate 0, exactly."""
     if cov_perp.dim < 1:
         raise ValueError("needs ambient dimension >= 2")
-    bm = sample_brownian(cov_perp, grid, seed, replica)
-    values = np.column_stack([bm.times, bm.values])
-    return Trajectory(LINEAR, bm.times, values)
+    grid = np.asarray(grid, dtype=float)
+    return ((a, b, np.dstack((np.broadcast_to(grid, values.shape[:2]), values)))
+            for a, b, values in sample_brownian(cov_perp, grid, seed, lo, hi))

@@ -336,7 +336,8 @@ def test_com_in_the_plane_runs_against_its_brownian_surrogate(tmp_path):
     res = run_cli("experiment", "--config", str(cfg), "--out", str(tmp_path / "x"))
     assert res.returncode == 0, res.stderr
     rows = (tmp_path / "x" / "report.csv").read_text().splitlines()[1:]
-    assert [row.split(",")[0] for row in rows] == ["com", "com-surrogate"]
+    assert [row.split(",")[0] for row in rows] == ["com.x1", "com.x1-surrogate",
+                                                   "com.x2", "com.x2-surrogate"]
 
 
 def test_nan_threshold_is_config_error(tmp_path):

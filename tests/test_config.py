@@ -49,6 +49,12 @@ def test_kind_checks_name_the_key(kind, overrides, key):
         _cfg(KIND_BASES[kind], overrides)
 
 
+@pytest.mark.parametrize("key,value", [("surrogate_grid", -5), ("surrogate_replicas", -3)])
+def test_negative_surrogate_size_names_the_key(key, value):
+    with pytest.raises(ConfigError, match=key):
+        _cfg("functional = max\nn = 10\nreference = surrogate\n", [f"{key}={value}"])
+
+
 # ------------------------------------------------------------ codecs
 
 # every key away from its default, including keys no builtin sets

@@ -168,6 +168,21 @@ def test_distributional_com_surrogate_variance():
     assert abs(surr.var(ddof=1) - t / 3.0) <= 4.0 * se
 
 
+def test_distributional_judges_every_coordinate_of_com():
+    # Sigma = diag(1, 4): G(1) has variance 1/3 and 4/3 on the two axes
+    m = 400
+    cfg = _cfg(MAX_CFG, ["functional=com", "law=gaussian", "dim=2", "sigma=1,0;0,4",
+                         "n=100", f"replicas={m}", "dump_samples=true"])
+    rep = run_experiment(cfg)
+    assert [r.name for r in rep.rows] == ["com.x1", "com.x1-surrogate",
+                                          "com.x2", "com.x2-surrogate"]
+    assert sorted(rep.samples) == sorted(r.name for r in rep.rows)
+    for name, var in (("com.x1", 1.0 / 3.0), ("com.x2", 4.0 / 3.0)):
+        row = next(r for r in rep.rows if r.name == name)
+        assert row.stderr == pytest.approx(math.sqrt(var / m), rel=0.2)
+        assert row.ks is not None and row.passed
+
+
 def test_law_from_config_moments():
     cfg = _cfg(
         MAX_CFG,
@@ -253,13 +268,14 @@ def test_distributional_com_needs_a_step_before_t():
 
 def test_batch_byte_budget_leaves_report_unchanged(monkeypatch):
     import walklimits.experiments as experiments
+    import walklimits.walks as walks
 
     cfg = _cfg(MAX_CFG, ["functional=volume", "law=gaussian", "dim=2", "replicas=7",
                          "reference=none"])
     whole = run_experiment(cfg).csv_text()
     # three replicas of (n + 1) x 2 float64 sums per batch
-    monkeypatch.setattr(experiments, "_BATCH_BYTES", 3 * 257 * 2 * 8)
-    assert [hi - lo for lo, hi, _ in experiments._batches(law_from_config(cfg), 256, 0, 7)] \
+    monkeypatch.setattr(walks, "_BATCH_BYTES", 3 * 257 * 2 * 8)
+    assert [hi - lo for lo, hi, _ in experiments._walks(law_from_config(cfg), 256, 0, 7)] \
         == [3, 3, 1]
     assert run_experiment(cfg).csv_text() == whole
 
@@ -267,11 +283,12 @@ def test_batch_byte_budget_leaves_report_unchanged(monkeypatch):
 @pytest.mark.parametrize("law", [rademacher(2), gaussian([0.5, -1.0], [[2.0, 0.3], [0.3, 1.0]])])
 def test_batches_reuse_one_buffer_without_stale_rows(monkeypatch, law):
     import walklimits.experiments as experiments
+    import walklimits.walks as walks
 
     n, total = 50, 7
-    monkeypatch.setattr(experiments, "_BATCH_BYTES", 3 * (n + 1) * 2 * 8)
+    monkeypatch.setattr(walks, "_BATCH_BYTES", 3 * (n + 1) * 2 * 8)
     seen = []
-    for lo, hi, sums in experiments._batches(law, n, 11, total):
+    for lo, hi, sums in experiments._walks(law, n, 11, total):
         assert sums.shape == (hi - lo, n + 1, 2)
         for r in range(lo, hi):
             assert np.array_equal(sums[r - lo], sample_walk(law, n, 11, replica=r).sums)
@@ -282,11 +299,12 @@ def test_batches_reuse_one_buffer_without_stale_rows(monkeypatch, law):
 @pytest.mark.parametrize("n,dim,total", [(100, 1, 1000), (10000, 2, 300), (600000, 1, 2)])
 def test_batch_buffer_holds_at_most_the_budget_or_one_replica(n, dim, total):
     import walklimits.experiments as experiments
+    import walklimits.walks as walks
 
     one = (n + 1) * dim * 8
     bases = set()
-    for lo, hi, sums in experiments._batches(rademacher(dim), n, 0, total):
-        assert sums.base is not None and sums.base.nbytes <= max(experiments._BATCH_BYTES, one)
+    for lo, hi, sums in experiments._walks(rademacher(dim), n, 0, total):
+        assert sums.base is not None and sums.base.nbytes <= max(walks._BATCH_BYTES, one)
         bases.add(id(sums.base))
     assert len(bases) == 1
 
@@ -615,11 +633,12 @@ def test_hull_trio_walk_vs_surrogate_two_sample():
         walk_vals["mean-width"][r] = mean_width(body, 512) / root_n
         walk_vals["perimeter"][r] = surface_area(body) / root_n
         walk_vals["volume"][r] = volume(body) / n
-        path = sample_brownian(cov, grid, seed=515, replica=m + r)
-        sbody = geometry.convex_hull(path.values, validate=False)
-        surr_vals["mean-width"][r] = mean_width(sbody, 512)
-        surr_vals["perimeter"][r] = surface_area(sbody)
-        surr_vals["volume"][r] = volume(sbody)
+    for lo, hi, paths in sample_brownian(cov, grid, 515, m, 2 * m):
+        for r, path in enumerate(paths, lo - m):
+            sbody = geometry.convex_hull(path, validate=False)
+            surr_vals["mean-width"][r] = mean_width(sbody, 512)
+            surr_vals["perimeter"][r] = surface_area(sbody)
+            surr_vals["volume"][r] = volume(sbody)
     for k in names:
         d = ks_two_sample(walk_vals[k], surr_vals[k])
         assert d < 0.05, f"{k}: two-sample ks {d:.4f}"

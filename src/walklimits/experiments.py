@@ -131,7 +131,7 @@ def law_from_config(cfg: ExperimentConfig) -> walks.IncrementLaw:
 def _walks(law, n: int, seed: int, total: int):
     """Prefix-sum batches of walks 0..total-1 of n steps."""
     return walks.prefix_sum_batches(lambda rng, a, b: law.sample(b - a, rng), n, law.dim,
-                                    seed, 0, total, walks.LAWS[law.kind].split)
+                                    seed, 0, total, walks.LAWS[law.kind].split(law.dim))
 
 
 def _surrogates(sample, cov, steps: int, cfg: ExperimentConfig):

@@ -16,13 +16,16 @@ from walklimits import (
     surface_area,
     volume,
 )
+import walklimits.geometry as geometry
 from walklimits.geometry import (
     drift_basis,
     hausdorff_support,
     sphere_directions,
 )
 
-from walklimits.walks import gaussian, lattice, rademacher, sample_walk, uniform_cube
+from walklimits.laws import sqrt_psd
+from walklimits.walks import (
+    gaussian, lattice, rademacher, sample_tilde_bd, sample_walk, uniform_cube)
 
 from conftest import random_origin_points
 
@@ -444,6 +447,107 @@ def test_hull_validation_fails_a_shrunk_facet(monkeypatch, d):
     pts = sample_walk(gaussian(np.zeros(d), np.eye(d)), 5000, 3).sums
     convex_hull(pts)
     monkeypatch.setattr(geometry, "_hull_nd", shrunk)
+    with pytest.raises(AssertionError, match="does not contain"):
+        convex_hull(pts)
+    convex_hull(pts, validate=False)
+
+
+# ------------------------------------------------------------ planar screen
+
+
+def _unscreened(monkeypatch, pts):
+    with monkeypatch.context() as m:
+        m.setattr(geometry, "_screen", lambda p: p)
+        return convex_hull(pts)
+
+
+def _assert_same_hull(body, ref):
+    assert np.array_equal(body.vertices, ref.vertices)
+    assert np.array_equal(body.loop, ref.loop)
+    assert volume(body) == volume(ref)
+    assert surface_area(body) == surface_area(ref)
+
+
+def _walk_cases():
+    lo = geometry._SCREEN_MIN
+    laws = {"gaussian": gaussian([0.0, 0.0], np.eye(2)),
+            "gaussian-drift": gaussian([0.7, -0.2], [[2.0, 0.5], [0.5, 1.0]]),
+            "rademacher": rademacher(2), "lattice": lattice(2)}
+    cases = [(name, n, s) for name in ("gaussian", "gaussian-drift")
+             for n in (1000, 10**4, 3 * 10**5) for s in range(2)]
+    # integer coordinates: collinear boundary points and revisited sites
+    cases += [(name, n, s) for name in ("rademacher", "lattice")
+              for n in (lo - 1, lo, 5000, 10**5) for s in range(3)]
+    # n + 1 points on either side of the threshold
+    cases += [("gaussian", n, 7) for n in (lo - 2, lo - 1, lo, lo + 1)]
+    return [pytest.param(laws[name], n, s, id=f"{name}-n{n}-s{s}") for name, n, s in cases]
+
+
+@pytest.mark.parametrize("law,n,seed", _walk_cases())
+def test_planar_screen_is_exact_on_walks(monkeypatch, law, n, seed):
+    pts = sample_walk(law, n, seed).sums
+    _assert_same_hull(convex_hull(pts), _unscreened(monkeypatch, pts))
+    kept = len(geometry._screen(pts))
+    assert kept == len(pts) if n + 1 < geometry._SCREEN_MIN else kept < len(pts) / 2
+
+
+def test_planar_screen_is_exact_on_time_space_surrogates(monkeypatch):
+    grid = np.linspace(0.0, 1.0, 2049)
+    for _, _, paths in sample_tilde_bd(sqrt_psd([[1.0]]), grid, 41, 0, 40):
+        for path in paths:
+            _assert_same_hull(convex_hull(path), _unscreened(monkeypatch, path))
+
+
+def test_collinear_walk_reaches_the_flat_hull_with_every_point(monkeypatch):
+    steps = np.where(np.random.default_rng(5).random(5000) < 0.5, -1.0, 1.0)
+    pts = np.outer(np.concatenate([[0.0], np.cumsum(steps)]), [1.0, 2.0])
+    seen = []
+    true_flat = geometry._hull_degenerate
+
+    def flat(p, d):
+        seen.append(len(p))
+        return true_flat(p, d)
+
+    monkeypatch.setattr(geometry, "_hull_degenerate", flat)
+    body = convex_hull(pts)
+    assert seen == [len(pts)] and body.degenerate and len(body.loop) == 2
+
+
+def test_flat_inner_polygon_leaves_every_point_to_qhull(monkeypatch):
+    # every stride-th point lies on the x axis, the set itself does not
+    rng = np.random.default_rng(9)
+    pts = rng.normal(size=(4 * geometry._SCREEN_MIN, 2))
+    pts[:: geometry._SCREEN_STRIDE, 1] = 0.0
+    assert geometry._screen(pts) is pts
+    _assert_same_hull(convex_hull(pts), _unscreened(monkeypatch, pts))
+
+
+def test_planar_hull_memory_is_bounded():
+    # the screen holds one facets x 4096-point block of distances; holding
+    # all of them at once took facets x 3e5 floats, 49 MB
+    pts = sample_walk(gaussian([0.0, 0.0], np.eye(2)), 300000, 101).sums
+    tracemalloc.start()
+    try:
+        body = convex_hull(pts)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(body.vertices) > 10
+    assert peak < 4 * 2**20
+
+
+def test_hull_validation_fails_a_screened_out_vertex(monkeypatch):
+    true_screen = geometry._screen
+
+    def dropping(pts):
+        kept = true_screen(pts)
+        # the lexicographically smallest point is always a hull vertex
+        lowest = kept[np.lexsort((kept[:, 1], kept[:, 0]))[0]]
+        return kept[np.any(kept != lowest, axis=1)]
+
+    pts = sample_walk(gaussian([0.0, 0.0], np.eye(2)), 5000, 3).sums
+    convex_hull(pts)
+    monkeypatch.setattr(geometry, "_screen", dropping)
     with pytest.raises(AssertionError, match="does not contain"):
         convex_hull(pts)
     convex_hull(pts, validate=False)

@@ -287,6 +287,18 @@ def test_chunked_walk_batches_equal_one_whole_draw(kind, d, n):
         lambda r: _whole_sums(law.sample(n, replica_stream(23, r))))
 
 
+def test_lattice_walks_are_chunked_where_no_draw_rejects():
+    # integers(0, 2d) rejects no draw exactly when 2d is a power of two; at
+    # d = 3 a chunked walk would equal a whole draw only while none rejects
+    split = walks.LAWS["lattice-simple-symmetric"].split
+    assert [d for d in range(1, 9) if split(d)] == [1, 2, 4, 8]
+    law = lattice(4)
+    n = CHUNK + 1
+    _assert_bytes_equal_whole_draws(
+        experiments._walks(law, n, 29, 2), 0, 2,
+        lambda r: _whole_sums(law.sample(n, replica_stream(29, r))))
+
+
 @pytest.mark.parametrize("n", CHUNK_SIZES)
 @pytest.mark.parametrize("d", [1, 2, 3])
 def test_chunked_brownian_batches_equal_one_whole_draw(d, n):

@@ -68,11 +68,23 @@ def hausdorff(a, b) -> float:
     return max(_directed_hausdorff(pa, pb), _directed_hausdorff(pb, pa))
 
 
-# Rows per block in ConvexBody.contains: bounds its rows x facets temporary
-# (a 3e5-point walk against 310 facets would otherwise take ~0.8 GB).  On
-# that hull 512 rows hold 1.7 MB and take 0.137 s, 4096 rows 11 MB and
-# 0.142 s (medians of 15 rounds).
-_CONTAINS_BLOCK = 512
+# Cells (points x facets) per block in ConvexBody.contains, which takes its
+# distances facet-major: `normals @ block.T` reduced over axis 0 is 2-3 times
+# faster than the row-major form on planar hulls, whose ~20 facets make a
+# short row to reduce.  A budget in cells, not rows, bounds the temporary at
+# 1 MiB whatever the facet count (a 3e5-point walk against 310 facets would
+# otherwise take ~0.8 GB).  Milliseconds per call on walks of n steps
+# (2-core x86-64 host, one CPU, median of 15 alternating rounds; the old form
+# was row-major in 512-row blocks):
+#
+#   input (facets)                  512 rows  2^16 cells  2^17  2^18
+#                                   row-major
+#   d = 2, n = 10^4 (20)              0.67       0.26     0.17  0.17
+#   d = 2, n = 3*10^5 (22)           24.0       10.1       6.3   7.9
+#   d = 2 screen, n = 3*10^5 (17)    26.2        8.0       5.0   7.1
+#   d = 3, n = 10^4 (174)             2.81       2.63     2.48  2.86
+#   d = 3, n = 3*10^5 (416)         171.4      174.7     169.5 189.4
+_CONTAINS_CELLS = 1 << 17
 
 
 @dataclass(frozen=True)
@@ -108,11 +120,12 @@ class ConvexBody:
         pts = np.atleast_2d(np.asarray(points, dtype=float))
         if self.normals is None:
             return _contains_degenerate(self, pts, tol)
-        bound = self.offsets + tol
+        bound = (self.offsets + tol)[:, None]
+        rows = max(1, _CONTAINS_CELLS // len(bound))
         out = np.empty(len(pts), dtype=bool)
-        for i in range(0, len(pts), _CONTAINS_BLOCK):
-            block = pts[i : i + _CONTAINS_BLOCK]
-            out[i : i + len(block)] = np.all(block @ self.normals.T <= bound, axis=1)
+        for i in range(0, len(pts), rows):
+            block = pts[i : i + rows]
+            out[i : i + len(block)] = (self.normals @ block.T <= bound).all(axis=0)
         return out
 
 
@@ -186,16 +199,14 @@ def _ccw_loop(q: _QHull) -> np.ndarray:
 
 # A planar input of at least _SCREEN_MIN points reaches qhull screened (Akl &
 # Toussaint 1978): the hull of every _SCREEN_STRIDE-th point is an inner
-# polygon, and a point inside each of its edges by more than _SCREEN_MARGIN
+# polygon, and a point inside each of its edges by at least _SCREEN_MARGIN
 # times the largest coordinate of that subsample (far above the rounding of
 # a distance) lies inside the hull of other points, so it is no vertex and is
 # dropped.  The rest, the inner polygon's vertices among them, go to qhull.
-# Distances are taken facet-major, _SCREEN_BLOCK points at a time, so the
-# temporary is facets x 4096 floats however long the walk (all at once, a
-# 3e5-step walk took 49 MB).  Milliseconds per _hull_nd of a Gaussian walk of
-# n steps, or of a 2049-point time-space surrogate, by stride (2-core x86-64
-# host, one CPU, median of 15 alternating rounds; block size did not
-# separate 1024 to 8192 points):
+# The membership test is ConvexBody.contains, in its bounded blocks.
+# Milliseconds per _hull_nd of a Gaussian walk of n steps, or of a 2049-point
+# time-space surrogate, by stride (2-core x86-64 host, one CPU, median of 15
+# alternating rounds, measured with 4096-point facet-major blocks):
 #
 #   input            unscreened  s = 16  s = 32  s = 64
 #   n = 500             0.209     0.240   0.245   0.275
@@ -206,7 +217,6 @@ def _ccw_loop(q: _QHull) -> np.ndarray:
 #   surrogate 2049      0.455     0.304   0.297   0.307
 _SCREEN_MIN = 1024
 _SCREEN_STRIDE = 32
-_SCREEN_BLOCK = 4096
 _SCREEN_MARGIN = 1e-9
 
 
@@ -219,13 +229,14 @@ def _screen(pts: np.ndarray) -> np.ndarray:
         inner = _QHull(pts[::_SCREEN_STRIDE])
     except QhullError:
         return pts
+    body = ConvexBody(
+        dim=2,
+        vertices=inner.points[inner.vertices],
+        normals=inner.equations[:, :2],
+        offsets=-inner.equations[:, 2],
+    )
     scale = max(-inner.min_bound.min(), inner.max_bound.max())
-    normals = inner.equations[:, :2]
-    bound = -inner.equations[:, 2:] - _SCREEN_MARGIN * scale
-    keep = np.empty(len(pts), dtype=bool)
-    for i in range(0, len(pts), _SCREEN_BLOCK):
-        block = pts[i : i + _SCREEN_BLOCK]
-        keep[i : i + len(block)] = (normals @ block.T >= bound).any(axis=0)
+    keep = ~body.contains(pts, -_SCREEN_MARGIN * scale)
     keep[inner.vertices.astype(np.intp) * _SCREEN_STRIDE] = True
     return pts[keep]
 

@@ -417,7 +417,7 @@ def test_mean_width_bound_exponent_monitor_d3(rng):
 
 def test_hull_validation_memory_is_bounded():
     # validating the hull of a 3e5-step d = 3 walk (310 facets) holds one
-    # block x facets temporary, about 1.7 MB; 4096-row blocks took 11 MB
+    # 2^17-cell block of distances, 1 MiB; 4096-row blocks took 11 MB
     pts = sample_walk(gaussian([1.0, 0.0, 0.0], np.eye(3)), 300000, 101).sums
     tracemalloc.start()
     try:
@@ -439,12 +439,12 @@ def test_hull_validation_fails_a_shrunk_facet(monkeypatch, d):
         body = true_hull(pts, dim)
         # shrink the facet that the walk reaches latest, past the first block
         first_touch = (np.abs(pts @ body.normals.T - body.offsets) <= 1e-9).argmax(axis=0)
-        assert first_touch.max() > geometry._CONTAINS_BLOCK
+        assert first_touch.max() > geometry._CONTAINS_CELLS // len(body.offsets)
         offsets = body.offsets.copy()
         offsets[first_touch.argmax()] -= 1e-6
         return dataclasses.replace(body, offsets=offsets)
 
-    pts = sample_walk(gaussian(np.zeros(d), np.eye(d)), 5000, 3).sums
+    pts = sample_walk(gaussian(np.zeros(d), np.eye(d)), 40000, 3).sums
     convex_hull(pts)
     monkeypatch.setattr(geometry, "_hull_nd", shrunk)
     with pytest.raises(AssertionError, match="does not contain"):
@@ -523,8 +523,8 @@ def test_flat_inner_polygon_leaves_every_point_to_qhull(monkeypatch):
 
 
 def test_planar_hull_memory_is_bounded():
-    # the screen holds one facets x 4096-point block of distances; holding
-    # all of them at once took facets x 3e5 floats, 49 MB
+    # the screen holds one 2^17-cell block of distances; holding all of
+    # them at once took facets x 3e5 floats, 49 MB
     pts = sample_walk(gaussian([0.0, 0.0], np.eye(2)), 300000, 101).sums
     tracemalloc.start()
     try:

@@ -69,13 +69,13 @@ def hausdorff(a, b) -> float:
 
 
 # Cells (points x facets) per block in ConvexBody.contains, which takes its
-# distances facet-major: `normals @ block.T` reduced over axis 0 is 2-3 times
+# distances facet-major: `normals @ block.T` reduced over axis 0 is 4-5 times
 # faster than the row-major form on planar hulls, whose ~20 facets make a
 # short row to reduce.  A budget in cells, not rows, bounds the temporary at
 # 1 MiB whatever the facet count (a 3e5-point walk against 310 facets would
 # otherwise take ~0.8 GB).  Milliseconds per call on walks of n steps
-# (2-core x86-64 host, one CPU, median of 15 alternating rounds; the old form
-# was row-major in 512-row blocks):
+# (2-core x86-64 host, one CPU, median of 15 alternating rounds; row-major is
+# `block @ normals.T` reduced over axis 1):
 #
 #   input (facets)                  512 rows  2^16 cells  2^17  2^18
 #                                   row-major

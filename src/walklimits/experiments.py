@@ -3,12 +3,14 @@
 Each runner simulates `replicas` independent walks (per-replica derived
 streams, so results are schedule-independent), evaluates one functional
 per replica, and compares the empirical distribution or moments against
-the matching reference law.  Walks and Brownian surrogates both arrive as
+the matching reference law.  ``_walks`` picks how walks arrive: d = 1
+Rademacher walks as ``walks.StepBytes`` where the functional evaluates on
+them (``_on_bytes``), every other walk and every Brownian surrogate as
 prefix-sum batches from ``walks.prefix_sum_batches`` (surrogates on the
-replica indices after the walks'), and one evaluator turns either stream
-into (replicas, width) values.  Replica loops run in fixed index order and
-reductions are ordered, so every report is bit-reproducible from
-(config, seed).
+replica indices after the walks').  ``functionals.evaluate`` turns any
+batch into (replicas, width) values.  Replica loops run in fixed index
+order and reductions are ordered, so every report is bit-reproducible
+from (config, seed).
 
 ``EXPERIMENTS`` declares each experiment kind once: its runner, whether it
 needs ``n``, and its own config checks, which ``config.validate_config``
@@ -128,8 +130,24 @@ def law_from_config(cfg: ExperimentConfig) -> walks.IncrementLaw:
     return walks.LAWS[cfg.law].build(d, mu, sigma)
 
 
-def _walks(law, n: int, seed: int, total: int):
-    """Prefix-sum batches of walks 0..total-1 of n steps."""
+def _exact_sums(n: int) -> bool:
+    """Whether every S_1 + ... + S_k of an integer-step walk is an integer below 2**53."""
+    return n * (n + 1) // 2 <= 2**53
+
+
+def _on_bytes(law, functional: str, n: int) -> bool:
+    """Whether walks reach a functional as step bytes: d = 1 Rademacher steps,
+    a functional with a byte evaluator and exact sums, where its integer
+    values equal those of the prefix sums bit for bit."""
+    return (law.kind == "rademacher" and law.dim == 1 and _exact_sums(n)
+            and functionals.FUNCTIONALS[functional].on_bytes is not None)
+
+
+def _walks(law, n: int, seed: int, total: int, functional: str | None = None):
+    """Batches of walks 0..total-1 of n steps: ``walks.StepBytes`` where
+    ``_on_bytes`` holds for ``functional``, else prefix sums."""
+    if functional is not None and _on_bytes(law, functional, n):
+        return walks.step_byte_batches(n, seed, 0, total)
     return walks.prefix_sum_batches(lambda rng, a, b: law.sample(b - a, rng), n, law.dim,
                                     seed, 0, total, walks.LAWS[law.kind].split(law.dim))
 
@@ -186,7 +204,8 @@ def run_distributional(cfg: ExperimentConfig) -> Report:
     if mode == "surrogate" and not spec.surrogate:
         raise ConfigError(f"functional {cfg.functional!r} has no surrogate mode; "
                           "set reference = closed-form or none")
-    values = _values(cfg.functional, _walks(law, n, cfg.seed, m), cfg) / spec.scale(n, cfg.dim)
+    values = _values(cfg.functional, _walks(law, n, cfg.seed, m, cfg.functional),
+                     cfg) / spec.scale(n, cfg.dim)
     if mode == "surrogate":
         # the default grid matches the walk's step count so both sides carry
         # the same discretization bias
@@ -248,7 +267,8 @@ def run_lln_sweep(cfg: ExperimentConfig) -> Report:
     errors = []
     samples = {}
     for n in cfg.n_list:
-        vals = _values(cfg.functional, _walks(law, n, cfg.seed, cfg.replicas), cfg) / n
+        vals = _values(cfg.functional, _walks(law, n, cfg.seed, cfg.replicas, cfg.functional),
+                       cfg) / n
         mean_vec = vals.mean(axis=0)
         errors.append(float(np.linalg.norm(mean_vec - reference)))
         for j, base in enumerate(names):
@@ -284,7 +304,10 @@ def run_lln_sweep(cfg: ExperimentConfig) -> Report:
 def _com_samples(law, n: int, seed: int, m: int, ks) -> np.ndarray:
     """G_k = (S_1 + ... + S_k) / k of replicas 0..m-1 for each k in ks, as (m, len(ks), d)."""
     out = np.empty((m, len(ks), law.dim))
-    if walks.LAWS[law.kind].integer and n * (n + 1) // 2 <= 2**53:
+    if _on_bytes(law, "com", n):
+        for lo, hi, batch in walks.step_byte_batches(n, seed, 0, m):
+            out[lo:hi] = np.stack(functionals.com_at_bytes(batch, ks), axis=1)
+    elif walks.LAWS[law.kind].integer and _exact_sums(n):
         # T_k = S_1 + ... + S_k = sum_{i<=k} (k-i+1) xi_i has integer terms and
         # every partial sum is at most n(n+1)/2 <= 2**53 in size, so one
         # weighted product of the steps is exact in any summation order and

@@ -6,6 +6,9 @@ shape (b, n + 1, d) at native scale (the hull functionals build one hull per
 replica), that scale, its closed-form limit CDF if one is known, its LLN
 constant, whether a Brownian surrogate can stand in for its limit law, and
 the dimensions, as (lowest, highest), where it and its LLN constant apply.
+max, arcsine and com also evaluate on ``walks.StepBytes``, the packed steps
+of d = 1 Rademacher walks, from exact integer sums that equal the prefix
+sums' values bit for bit.
 """
 
 from __future__ import annotations
@@ -16,6 +19,7 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from . import geometry, laws, metrics
+from .walks import BYTE_PATH, StepBytes
 
 ANY_DIM = (1, math.inf)
 PLANAR_UP = (2, math.inf)
@@ -32,6 +36,7 @@ class Functional(NamedTuple):
     lln_dims: tuple = ANY_DIM
     surrogate: bool = True
     at_t: bool = False  # evaluated at step floor(n t)
+    on_bytes: Callable | None = None  # (StepBytes, cfg) -> (b,) values, d = 1 Rademacher
 
 
 def in_dims(dim: int, dims: tuple) -> bool:
@@ -45,6 +50,54 @@ def dims_text(dims: tuple) -> str:
 def _arcsine(sums, cfg) -> np.ndarray:
     region = metrics.HalfspaceCap(np.eye(sums.shape[2])[0], 0.0)
     return np.array([region.contains(p[1:]).mean() for p in sums])
+
+
+# Tables over a step byte b (``walks.BYTE_PATH``'s order), read with np.take:
+# the highest point of its path; the number of its 8 points above 0 when it
+# starts at c, at (c + 8) * 256 + b (from c = -8 no point is above 0 and from
+# c = 9 all are); the sum of its first r points, in row r.
+_BYTE_MAX = BYTE_PATH.max(axis=1)
+_BYTE_POSITIVE = (BYTE_PATH.T + np.arange(-8, 10)[:, None, None] > 0).sum(
+    axis=1, dtype=np.int8).ravel()
+_BYTE_PARTIAL = np.vstack((np.zeros(256, dtype=np.int8),
+                           np.cumsum(BYTE_PATH.T, axis=0, dtype=np.int8)))
+
+
+def _max_bytes(batch, cfg) -> np.ndarray:
+    # past n the padding only steps down from S_n, so it never raises the max
+    peak = (batch.before + np.take(_BYTE_MAX, batch.bits)).max(axis=1)
+    return np.maximum(peak, 0).astype(float)
+
+
+def _arcsine_bytes(batch, cfg) -> np.ndarray:
+    state = np.clip(batch.before, -8, 9)
+    state += 8
+    state *= 256
+    state += batch.bits
+    count = np.take(_BYTE_POSITIVE, state).sum(axis=1)
+    # the padding's points S_n - 1, S_n - 2, ... above 0 are not the walk's
+    pad = 8 * batch.bits.shape[1] - batch.n
+    last = batch.before[:, -1] + BYTE_PATH[batch.bits[:, -1], (batch.n - 1) % 8]
+    count -= np.clip(last - 1, 0, pad)
+    return count / batch.n
+
+
+def com_at_bytes(batch, ks) -> list:
+    """``com_at`` on a ``StepBytes`` batch, from the exact integer sums T_k.
+
+    T_k = S_1 + ... + S_k adds, for each whole byte j < k // 8, 8 S_{8j} and
+    the sum of its points, then r S_{8j} and the first r points of byte
+    j = k // 8, where r = k mod 8.
+    """
+    bits, before = batch.bits, batch.before
+    out = []
+    for k in ks:
+        j, r = divmod(k, 8)
+        t = 8 * before[:, :j].sum(axis=1) + np.take(_BYTE_PARTIAL[8], bits[:, :j]).sum(axis=1)
+        if r:
+            t += r * before[:, j] + np.take(_BYTE_PARTIAL[r], bits[:, j])
+        out.append((t / k)[:, None])
+    return out
 
 
 def com_at(sums, ks) -> list:
@@ -88,10 +141,10 @@ def _root_n(n: int, dim: int) -> float:
 FUNCTIONALS = {
     "max": Functional(
         lambda sums, cfg: sums[:, :, 0].max(axis=1), _root_n, (1, 1), _max_cdf,
-        lambda mu, t: max(float(mu[0]), 0.0), lln_dims=(1, 1)),
+        lambda mu, t: max(float(mu[0]), 0.0), lln_dims=(1, 1), on_bytes=_max_bytes),
     "arcsine": Functional(
         _arcsine, lambda n, dim: 1.0, ANY_DIM, lambda cfg, law: laws.arcsine_cdf,
-        surrogate=False),
+        surrogate=False, on_bytes=_arcsine_bytes),
     "diameter": Functional(
         lambda sums, cfg: np.array([geometry.diameter(p) for p in sums]), _root_n,
         ANY_DIM, lln=lambda mu, t: float(np.linalg.norm(mu))),
@@ -105,14 +158,17 @@ FUNCTIONALS = {
         _per_hull(lambda body, cfg: geometry.volume(body)),
         lambda n, dim: float(n) ** (dim / 2.0), PLANAR_UP),
     "com": Functional(
-        _com, _root_n, ANY_DIM, _com_cdf, lambda mu, t: mu * (t / 2.0), at_t=True),
+        _com, _root_n, ANY_DIM, _com_cdf, lambda mu, t: mu * (t / 2.0), at_t=True,
+        on_bytes=lambda batch, cfg: com_at_bytes(batch, [max(1, math.floor(batch.n * cfg.t))])[0]),
 }
 
 
-def evaluate(functional: str, sums: np.ndarray, cfg) -> np.ndarray:
-    """Native-scale values of a functional on a (b, n + 1, d) batch, as (b, width)."""
-    values = FUNCTIONALS[functional].evaluate(sums, cfg)
-    return np.reshape(values, (len(sums), -1))
+def evaluate(functional: str, batch, cfg) -> np.ndarray:
+    """Native-scale values of a functional on a batch of b walks, as (b, width):
+    prefix sums (b, n + 1, d) or the ``StepBytes`` of d = 1 Rademacher walks."""
+    spec = FUNCTIONALS[functional]
+    values = (spec.on_bytes if isinstance(batch, StepBytes) else spec.evaluate)(batch, cfg)
+    return np.reshape(values, (values.shape[0], -1))
 
 
 def lln_reference(functional: str, mu, t: float = 1.0):

@@ -2,7 +2,10 @@
 
 ``prefix_sum_batches`` builds every prefix-sum batch: of walk ensembles and
 of Brownian surrogates (``sample_brownian``, ``sample_tilde_bd``) alike,
-drawing each replica's steps in cache-sized chunks.  A single walk
+drawing each replica's steps in cache-sized chunks.  ``step_byte_batches``
+gives d = 1 Rademacher ensembles as their step bits instead, 8 steps to a
+byte with the walk's value before each byte; ``functionals`` reads max,
+arcsine and G_k off them through ``BYTE_PATH``.  A single walk
 (``sample_walk``) keys its one stream with ``rng.replica_stream``.
 """
 
@@ -82,11 +85,25 @@ def lattice(dim: int = 1) -> IncrementLaw:
     )
 
 
+def _halves(rng, m: int) -> np.ndarray:
+    """The next m 32-bit halves of the stream's raw 64-bit words, low half first.
+
+    On a fresh stream with 64-bit output (Philox, PCG64), integers(0, 2**k)
+    draws the top k bits of each half, one half per draw.
+    """
+    return rng.bit_generator.random_raw(-(-m // 2)).astype("<u8", copy=False).view("<u4")[:m]
+
+
 def _lattice_steps(law: IncrementLaw, n: int, rng) -> np.ndarray:
-    moves = rng.integers(0, 2 * law.dim, size=n)
-    out = np.zeros((n, law.dim))
-    out[np.arange(n), moves // 2] = np.where(moves % 2 == 0, 1.0, -1.0)
-    return out
+    # move 2i is +e_i and move 2i + 1 is -e_i; the rows' off-axis zeros are +0.0
+    d = law.dim
+    rows = np.zeros((2 * d, d))
+    rows[np.arange(2 * d), np.arange(2 * d) // 2] = np.tile([1.0, -1.0], d)
+    if d & (d - 1):
+        return rows[rng.integers(0, 2 * d, size=n)]
+    # where 2d is a power of two, integers(0, 2d) is the top log2(2d) bits of
+    # each half (Lemire's method never rejects there)
+    return rows[_halves(rng, n) >> (32 - d.bit_length())]
 
 
 class LawKind(NamedTuple):
@@ -107,12 +124,8 @@ class LawKind(NamedTuple):
 
 
 def _rademacher_steps(law: IncrementLaw, n: int, rng) -> np.ndarray:
-    # Equals (rng.integers(0, 2, (n, dim)) * 2 - 1) only on a fresh stream with
-    # 64-bit output (Philox, PCG64): integers(0, 2) is the top bit of each
-    # 32-bit half of a raw word, low half first.
-    m = n * law.dim
-    halves = rng.bit_generator.random_raw(-(-m // 2)).astype("<u8", copy=False).view("<u4")
-    return ((halves[:m] >> 31) * 2.0 - 1.0).reshape(n, law.dim)
+    # equals (rng.integers(0, 2, (n, dim)) * 2 - 1) on a fresh stream
+    return ((_halves(rng, n * law.dim) >> 31) * 2.0 - 1.0).reshape(n, law.dim)
 
 
 def _add_mean(x: np.ndarray, mu: np.ndarray) -> None:
@@ -249,6 +262,63 @@ def prefix_sum_batches(steps: Callable, n: int, dim: int, seed: int,
                     x[0] += row[c]
                 np.cumsum(x, axis=0, out=row[c + 1 : e + 1])
         yield a, b, buf[: b - a]
+
+
+# BYTE_PATH[b, t] is the walk after t + 1 of the 8 steps packed in byte b,
+# first step in the top bit, a set bit an up-step (int8, 256 x 8).
+BYTE_PATH = np.cumsum(
+    np.unpackbits(np.arange(256, dtype=np.uint8)[:, None], axis=1).view(np.int8) * 2 - 1,
+    axis=1, dtype=np.int8)
+# A replica's step bits are drawn and packed this many steps at a time: a
+# multiple of 16, so that no raw word or byte straddles two chunks, and a
+# chunk's raw words and signs (5 bytes a step) are not an O(n) draw.  Seconds
+# of one fresh max-clt process at 256 x 2*10^5 pinned to one CPU, median of
+# 8 alternating rounds (quartiles about 0.1 s apart), and its minor faults:
+#
+#   chunk    2^12   2^13   2^14   2^15   2^16   2^17   whole walk
+#   s        0.98   0.85   0.81   0.77   0.84   0.81   0.80
+#   faults   13.4k  13.4k  13.3k  13.3k  13.3k  13.3k  13.4k
+_BYTE_CHUNK_STEPS = 1 << 15
+
+
+class StepBytes(NamedTuple):
+    """A batch of d = 1 Rademacher walks of n steps as packed step bits.
+
+    ``bits[r, j]`` holds steps 8j + 1 .. 8j + 8 of replica r (``BYTE_PATH``'s
+    order), padded past n with down-steps (clear bits); ``before[r, j]`` is
+    S_{8j}, the exclusive cumsum of the bytes' net moves.
+    """
+
+    bits: np.ndarray  # (b, ceil(n / 8)) uint8
+    before: np.ndarray  # (b, ceil(n / 8)) int64
+    n: int
+
+
+def step_byte_batches(n: int, seed: int, lo: int, hi: int):
+    """(a, b, ``StepBytes``) for d = 1 Rademacher walks a..b-1 of lo..hi-1.
+
+    Each replica's steps are the bits ``_rademacher_steps`` reads from its
+    stream, the top bit of each half of a raw word, drawn
+    ``_BYTE_CHUNK_STEPS`` at a time and packed 8 to a byte.  A batch holds at
+    most ``_BATCH_REPLICAS`` replicas and, with one int64 temporary of its
+    shape (the cumsum's cast and each evaluator make one), ``_BATCH_BYTES``
+    bytes (17 per 8 steps), or one replica.  Every batch is a view of the
+    same buffers.
+    """
+    width = -(-n // 8)
+    size = max(1, min(_BATCH_REPLICAS, _BATCH_BYTES // (width * 17)))
+    bits = np.empty((min(size, hi - lo), width), dtype=np.uint8)
+    before = np.empty(bits.shape, dtype=np.int64)
+    before[:, 0] = 0
+    streams = replica_streams(seed, lo, hi)
+    for a in range(lo, hi, size):
+        b = min(a + size, hi)
+        for row, rng in zip(bits[: b - a], streams):
+            for c in range(0, n, _BYTE_CHUNK_STEPS):
+                e = min(c + _BYTE_CHUNK_STEPS, n)
+                row[c // 8 : -(-e // 8)] = np.packbits(_halves(rng, e - c) >= 1 << 31)
+        np.cumsum(np.take(BYTE_PATH[:, 7], bits[: b - a, :-1]), axis=1, out=before[: b - a, 1:])
+        yield a, b, StepBytes(bits[: b - a], before[: b - a], n)
 
 
 def _scaled_trajectory(kind: str, values: np.ndarray) -> Trajectory:

@@ -1,4 +1,6 @@
+import contextlib
 import hashlib
+import io
 import math
 import tracemalloc
 
@@ -20,7 +22,7 @@ from walklimits.experiments import law_from_config, run_distributional
 from walklimits.rng import replica_stream
 from walklimits.stats import kolmogorov_threshold
 from walklimits import centre_of_mass, lattice, sample_walk, rademacher
-from walklimits import convex_hull, diameter, functionals, gaussian, surface_area
+from walklimits import convex_hull, diameter, functionals, gaussian, surface_area, walks
 from walklimits.metrics import HalfspaceCap
 
 
@@ -393,6 +395,95 @@ def test_integer_step_com_equals_com_at(law):
         want = functionals.com_at(sample_walk(law, n, 21, replica=r).sums[None], ks)
         for j in range(len(ks)):
             assert np.array_equal(got[r, j], want[j][0])
+
+
+BYTE_CHUNK = walks._BYTE_CHUNK_STEPS
+BYTE_SIZES = [1, 2, 7, 8, 9, 15, 16, 17, 33, 1001, BYTE_CHUNK - 1, BYTE_CHUNK, BYTE_CHUNK + 1,
+              10003]
+
+
+def _prefix_sum_batch(n, seed, lo, hi):
+    """One float prefix-sum batch of d = 1 Rademacher walks lo..hi-1, the reference."""
+    law = rademacher(1)
+    (_, _, sums), = walks.prefix_sum_batches(lambda rng, a, b: law.sample(b - a, rng), n, 1,
+                                            seed, lo, hi)
+    return sums.copy()
+
+
+@pytest.mark.parametrize("n", BYTE_SIZES)
+def test_step_byte_evaluators_equal_the_prefix_sums(n):
+    # bit for bit, for max, arcsine and com (at t = 0.37) and for com_at at
+    # k = 1, k = n and ks with k mod 8 != 0
+    cfg = _cfg(MAX_CFG, ["t=0.37"])
+    ks = sorted({1, n, max(1, n // 3), max(1, n - 1), max(1, 5 * n // 7)})
+    for seed in (0, 3, 20260809):
+        sums = _prefix_sum_batch(n, seed, 0, 6)
+        (_, _, batch), = walks.step_byte_batches(n, seed, 0, 6)
+        for name in ("max", "arcsine", "com"):
+            want = functionals.evaluate(name, sums, cfg)
+            assert functionals.evaluate(name, batch, cfg).tobytes() == want.tobytes(), name
+        for got, want in zip(functionals.com_at_bytes(batch, ks), functionals.com_at(sums, ks)):
+            assert got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("n,replica", [(1001, 4), (10003, 172)])
+def test_step_bytes_of_a_walk_that_stays_at_or_below_zero(n, replica):
+    # seed 7 walks that never go above 0 (and end below): max and arcsine
+    # are 0 whatever the padding past n does
+    sums = _prefix_sum_batch(n, 7, replica, replica + 1)
+    assert sums.max() == 0.0 and sums[0, -1, 0] < 0.0
+    (_, _, batch), = walks.step_byte_batches(n, 7, replica, replica + 1)
+    assert functionals.evaluate("max", batch, None).tobytes() == np.zeros((1, 1)).tobytes()
+    assert functionals.evaluate("arcsine", batch, None).tobytes() == np.zeros((1, 1)).tobytes()
+
+
+@pytest.mark.parametrize("law,functional,on_bytes", [
+    (rademacher(1), "max", True), (rademacher(1), "arcsine", True), (rademacher(1), "com", True),
+    (rademacher(1), "diameter", False), (rademacher(2), "arcsine", False),
+    (rademacher(2), "com", False), (gaussian([0.0], [[1.0]]), "max", False),
+    (lattice(1), "max", False)],
+    ids=lambda v: f"{v.kind}-d{v.dim}" if isinstance(v, walks.IncrementLaw) else str(v))
+def test_only_d1_rademacher_walks_reach_byte_evaluators_as_bytes(law, functional, on_bytes):
+    import walklimits.experiments as experiments
+
+    for _, _, batch in experiments._walks(law, 100, 5, 3, functional):
+        assert isinstance(batch, walks.StepBytes) == on_bytes
+    assert all(isinstance(batch, np.ndarray) for _, _, batch in experiments._walks(law, 100, 5, 3))
+    # past n(n + 1) / 2 = 2**53 the float sums are no longer exact integers
+    assert not experiments._on_bytes(law, functional, 2**27)
+
+
+def _run_cli_files(out, args):
+    from walklimits.cli import main
+
+    with contextlib.redirect_stdout(io.StringIO()):
+        main([*args, "--out", str(out)])
+    return {p.name: p.read_bytes() for p in out.iterdir() if p.suffix == ".csv"}
+
+
+@pytest.mark.parametrize("text", [
+    "experiment = lln-sweep\nfunctional = max\nlaw = rademacher\ndim = 1\n"
+    "n_list = 1,9,100,1001\nreplicas = 300\nseed = 5\ndump_samples = true\n",
+    "experiment = distributional\nfunctional = arcsine\nlaw = rademacher\ndim = 1\n"
+    "n = 1001\nreplicas = 300\nseed = 5\ndump_samples = true\n",
+    "experiment = distributional\nfunctional = com\nlaw = rademacher\ndim = 1\nn = 1001\n"
+    "t = 0.3\nreplicas = 300\nseed = 5\ndump_samples = true\n"], ids=["lln-max", "arcsine", "com"])
+def test_byte_path_runs_write_the_prefix_sum_files(tmp_path, monkeypatch, text):
+    # report.csv and every samples_*.csv byte for byte, with and without bytes
+    import walklimits.experiments as experiments
+
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(text)
+    calls = []
+    byte_batches = walks.step_byte_batches
+    monkeypatch.setattr(walks, "step_byte_batches",
+                        lambda *a: calls.append(a) or byte_batches(*a))
+    got = _run_cli_files(tmp_path / "bytes", ["experiment", "--config", str(cfg)])
+    assert calls
+    monkeypatch.setattr(experiments, "_on_bytes", lambda *a: False)
+    want = _run_cli_files(tmp_path / "sums", ["experiment", "--config", str(cfg)])
+    assert got == want
+    assert "report.csv" in got and any(name.startswith("samples_") for name in got)
 
 
 # com-kernel reports of real-valued laws, recorded before the integer-step path existed

@@ -376,3 +376,66 @@ def test_flln_sup_distance_statistical():
         if rho_inf(traj, ref) < 0.1:
             hits += 1
     assert hits >= 95
+
+
+def _scatter_lattice_steps(d, n, rng):
+    """The lattice sampler as first written: integers(0, 2d) scattered into zeros."""
+    moves = rng.integers(0, 2 * d, size=n)
+    out = np.zeros((n, d))
+    out[np.arange(n), moves // 2] = np.where(moves % 2 == 0, 1.0, -1.0)
+    return out
+
+
+@pytest.mark.parametrize("n", [1, 7, CHUNK - 1, CHUNK + 1])
+@pytest.mark.parametrize("d", [1, 2, 3, 4])
+def test_lattice_steps_equal_the_scatter_construction(d, n):
+    # byte for byte: where 2d is a power of two the moves are read from the
+    # top bits of the raw words, and every off-axis zero must be +0.0
+    for seed, replica in ((0, 0), (31, 7), (2**40 + 1, 999)):
+        want = _scatter_lattice_steps(d, n, replica_stream(seed, replica))
+        assert lattice(d).sample(n, replica_stream(seed, replica)).tobytes() == want.tobytes()
+
+
+BYTE_CHUNK = walks._BYTE_CHUNK_STEPS
+
+
+@pytest.mark.parametrize("n", [1, 7, 8, 9, 17, BYTE_CHUNK - 1, BYTE_CHUNK + 1, 2 * BYTE_CHUNK + 9])
+def test_step_bytes_pack_the_rademacher_steps(n):
+    # bit i of a row (first step in the top bit) is step i + 1 of the walk on
+    # the same stream, the padding past n is down-steps, and before[:, j] = S_8j
+    seen = []
+    for a, b, batch in walks.step_byte_batches(n, 17, 250, 260):
+        assert batch.bits.shape == batch.before.shape == (b - a, -(-n // 8))
+        for r, bits, before in zip(range(a, b), batch.bits, batch.before):
+            steps = rademacher(1).sample(n, replica_stream(17, r))[:, 0]
+            padded = np.concatenate([steps, -np.ones(8 * len(bits) - n)])
+            assert np.array_equal(np.unpackbits(bits) * 2.0 - 1.0, padded)
+            sums = np.concatenate([[0.0], np.cumsum(padded)])
+            assert np.array_equal(before, sums[: -1 : 8])
+            seen.append(r)
+    assert seen == list(range(250, 260))
+
+
+def test_step_byte_batches_hold_the_budget_or_one_replica():
+    # 17 bytes per 8 steps: a byte, an int64 S_8j and an int64 temporary
+    for n, total, size in ((10_000, 1000, walks._BATCH_BYTES // (1250 * 17)),
+                           (100, 1000, walks._BATCH_REPLICAS), (3 * 10**6, 2, 1)):
+        got = [(b - a, batch.bits.base, batch.before.base)
+               for a, b, batch in walks.step_byte_batches(n, 3, 0, total)]
+        assert {g[0] for g in got[:-1]} <= {size} and got[-1][0] <= size
+        assert len({id(g[1]) for g in got}) == len({id(g[2]) for g in got}) == 1
+
+
+def test_step_byte_batches_memory_is_the_batch_and_one_chunk():
+    # four 2*10^5-step walks in one batch: 17 bytes per 8 steps with the
+    # cumsum's int64 temporary, and one chunk's raw words, signs and packed
+    # bytes (under 6 bytes per step)
+    n = 200_000
+    tracemalloc.start()
+    try:
+        for _ in walks.step_byte_batches(n, 5, 0, 4):
+            pass
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * -(-n // 8) * 17 + 6 * BYTE_CHUNK + (64 << 10)

@@ -57,7 +57,7 @@ def _arcsine(sums, cfg) -> np.ndarray:
 # starts at c, at (c + 8) * 256 + b (from c = -8 no point is above 0 and from
 # c = 9 all are); the sum of its first r points, in row r.
 _BYTE_MAX = BYTE_PATH.max(axis=1)
-_BYTE_POSITIVE = (BYTE_PATH.T + np.arange(-8, 10)[:, None, None] > 0).sum(
+_BYTE_POSITIVE = (BYTE_PATH.T + np.arange(-8, 10, dtype=np.int8)[:, None, None] > 0).sum(
     axis=1, dtype=np.int8).ravel()
 _BYTE_PARTIAL = np.vstack((np.zeros(256, dtype=np.int8),
                            np.cumsum(BYTE_PATH.T, axis=0, dtype=np.int8)))

@@ -4,10 +4,10 @@ Each runner simulates `replicas` independent walks (per-replica derived
 streams, so results are schedule-independent), evaluates one functional
 per replica, and compares the empirical distribution or moments against
 the matching reference law.  ``_walks`` picks how walks arrive: d = 1
-Rademacher walks as ``walks.StepBytes`` where the functional evaluates on
-them (``_on_bytes``), every other walk and every Brownian surrogate as
-prefix-sum batches from ``walks.prefix_sum_batches`` (surrogates on the
-replica indices after the walks').  ``functionals.evaluate`` turns any
+Rademacher and lattice walks as ``walks.StepBytes`` where the functional
+evaluates on them (``_on_bytes``), every other walk and every Brownian
+surrogate as prefix-sum batches from ``walks.prefix_sum_batches``
+(surrogates on the replica indices after the walks').  ``functionals.evaluate`` turns any
 batch into (replicas, width) values.  Replica loops run in fixed index
 order and reductions are ordered, so every report is bit-reproducible
 from (config, seed).
@@ -136,10 +136,10 @@ def _exact_sums(n: int) -> bool:
 
 
 def _on_bytes(law, functional: str, n: int) -> bool:
-    """Whether walks reach a functional as step bytes: d = 1 Rademacher steps,
-    a functional with a byte evaluator and exact sums, where its integer
-    values equal those of the prefix sums bit for bit."""
-    return (law.kind == "rademacher" and law.dim == 1 and _exact_sums(n)
+    """Whether walks reach a functional as step bytes: d = 1 steps of a law in
+    ``walks.BYTE_LAWS``, a functional with a byte evaluator and exact sums,
+    where its integer values equal those of the prefix sums bit for bit."""
+    return (law.kind in walks.BYTE_LAWS and law.dim == 1 and _exact_sums(n)
             and functionals.FUNCTIONALS[functional].on_bytes is not None)
 
 
@@ -147,7 +147,7 @@ def _walks(law, n: int, seed: int, total: int, functional: str | None = None):
     """Batches of walks 0..total-1 of n steps: ``walks.StepBytes`` where
     ``_on_bytes`` holds for ``functional``, else prefix sums."""
     if functional is not None and _on_bytes(law, functional, n):
-        return walks.step_byte_batches(n, seed, 0, total)
+        return walks.step_byte_batches(n, seed, 0, total, walks.BYTE_LAWS[law.kind])
     return walks.prefix_sum_batches(lambda rng, a, b: law.sample(b - a, rng), n, law.dim,
                                     seed, 0, total, walks.LAWS[law.kind].split(law.dim))
 
@@ -305,7 +305,7 @@ def _com_samples(law, n: int, seed: int, m: int, ks) -> np.ndarray:
     """G_k = (S_1 + ... + S_k) / k of replicas 0..m-1 for each k in ks, as (m, len(ks), d)."""
     out = np.empty((m, len(ks), law.dim))
     if _on_bytes(law, "com", n):
-        for lo, hi, batch in walks.step_byte_batches(n, seed, 0, m):
+        for lo, hi, batch in walks.step_byte_batches(n, seed, 0, m, walks.BYTE_LAWS[law.kind]):
             out[lo:hi] = np.stack(functionals.com_at_bytes(batch, ks), axis=1)
     elif walks.LAWS[law.kind].integer and _exact_sums(n):
         # T_k = S_1 + ... + S_k = sum_{i<=k} (k-i+1) xi_i has integer terms and

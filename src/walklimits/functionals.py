@@ -7,7 +7,7 @@ replica), that scale, its closed-form limit CDF if one is known, its LLN
 constant, whether a Brownian surrogate can stand in for its limit law, and
 the dimensions, as (lowest, highest), where it and its LLN constant apply.
 max, arcsine and com also evaluate on ``walks.StepBytes``, the packed steps
-of d = 1 Rademacher walks, from exact integer sums that equal the prefix
+of d = 1 Rademacher and lattice walks, from exact integer sums that equal the prefix
 sums' values bit for bit.
 """
 
@@ -18,7 +18,7 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from . import geometry, laws, metrics
+from . import geometry, laws
 from .walks import BYTE_PATH, StepBytes
 
 ANY_DIM = (1, math.inf)
@@ -36,7 +36,7 @@ class Functional(NamedTuple):
     lln_dims: tuple = ANY_DIM
     surrogate: bool = True
     at_t: bool = False  # evaluated at step floor(n t)
-    on_bytes: Callable | None = None  # (StepBytes, cfg) -> (b,) values, d = 1 Rademacher
+    on_bytes: Callable | None = None  # (StepBytes, cfg) -> (b,) values, d = 1 +-1 steps
 
 
 def in_dims(dim: int, dims: tuple) -> bool:
@@ -48,8 +48,11 @@ def dims_text(dims: tuple) -> str:
 
 
 def _arcsine(sums, cfg) -> np.ndarray:
-    region = metrics.HalfspaceCap(np.eye(sums.shape[2])[0], 0.0)
-    return np.array([region.contains(p[1:]).mean() for p in sums])
+    """The share of S_1..S_n in the cap {x != 0, x_1 >= 0}, by one comparison
+    per coordinate (no norm: it is what ``metrics.HalfspaceCap((1, 0, ...),
+    0)`` tests wherever squared coordinates neither overflow nor underflow)."""
+    pts = sums[:, 1:]
+    return ((pts[:, :, 0] >= 0.0) & (pts != 0.0).any(axis=2)).mean(axis=1)
 
 
 # Tables over a step byte b (``walks.BYTE_PATH``'s order), read with np.take:
@@ -165,7 +168,7 @@ FUNCTIONALS = {
 
 def evaluate(functional: str, batch, cfg) -> np.ndarray:
     """Native-scale values of a functional on a batch of b walks, as (b, width):
-    prefix sums (b, n + 1, d) or the ``StepBytes`` of d = 1 Rademacher walks."""
+    prefix sums (b, n + 1, d) or the ``StepBytes`` of d = 1 +-1 walks."""
     spec = FUNCTIONALS[functional]
     values = (spec.on_bytes if isinstance(batch, StepBytes) else spec.evaluate)(batch, cfg)
     return np.reshape(values, (values.shape[0], -1))

@@ -10,7 +10,11 @@ d = 2 (plus the Steiner formula), tetrahedron and facet-triangle sums in
 d = 3, qhull's volume and facet areas above.  Flat bodies are legal and are
 built in coordinates of their affine hull.  Only the mean width, a sphere
 integral of the support function, is a quadrature (exact trapezoid rule in
-d = 2, quasi-random sphere points above).
+d = 2, quasi-random sphere points above).  ``ConvexBody.contains``, which
+validates every hull in d <= 3, sets whole blocks of points True when the
+bounding boxes of their runs lie inside every facet by a margin far above
+rounding (``_certified_blocks``), and takes the facet-major product for
+every other block, so its booleans are the product's bit for bit.
 """
 
 from __future__ import annotations
@@ -75,16 +79,58 @@ def hausdorff(a, b) -> float:
 # 1 MiB whatever the facet count (a 3e5-point walk against 310 facets would
 # otherwise take ~0.8 GB).  Milliseconds per call on walks of n steps
 # (2-core x86-64 host, one CPU, median of 15 alternating rounds; row-major is
-# `block @ normals.T` reduced over axis 1):
+# `block @ normals.T` reduced over axis 1; the last column, 2^17 cells with
+# the block certificate below, is a later run of 11 rounds on the same
+# walks, in which plain 2^17 read 0.34, 6.10, 4.41, 2.65 and 196.9):
 #
-#   input (facets)                  512 rows  2^16 cells  2^17  2^18
-#                                   row-major
-#   d = 2, n = 10^4 (20)              0.67       0.26     0.17  0.17
-#   d = 2, n = 3*10^5 (22)           24.0       10.1       6.3   7.9
-#   d = 2 screen, n = 3*10^5 (17)    26.2        8.0       5.0   7.1
-#   d = 3, n = 10^4 (174)             2.81       2.63     2.48  2.86
-#   d = 3, n = 3*10^5 (416)         171.4      174.7     169.5 189.4
+#   input (facets)                  512 rows  2^16 cells  2^17  2^18  2^17 +
+#                                   row-major                        certificate
+#   d = 2, n = 10^4 (20)              0.67       0.26     0.17  0.17   (dense)
+#   d = 2, n = 3*10^5 (22)           24.0       10.1       6.3   7.9   (dense)
+#   d = 2 screen, n = 3*10^5 (17)    26.2        8.0       5.0   7.1   (dense)
+#   d = 3, n = 10^4 (174)             2.81       2.63     2.48  2.86    2.43
+#   d = 3, n = 3*10^5 (416)         171.4      174.7     169.5 189.4   29.5
 _CONTAINS_CELLS = 1 << 17
+# contains certifies whole blocks from the boxes of runs of _CERTIFY_RUN
+# consecutive points (``_certified_blocks``): a walk's points are spatially
+# coherent, so most runs of a long walk lie deep inside its hull.
+# Milliseconds per call at the default tol by run length ("block": one box
+# per dense block), on walks of n steps and an iid cloud (2-core x86-64
+# host, one CPU, median of 11 alternating rounds; the drift walk is the
+# benchmark's `hull` d = 3 input):
+#
+#   input (facets)                    dense  R = 32    64    128    256  block
+#   d = 3 drift, n = 3*10^5 (310)     130.4   22.2   17.6   16.7   16.2   17.5
+#   d = 3, n = 3*10^5 (344)           145.4   25.6   21.2   20.6   22.9   24.6
+#   Rademacher d = 3, n = 10^5 (258)   35.5   11.0   10.8   10.5   10.6   11.3
+#   lattice d = 3, n = 10^5 (280)      36.7   11.2   10.0   10.7   11.8   13.6
+#   iid Gaussian, 10^5 points (134)    18.7   22.0   20.7   20.0   20.7   19.5
+#   d = 3, n = 10^4 (200)               2.75   2.63   2.48   2.65   2.71   2.70
+#
+# An iid cloud has no deep runs, so there the boxes are pure cost.
+_CERTIFY_RUN = 128
+# The certificate is taken by bodies of at least _CERTIFY_FACETS facets
+# tested against at least _CERTIFY_POINTS points; below either it does not
+# pay.  Milliseconds per call, dense and with the certificate forced on
+# (same host and rounds; d = 3 rows are means over 5 walks, mean facets):
+#
+#   input (facets)                    dense  certificate
+#   d = 2, n = 10^4 (16)              0.309    0.469
+#   d = 2 screen, n = 10^4 (13)       0.161    0.189
+#   d = 2, n = 10^5 (23)              2.273    2.058
+#   d = 2 screen, n = 10^5 (17)       1.632    1.955
+#   d = 2, n = 3*10^5 (25)            7.024    4.570
+#   d = 2 screen, n = 3*10^5 (15)     4.150    3.904
+#   d = 3, 2048 points (130)          0.443    0.603
+#   d = 3, 4096 points (151)          1.010    1.220
+#   d = 3, 8192 points (170)          2.170    2.254
+#   d = 3, 16384 points (193)         4.876    3.921
+#   d = 3, 32768 points (237)        12.034    6.890
+#
+# Planar bodies (13-25 facets) keep the dense loop: it wins at 10^4 points,
+# and the screen keeps winning at 10^5.
+_CERTIFY_FACETS = 64
+_CERTIFY_POINTS = 8192
 
 
 @dataclass(frozen=True)
@@ -116,40 +162,99 @@ class ConvexBody:
         return np.max(dirs @ self.vertices.T, axis=1)
 
     def contains(self, points, tol: float = 1e-9) -> np.ndarray:
-        """Half-space (or affine-subspace) membership test with slack tol."""
+        """Half-space (or affine-subspace) membership test with slack tol.
+
+        Facet-major in blocks of _CONTAINS_CELLS distances; a block that
+        ``_certified_blocks`` proves inside is set True without them.
+        """
         pts = np.atleast_2d(np.asarray(points, dtype=float))
         if self.normals is None:
             return _contains_degenerate(self, pts, tol)
-        bound = (self.offsets + tol)[:, None]
+        bound = self.offsets + tol
         rows = max(1, _CONTAINS_CELLS // len(bound))
-        out = np.empty(len(pts), dtype=bool)
-        for i in range(0, len(pts), rows):
-            block = pts[i : i + rows]
-            out[i : i + len(block)] = (self.normals @ block.T <= bound).all(axis=0)
+        if len(bound) >= _CERTIFY_FACETS and len(pts) >= _CERTIFY_POINTS:
+            certified = _certified_blocks(self.normals, bound, pts, rows)
+        else:
+            certified = np.zeros(-(-len(pts) // rows), dtype=bool)
+        col = bound[:, None]
+        out = np.ones(len(pts), dtype=bool)
+        for i, done in zip(range(0, len(pts), rows), certified.tolist()):
+            if not done:
+                block = pts[i : i + rows]
+                out[i : i + len(block)] = (self.normals @ block.T <= col).all(axis=0)
         return out
 
 
+def _certified_blocks(normals: np.ndarray, bound: np.ndarray, pts: np.ndarray,
+                      rows: int) -> np.ndarray:
+    """Which blocks of ``rows`` points pass ``normals @ p <= bound`` for
+    certain, judged from the bounding boxes [lo, hi] of their runs of
+    _CERTIFY_RUN consecutive points (a partial last block is never judged).
+
+    Over a box, n . p is at most n+ . hi + n- . lo, with n+ = max(n, 0) and
+    n- = min(n, 0): the n . c + |n| . h of its centre c and half-widths h,
+    with no rounded c or h.  A run is certified when that bound, evaluated
+    in floating point, is at most bound - 1e-12 (s |n|_1 + |bound|) for
+    every facet, where s = max(1, largest |coordinate| of the chunk's finite
+    boxes).  Together the two evaluations of a point's n . p, this one and
+    the dense one, err by at most 3d 2^-53 s |n|_1 (dot-product rounding in
+    any order), and the subtraction by 2^-53 |bound|, far inside the slack:
+    so the dense test would pass every point of a certified run.  A box
+    with a NaN or inf coordinate is never certified, nor is any box of a
+    chunk where s |n|_1 could overflow.
+    """
+    weights = np.hstack((np.maximum(normals, 0.0), np.minimum(normals, 0.0)))
+    l1 = np.abs(normals).sum(axis=1)
+    offs = np.arange(0, rows, _CERTIFY_RUN)
+    # a chunk's box bounds, facets x runs, stay inside _CONTAINS_CELLS
+    step = max(1, _CONTAINS_CELLS // (len(bound) * len(offs)))
+    whole = len(pts) // rows
+    out = np.zeros(-(-len(pts) // rows), dtype=bool)
+    for b in range(0, whole, step):
+        m = min(step, whole - b)
+        blocks = pts[b * rows : (b + m) * rows]
+        starts = (np.arange(m)[:, None] * rows + offs).ravel()
+        corners = np.hstack((np.maximum.reduceat(blocks, starts),
+                             np.minimum.reduceat(blocks, starts)))
+        finite = np.isfinite(corners).all(axis=1)
+        corners[~finite] = 0.0
+        scale = max(1.0, float(np.abs(corners).max()))
+        if scale * float(l1.max()) < 1e300:
+            lim = bound - 1e-12 * (scale * l1 + np.abs(bound))
+            runs = finite & (weights @ corners.T <= lim[:, None]).all(axis=0)
+            out[b : b + m] = runs.reshape(m, len(offs)).all(axis=1)
+    return out
+
+
 def _contains_degenerate(body: ConvexBody, pts: np.ndarray, tol: float) -> np.ndarray:
+    """Membership in a flat body: within tol of its affine hull and inside
+    its hull in that hull's coordinates, in blocks of _CONTAINS_CELLS
+    coordinates."""
     verts = body.vertices
-    if len(verts) == 1:
-        return np.linalg.norm(pts - verts[0], axis=1) <= tol
     base = verts[0]
     span = verts[1:] - base
-    _, sv, vt = np.linalg.svd(span, full_matrices=False)
-    scale = max(1.0, float(sv.max(initial=0.0)))
-    basis = vt[sv > 1e-12 * scale].T
-    if basis.shape[1] == 0:
-        return np.linalg.norm(pts - base, axis=1) <= tol
-    rel = pts - base
-    proj = rel @ basis
-    off_plane = np.linalg.norm(rel - proj @ basis.T, axis=1)
+    basis = np.zeros((body.dim, 0))
+    if len(span):
+        _, sv, vt = np.linalg.svd(span, full_matrices=False)
+        scale = max(1.0, float(sv.max(initial=0.0)))
+        basis = vt[sv > 1e-12 * scale].T
     flat = np.vstack([np.zeros(basis.shape[1]), span @ basis])
-    if basis.shape[1] == 1:
-        lo, hi = float(flat.min()), float(flat.max())
-        coord = proj[:, 0]
-        return (off_plane <= tol) & (coord >= lo - tol) & (coord <= hi + tol)
-    sub = convex_hull(flat, validate=False)
-    return (off_plane <= tol) & sub.contains(proj, tol)
+    if basis.shape[1] == 0:
+        inside = lambda proj: True
+    elif basis.shape[1] == 1:
+        lo, hi = float(flat.min()) - tol, float(flat.max()) + tol
+        inside = lambda proj: (proj[:, 0] >= lo) & (proj[:, 0] <= hi)
+    else:
+        sub = convex_hull(flat, validate=False)
+        inside = lambda proj: sub.contains(proj, tol)
+    rows = max(1, _CONTAINS_CELLS // body.dim)
+    out = np.empty(len(pts), dtype=bool)
+    for i in range(0, len(pts), rows):
+        rel = pts[i : i + rows] - base
+        proj = rel @ basis
+        rel -= proj @ basis.T
+        out[i : i + len(rel)] = (np.linalg.norm(rel, axis=1) <= tol) & inside(proj)
+    return out
 
 
 def _next(a: np.ndarray) -> np.ndarray:

@@ -3,8 +3,8 @@
 ``prefix_sum_batches`` builds every prefix-sum batch: of walk ensembles and
 of Brownian surrogates (``sample_brownian``, ``sample_tilde_bd``) alike,
 drawing each replica's steps in cache-sized chunks.  ``step_byte_batches``
-gives d = 1 Rademacher ensembles as their step bits instead, 8 steps to a
-byte with the walk's value before each byte; ``functionals`` reads max,
+gives d = 1 Rademacher and lattice ensembles as their step bits instead, 8
+steps to a byte with the walk's value before each byte; ``functionals`` reads max,
 arcsine and G_k off them through ``BYTE_PATH``.  A single walk
 (``sample_walk``) keys its one stream with ``rng.replica_stream``.
 """
@@ -281,8 +281,14 @@ BYTE_PATH = np.cumsum(
 _BYTE_CHUNK_STEPS = 1 << 15
 
 
+# The d = 1 laws whose step is the top bit of a 32-bit half, by whether that
+# bit set is a down-step: Rademacher steps are (half >> 31) * 2 - 1, lattice
+# moves half >> 31 with move 0 the up-step +1.
+BYTE_LAWS = {"rademacher": False, "lattice-simple-symmetric": True}
+
+
 class StepBytes(NamedTuple):
-    """A batch of d = 1 Rademacher walks of n steps as packed step bits.
+    """A batch of d = 1 walks of n +-1 steps as packed step bits.
 
     ``bits[r, j]`` holds steps 8j + 1 .. 8j + 8 of replica r (``BYTE_PATH``'s
     order), padded past n with down-steps (clear bits); ``before[r, j]`` is
@@ -294,12 +300,14 @@ class StepBytes(NamedTuple):
     n: int
 
 
-def step_byte_batches(n: int, seed: int, lo: int, hi: int):
-    """(a, b, ``StepBytes``) for d = 1 Rademacher walks a..b-1 of lo..hi-1.
+def step_byte_batches(n: int, seed: int, lo: int, hi: int, inverted: bool = False):
+    """(a, b, ``StepBytes``) for d = 1 walks a..b-1 of lo..hi-1 of a law in
+    ``BYTE_LAWS``, whose entry is ``inverted``.
 
-    Each replica's steps are the bits ``_rademacher_steps`` reads from its
-    stream, the top bit of each half of a raw word, drawn
-    ``_BYTE_CHUNK_STEPS`` at a time and packed 8 to a byte.  A batch holds at
+    Each replica's steps are the bits ``_rademacher_steps`` (or, inverted,
+    ``_lattice_steps``) reads from its stream, the top bit of each half of a
+    raw word, drawn ``_BYTE_CHUNK_STEPS`` at a time and packed 8 to a byte,
+    a set bit an up-step.  A batch holds at
     most ``_BATCH_REPLICAS`` replicas and, with one int64 temporary of its
     shape (the cumsum's cast and each evaluator make one), ``_BATCH_BYTES``
     bytes (17 per 8 steps), or one replica.  Every batch is a view of the
@@ -310,13 +318,14 @@ def step_byte_batches(n: int, seed: int, lo: int, hi: int):
     bits = np.empty((min(size, hi - lo), width), dtype=np.uint8)
     before = np.empty(bits.shape, dtype=np.int64)
     before[:, 0] = 0
+    up = np.less if inverted else np.greater_equal
     streams = replica_streams(seed, lo, hi)
     for a in range(lo, hi, size):
         b = min(a + size, hi)
         for row, rng in zip(bits[: b - a], streams):
             for c in range(0, n, _BYTE_CHUNK_STEPS):
                 e = min(c + _BYTE_CHUNK_STEPS, n)
-                row[c // 8 : -(-e // 8)] = np.packbits(_halves(rng, e - c) >= 1 << 31)
+                row[c // 8 : -(-e // 8)] = np.packbits(up(_halves(rng, e - c), 1 << 31))
         np.cumsum(np.take(BYTE_PATH[:, 7], bits[: b - a, :-1]), axis=1, out=before[: b - a, 1:])
         yield a, b, StepBytes(bits[: b - a], before[: b - a], n)
 

@@ -1,6 +1,7 @@
 import contextlib
 import hashlib
 import io
+import itertools
 import math
 import tracemalloc
 
@@ -402,9 +403,8 @@ BYTE_SIZES = [1, 2, 7, 8, 9, 15, 16, 17, 33, 1001, BYTE_CHUNK - 1, BYTE_CHUNK, B
               10003]
 
 
-def _prefix_sum_batch(n, seed, lo, hi):
-    """One float prefix-sum batch of d = 1 Rademacher walks lo..hi-1, the reference."""
-    law = rademacher(1)
+def _prefix_sum_batch(n, seed, lo, hi, law=rademacher(1)):
+    """One float prefix-sum batch of d = 1 walks lo..hi-1, the reference."""
     (_, _, sums), = walks.prefix_sum_batches(lambda rng, a, b: law.sample(b - a, rng), n, 1,
                                             seed, lo, hi)
     return sums.copy()
@@ -413,12 +413,12 @@ def _prefix_sum_batch(n, seed, lo, hi):
 @pytest.mark.parametrize("n", BYTE_SIZES)
 def test_step_byte_evaluators_equal_the_prefix_sums(n):
     # bit for bit, for max, arcsine and com (at t = 0.37) and for com_at at
-    # k = 1, k = n and ks with k mod 8 != 0
+    # k = 1, k = n and ks with k mod 8 != 0, on Rademacher and lattice walks
     cfg = _cfg(MAX_CFG, ["t=0.37"])
     ks = sorted({1, n, max(1, n // 3), max(1, n - 1), max(1, 5 * n // 7)})
-    for seed in (0, 3, 20260809):
-        sums = _prefix_sum_batch(n, seed, 0, 6)
-        (_, _, batch), = walks.step_byte_batches(n, seed, 0, 6)
+    for law, seed in itertools.product((rademacher(1), lattice(1)), (0, 3, 20260809)):
+        sums = _prefix_sum_batch(n, seed, 0, 6, law)
+        (_, _, batch), = walks.step_byte_batches(n, seed, 0, 6, walks.BYTE_LAWS[law.kind])
         for name in ("max", "arcsine", "com"):
             want = functionals.evaluate(name, sums, cfg)
             assert functionals.evaluate(name, batch, cfg).tobytes() == want.tobytes(), name
@@ -441,9 +441,10 @@ def test_step_bytes_of_a_walk_that_stays_at_or_below_zero(n, replica):
     (rademacher(1), "max", True), (rademacher(1), "arcsine", True), (rademacher(1), "com", True),
     (rademacher(1), "diameter", False), (rademacher(2), "arcsine", False),
     (rademacher(2), "com", False), (gaussian([0.0], [[1.0]]), "max", False),
-    (lattice(1), "max", False)],
+    (lattice(1), "max", True), (lattice(1), "com", True), (lattice(2), "arcsine", False)],
     ids=lambda v: f"{v.kind}-d{v.dim}" if isinstance(v, walks.IncrementLaw) else str(v))
 def test_only_d1_rademacher_walks_reach_byte_evaluators_as_bytes(law, functional, on_bytes):
+    # d = 1 Rademacher and lattice walks, the laws of walks.BYTE_LAWS
     import walklimits.experiments as experiments
 
     for _, _, batch in experiments._walks(law, 100, 5, 3, functional):
@@ -467,7 +468,10 @@ def _run_cli_files(out, args):
     "experiment = distributional\nfunctional = arcsine\nlaw = rademacher\ndim = 1\n"
     "n = 1001\nreplicas = 300\nseed = 5\ndump_samples = true\n",
     "experiment = distributional\nfunctional = com\nlaw = rademacher\ndim = 1\nn = 1001\n"
-    "t = 0.3\nreplicas = 300\nseed = 5\ndump_samples = true\n"], ids=["lln-max", "arcsine", "com"])
+    "t = 0.3\nreplicas = 300\nseed = 5\ndump_samples = true\n",
+    "experiment = distributional\nfunctional = max\nlaw = lattice-simple-symmetric\ndim = 1\n"
+    "n = 1001\nreplicas = 300\nseed = 5\ndump_samples = true\n"],
+    ids=["lln-max", "arcsine", "com", "lattice-max"])
 def test_byte_path_runs_write_the_prefix_sum_files(tmp_path, monkeypatch, text):
     # report.csv and every samples_*.csv byte for byte, with and without bytes
     import walklimits.experiments as experiments
@@ -545,11 +549,23 @@ def _arcsine_reshape(sums):
 
 @pytest.mark.parametrize("d", [1, 2, 3])
 def test_arcsine_per_replica_matches_reshape_formula(d):
-    for law in (rademacher(d), gaussian(np.zeros(d), np.eye(d))):
+    # the one-comparison mask counts what the cap counts, bit for bit
+    for law in (rademacher(d), gaussian(np.zeros(d), np.eye(d)), lattice(d)):
         for n in (1, 2, 101, 1000):
             sums = np.stack([sample_walk(law, n, 5, replica=r).sums for r in range(9)])
             got = functionals.evaluate("arcsine", sums, None)[:, 0]
             assert np.array_equal(got, _arcsine_reshape(sums))
+    # points at 0, -0.0 entries, and x_1 = -0.0 beside a nonzero coordinate
+    sums = np.stack([sample_walk(gaussian(np.zeros(d), np.eye(d)), 200, 6, replica=r).sums
+                     for r in range(4)])
+    sums[:, 10:30] = 0.0
+    sums[:, 30:50] = -0.0
+    sums[:, 50:70, 0] = -0.0
+    sums[1:, 70:90, 0] = 0.0
+    sums[2:, 90:95, -1] = -0.0
+    got = functionals.evaluate("arcsine", sums, None)[:, 0]
+    assert np.array_equal(got, _arcsine_reshape(sums))
+    assert got.min() < 1.0 and got.max() > 0.0
 
 
 def test_com_at_reads_one_cumsum_through_the_largest_k():

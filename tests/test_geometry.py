@@ -429,6 +429,122 @@ def test_hull_validation_memory_is_bounded():
     assert peak < 4 * 2**20
 
 
+def test_flat_hull_validation_memory_is_bounded():
+    # a flat d = 3 walk: membership goes through _contains_degenerate, whose
+    # O(n d) temporaries (11 MB at 3e5 steps) now come in bounded blocks
+    pts = sample_walk(gaussian([1.0, 0.0, 0.0], np.diag([1.0, 1.0, 0.0])), 300000, 101).sums
+    peaks = []
+    for validate in (False, True):
+        tracemalloc.start()
+        try:
+            body = convex_hull(pts, validate=validate)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert body.degenerate and body.flat_area > 0.0
+    assert peaks[1] - peaks[0] < 4 * 2**20
+
+
+# --------------------------------------------------- membership certificate
+
+
+def _dense_contains(body, pts, tol):
+    """ConvexBody.contains as it was before block certificates: every
+    facet-major block of distances taken."""
+    bound = (body.offsets + tol)[:, None]
+    rows = max(1, geometry._CONTAINS_CELLS // len(bound))
+    out = np.empty(len(pts), dtype=bool)
+    for i in range(0, len(pts), rows):
+        block = pts[i : i + rows]
+        out[i : i + len(block)] = (body.normals @ block.T <= bound).all(axis=0)
+    return out
+
+
+def _certificate_cases():
+    laws = {
+        "gaussian-d2": gaussian([0.0, 0.0], np.eye(2)),
+        "gaussian-drift-d2": gaussian([0.7, -0.2], [[2.0, 0.5], [0.5, 1.0]]),
+        "gaussian-d3": gaussian(np.zeros(3), np.eye(3)),
+        "gaussian-drift-d3": gaussian([1.0, 0.0, 0.0], np.eye(3)),
+        # integer points: many coplanar and repeated points
+        "rademacher-d3": rademacher(3), "lattice-d3": lattice(3),
+        "rademacher-d2": rademacher(2), "lattice-d2": lattice(2),
+    }
+    cases = [pytest.param(lambda law=law: sample_walk(law, 30000, 11).sums, id=name)
+             for name, law in laws.items()]
+    cases += [pytest.param(lambda d=d: np.random.default_rng(4).normal(size=(20000, d)),
+                           id=f"iid-d{d}") for d in (2, 3)]
+    return cases
+
+
+@pytest.mark.parametrize("forced", [False, True], ids=["routed", "forced"])
+@pytest.mark.parametrize("tol", [1e-9, -1e-9, 0.0])
+@pytest.mark.parametrize("make", _certificate_cases())
+def test_certified_membership_equals_the_dense_test(monkeypatch, make, tol, forced):
+    if forced:
+        # every body and input takes the certificate, planar ones included
+        monkeypatch.setattr(geometry, "_CERTIFY_FACETS", 1)
+        monkeypatch.setattr(geometry, "_CERTIFY_POINTS", 1)
+    pts = make()
+    body = convex_hull(pts, validate=False)
+    assert np.array_equal(body.contains(pts, tol), _dense_contains(body, pts, tol))
+    shrunk = dataclasses.replace(body, offsets=body.offsets - 1e-6)
+    want = _dense_contains(shrunk, pts, tol)
+    assert not want.all()
+    assert np.array_equal(shrunk.contains(pts, tol), want)
+
+
+def test_certificate_decides_most_blocks_of_a_walk_and_none_of_a_planar_body(monkeypatch):
+    calls = []
+    certified = geometry._certified_blocks
+    monkeypatch.setattr(geometry, "_certified_blocks",
+                        lambda *a: calls.append(len(a[1])) or certified(*a))
+    pts = sample_walk(gaussian([1.0, 0.0, 0.0], np.eye(3)), 300000, 101).sums
+    body = convex_hull(pts)
+    rows = geometry._CONTAINS_CELLS // len(body.offsets)
+    assert calls == [len(body.offsets)] and len(body.offsets) >= geometry._CERTIFY_FACETS
+    assert certified(body.normals, body.offsets + 1e-9, pts, rows).mean() > 0.8
+    # planar bodies and short inputs keep the dense loop
+    convex_hull(sample_walk(gaussian([0.0, 0.0], np.eye(2)), 300000, 103).sums)
+    convex_hull(pts[: geometry._CERTIFY_POINTS - 1])
+    assert len(calls) == 1
+
+
+def test_certified_membership_at_block_and_chunk_boundaries(monkeypatch):
+    pts = sample_walk(gaussian([0.5, 0.0, 0.0], np.eye(3)), 100000, 2).sums
+    body = convex_hull(pts, validate=False)
+    monkeypatch.setattr(geometry, "_CERTIFY_POINTS", 1)
+    rows = geometry._CONTAINS_CELLS // len(body.offsets)
+    runs = len(np.arange(0, rows, geometry._CERTIFY_RUN))
+    chunk = rows * max(1, geometry._CONTAINS_CELLS // (len(body.offsets) * runs))
+    run = geometry._CERTIFY_RUN
+    assert chunk < len(pts)
+    sizes = {1, run - 1, run, run + 1, 3 * run - 1, 3 * run, 3 * run + 1,
+             rows - 1, rows, rows + 1, 2 * rows, chunk - 1, chunk, chunk + 1, 2 * chunk + 1}
+    for n in sorted(sizes):
+        for tol in (1e-9, -1e-9):
+            assert np.array_equal(body.contains(pts[:n], tol),
+                                  _dense_contains(body, pts[:n], tol)), (n, tol)
+
+
+def test_certified_membership_with_nan_and_inf_rows(monkeypatch):
+    monkeypatch.setattr(geometry, "_CERTIFY_POINTS", 1)
+    pts = sample_walk(gaussian(np.zeros(3), np.eye(3)), 30000, 11).sums
+    body = convex_hull(pts, validate=False)
+    pts = pts.copy()
+    # rows deep inside the body, where their runs would be certified
+    pts[5000] = np.nan
+    pts[9000, 1] = np.inf
+    pts[13000, 2] = -np.inf
+    pts[17000] = [np.inf, -np.inf, np.nan]
+    pts[21000, 0] = np.nan
+    for tol in (1e-9, -1e-9):
+        got = body.contains(pts, tol)
+        assert np.array_equal(got, _dense_contains(body, pts, tol))
+        assert not got[[5000, 9000, 13000, 17000, 21000]].any()
+    assert body.contains(np.full((20000, 3), np.nan)).sum() == 0
+
+
 @pytest.mark.parametrize("d", [2, 3])
 def test_hull_validation_fails_a_shrunk_facet(monkeypatch, d):
     import walklimits.geometry as geometry

@@ -4,8 +4,8 @@
 of Brownian surrogates (``sample_brownian``, ``sample_tilde_bd``) alike,
 drawing each replica's steps in cache-sized chunks.  ``step_byte_batches``
 gives d = 1 Rademacher and lattice ensembles as their step bits instead, 8
-steps to a byte with the walk's value before each byte; ``functionals`` reads max,
-arcsine and G_k off them through ``BYTE_PATH``.  A single walk
+steps to a byte with the walk's value before each byte; ``functionals``
+reads max, arcsine and G_k off them through ``BYTE_PATH``.  A single walk
 (``sample_walk``) keys its one stream with ``rng.replica_stream``.
 """
 

@@ -445,6 +445,43 @@ def test_flat_hull_validation_memory_is_bounded():
     assert peaks[1] - peaks[0] < 4 * 2**20
 
 
+def _flat_contains(body, pts, tol):
+    """Flat-body membership as it was before blocks: every point at once."""
+    verts = body.vertices
+    if len(verts) == 1:
+        return np.linalg.norm(pts - verts[0], axis=1) <= tol
+    base, span = verts[0], verts[1:] - verts[0]
+    _, sv, vt = np.linalg.svd(span, full_matrices=False)
+    basis = vt[sv > 1e-12 * max(1.0, float(sv.max(initial=0.0)))].T
+    if basis.shape[1] == 0:
+        return np.linalg.norm(pts - base, axis=1) <= tol
+    rel = pts - base
+    proj = rel @ basis
+    off_plane = np.linalg.norm(rel - proj @ basis.T, axis=1)
+    flat = np.vstack([np.zeros(basis.shape[1]), span @ basis])
+    if basis.shape[1] == 1:
+        coord = proj[:, 0]
+        return (off_plane <= tol) & (coord >= flat.min() - tol) & (coord <= flat.max() + tol)
+    return (off_plane <= tol) & convex_hull(flat, validate=False).contains(proj, tol)
+
+
+@pytest.mark.parametrize("sigma", [np.diag([1.0, 1.0, 0.0]), np.diag([1.0, 0.0, 0.0]),
+                                   np.zeros((3, 3))], ids=["plane", "line", "point"])
+def test_flat_membership_in_blocks_equals_the_whole_array_form(sigma):
+    # past one block of _CONTAINS_CELLS // 3 rows; the walk's own points, points
+    # off the body and rows of NaN
+    n = geometry._CONTAINS_CELLS // 3 + 5000
+    pts = sample_walk(gaussian([0.0, 0.0, 0.0], sigma), n, 8).sums
+    body = convex_hull(pts[:1000] if sigma.any() else pts[:1])
+    assert body.degenerate
+    probe = np.vstack([pts, pts[::7] + [0.0, 0.0, 1e-6], pts[::5] * 1.5,
+                       np.full((3, 3), np.nan)])
+    for tol in (1e-9, -1e-9):
+        got = body.contains(probe, tol)
+        assert np.array_equal(got, _flat_contains(body, probe, tol))
+        assert got.any() == (tol > 0) and not got.all()
+
+
 # --------------------------------------------------- membership certificate
 
 
@@ -525,6 +562,18 @@ def test_certified_membership_at_block_and_chunk_boundaries(monkeypatch):
         for tol in (1e-9, -1e-9):
             assert np.array_equal(body.contains(pts[:n], tol),
                                   _dense_contains(body, pts[:n], tol)), (n, tol)
+
+
+def test_certified_membership_of_blocks_that_sit_on_a_vertex():
+    # a block of copies of one vertex has that vertex as its box, on facets
+    # of the body: at tol = 0 its n . p rounds either way of the offset, and
+    # only the slack keeps the certificate from deciding such a block
+    pts = sample_walk(gaussian([1.0, 0.0, 0.0], np.eye(3)), 30000, 11).sums
+    body = convex_hull(pts, validate=False)
+    rows = geometry._CONTAINS_CELLS // len(body.offsets)
+    probe = np.repeat(body.vertices, rows, axis=0)
+    for tol in (0.0, 1e-9, -1e-9):
+        assert np.array_equal(body.contains(probe, tol), _dense_contains(body, probe, tol))
 
 
 def test_certified_membership_with_nan_and_inf_rows(monkeypatch):

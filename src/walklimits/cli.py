@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import argparse
 import atexit
-import csv
 import gc
 import os
 import re
@@ -31,7 +30,7 @@ import numpy as np
 from . import csvio, geometry, metrics
 from .config import ConfigError, ExperimentConfig, build_config, load_config
 from .config import manifest_text, parse_text, typed_value, validate_config, validate_walk
-from .experiments import Report, ReportRow, law_from_config, rows_csv, run_experiment
+from .experiments import Report, ReportRow, law_from_config, read_rows, rows_csv, run_experiment
 from .fixtures import BUILTIN_CONFIGS, builtin_examples, get_fixture
 from .trajectory import CONSTANT, LINEAR
 from .walks import clt_trajectory, lln_trajectory, sample_walk
@@ -229,13 +228,10 @@ def _cmd_hull(args) -> int:
 
 def _cmd_report(args) -> int:
     with open(args.csv, encoding="utf-8", newline="") as fh:
-        rows = list(csv.reader(fh))
+        rows = read_rows(fh)
     print(f"report: {args.csv}")
-    for parts in rows[1:]:
-        name, est, se, ref, ks, ok, thr = (parts + [""] * 7)[:7]
-        est, se, ref, ks, thr = (float(x) if x else None for x in (est, se, ref, ks, thr))
-        passed = (ok == "true") if ok else None
-        print("  " + ReportRow(name, est, se, ref, ks, passed, thr).text())
+    for row in rows:
+        print("  " + row.text())
     return 0
 
 

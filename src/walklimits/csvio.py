@@ -7,6 +7,7 @@ Schemas (UTF-8, comma separated, one header line):
   samples     sample_id,value
   vertices    x1,...,xd
   report      name,estimate,stderr,reference,ks,pass,threshold
+              (declared, written and read by ``experiments.COLUMNS``)
 
 The OFF-like facet dump starts with the literal line 'OFF', then
 '<vertices> <faces> 0', the vertex coordinate lines, and one face line per

@@ -3,18 +3,20 @@
 Each runner simulates `replicas` independent walks (per-replica derived
 streams, so results are schedule-independent), evaluates one functional
 per replica, and compares the empirical distribution or moments against
-the matching reference law.  ``_walks`` picks how walks arrive: d = 1
-Rademacher and lattice walks as ``walks.StepBytes`` where the functional
-evaluates on them (``_on_bytes``), every other walk and every Brownian
-surrogate as prefix-sum batches from ``walks.prefix_sum_batches``
-(surrogates on the replica indices after the walks').  ``functionals.evaluate`` turns any
-batch into (replicas, width) values.  Replica loops run in fixed index
-order and reductions are ordered, so every report is bit-reproducible
-from (config, seed).
+the matching reference law.  ``_walks`` picks how walks arrive, for every
+runner and com-kernel alike: d = 1 Rademacher and lattice walks as
+``walks.StepBytes`` where the functional evaluates on them (``_on_bytes``),
+every other walk and every Brownian surrogate as prefix-sum batches from
+``walks.prefix_sum_batches`` (surrogates on the replica indices after the
+walks').  ``functionals.evaluate`` turns any batch into (replicas, width)
+values.  Replica loops run in fixed index order and reductions are
+ordered, so every report is bit-reproducible from (config, seed).
 
 ``EXPERIMENTS`` declares each experiment kind once: its runner, whether it
 needs ``n``, and its own config checks, which ``config.validate_config``
-runs after the shared ones.
+runs after the shared ones.  ``COLUMNS`` declares the report's columns
+once: ``rows_csv`` writes them, ``read_rows`` reads them back and
+``ReportRow.text`` formats them as a summary line.
 """
 
 from __future__ import annotations
@@ -32,9 +34,35 @@ import numpy as np
 from . import functionals, laws, stats, walks
 from .config import ConfigError, ExperimentConfig, manifest_text
 from .functionals import dims_text, in_dims
-from .rng import replica_streams
 
-CSV_HEADER = "name,estimate,stderr,reference,ks,pass,threshold"
+
+class Column(NamedTuple):
+    """One report column: its ``ReportRow`` field, CSV header, summary-line
+    bit and cell codec, by default a float column's.  A value of None is an
+    empty cell and no bit."""
+
+    field: str
+    header: str
+    text: Callable  # value (not None) -> its bit of the summary line
+    write: Callable = lambda x: "" if x is None else repr(float(x))  # value -> CSV cell
+    read: Callable = lambda cell: float(cell) if cell else None  # CSV cell -> value
+
+
+# The report's columns in CSV order.  The summary line gives them in the
+# same order except that PASS/FAIL follows the threshold.
+COLUMNS = (
+    Column("name", "name", lambda name: f"{name}:", str, str),
+    Column("estimate", "estimate", lambda x: f"estimate={x:.6g}"),
+    Column("stderr", "stderr", lambda x: f"stderr={x:.3g}"),
+    Column("reference", "reference", lambda x: f"reference={x:.6g}"),
+    Column("ks", "ks", lambda x: f"ks={x:.4g}"),
+    # by truth value: com-kernel's checks are numpy bools
+    Column("passed", "pass", lambda ok: "PASS" if ok else "FAIL",
+           lambda ok: "" if ok is None else ("true" if ok else "false"),
+           lambda cell: cell == "true" if cell else None),
+    Column("threshold", "threshold", lambda x: f"threshold={x:.4g}"),
+)
+_SUMMARY_ORDER = sorted(COLUMNS, key=lambda c: c.field == "passed")
 
 
 @dataclass
@@ -50,19 +78,8 @@ class ReportRow:
 
     def text(self) -> str:
         """The row as one summary line (without its indent)."""
-        bits = [f"{self.name}:"]
-        if self.estimate is not None:
-            bits.append(f"estimate={self.estimate:.6g}")
-        if self.stderr is not None:
-            bits.append(f"stderr={self.stderr:.3g}")
-        if self.reference is not None:
-            bits.append(f"reference={self.reference:.6g}")
-        if self.ks is not None:
-            bits.append(f"ks={self.ks:.4g}")
-        if self.threshold is not None:
-            bits.append(f"threshold={self.threshold:.4g}")
-        if self.passed is not None:
-            bits.append("PASS" if self.passed else "FAIL")
+        bits = [c.text(value) for c in _SUMMARY_ORDER
+                if (value := getattr(self, c.field)) is not None]
         if self.note:
             bits.append(f"({self.note})")
         return " ".join(bits)
@@ -94,32 +111,22 @@ class Report:
         return all(r.passed for r in self.rows if r.passed is not None)
 
 
-def _fmt(x) -> str:
-    if x is None:
-        return ""
-    if isinstance(x, float) and math.isnan(x):
-        return "nan"
-    return repr(float(x))
-
-
 def rows_csv(rows) -> str:
-    """Report rows as CSV text under CSV_HEADER."""
+    """Report rows as CSV text, one line of ``COLUMNS`` each under their headers."""
     out = io.StringIO()
     writer = csv.writer(out, lineterminator="\n")
-    writer.writerow(CSV_HEADER.split(","))
-    for r in rows:
-        writer.writerow(
-            [
-                r.name,
-                _fmt(r.estimate),
-                _fmt(r.stderr),
-                _fmt(r.reference),
-                _fmt(r.ks),
-                "" if r.passed is None else ("true" if r.passed else "false"),
-                _fmt(r.threshold),
-            ]
-        )
+    writer.writerow([c.header for c in COLUMNS])
+    writer.writerows([c.write(getattr(r, c.field)) for c in COLUMNS] for r in rows)
     return out.getvalue()
+
+
+def read_rows(lines) -> list[ReportRow]:
+    """The rows of a report CSV (lines of ``rows_csv`` text), short rows padded
+    with empty cells and cells past the last column dropped."""
+    rows = list(csv.reader(lines))[1:]
+    return [ReportRow(**{c.field: c.read(cell)
+                         for c, cell in zip(COLUMNS, parts + [""] * len(COLUMNS))})
+            for parts in rows]
 
 
 def law_from_config(cfg: ExperimentConfig) -> walks.IncrementLaw:
@@ -130,16 +137,12 @@ def law_from_config(cfg: ExperimentConfig) -> walks.IncrementLaw:
     return walks.LAWS[cfg.law].build(d, mu, sigma)
 
 
-def _exact_sums(n: int) -> bool:
-    """Whether every S_1 + ... + S_k of an integer-step walk is an integer below 2**53."""
-    return n * (n + 1) // 2 <= 2**53
-
-
 def _on_bytes(law, functional: str, n: int) -> bool:
     """Whether walks reach a functional as step bytes: d = 1 steps of a law in
-    ``walks.BYTE_LAWS``, a functional with a byte evaluator and exact sums,
-    where its integer values equal those of the prefix sums bit for bit."""
-    return (law.kind in walks.BYTE_LAWS and law.dim == 1 and _exact_sums(n)
+    ``walks.BYTE_LAWS``, a functional with a byte evaluator, and n(n + 1)/2 <=
+    2**53: then every S_1 + ... + S_k is an integer that floats hold exactly,
+    so the evaluator's values equal those of the prefix sums bit for bit."""
+    return (law.kind in walks.BYTE_LAWS and law.dim == 1 and n * (n + 1) // 2 <= 2**53
             and functionals.FUNCTIONALS[functional].on_bytes is not None)
 
 
@@ -304,22 +307,10 @@ def run_lln_sweep(cfg: ExperimentConfig) -> Report:
 def _com_samples(law, n: int, seed: int, m: int, ks) -> np.ndarray:
     """G_k = (S_1 + ... + S_k) / k of replicas 0..m-1 for each k in ks, as (m, len(ks), d)."""
     out = np.empty((m, len(ks), law.dim))
-    if _on_bytes(law, "com", n):
-        for lo, hi, batch in walks.step_byte_batches(n, seed, 0, m, walks.BYTE_LAWS[law.kind]):
-            out[lo:hi] = np.stack(functionals.com_at_bytes(batch, ks), axis=1)
-    elif walks.LAWS[law.kind].integer and _exact_sums(n):
-        # T_k = S_1 + ... + S_k = sum_{i<=k} (k-i+1) xi_i has integer terms and
-        # every partial sum is at most n(n+1)/2 <= 2**53 in size, so one
-        # weighted product of the steps is exact in any summation order and
-        # equals com_at's sequential cumsum of cumsums bit for bit.
-        kmax = max(ks)
-        weights = np.maximum(np.array(ks, dtype=float)[:, None] - np.arange(kmax), 0.0)
-        for row, rng in zip(out, replica_streams(seed, 0, m)):
-            np.matmul(weights, law.sample(n, rng)[:kmax], out=row)
-        out /= np.array(ks, dtype=float)[:, None]
-    else:
-        for lo, hi, sums in _walks(law, n, seed, m):
-            out[lo:hi] = np.stack(functionals.com_at(sums, ks), axis=1)
+    for lo, hi, batch in _walks(law, n, seed, m, "com"):
+        com = (functionals.com_at_bytes if isinstance(batch, walks.StepBytes)
+               else functionals.com_at)
+        out[lo:hi] = np.stack(com(batch, ks), axis=1)
     return out
 
 

@@ -165,7 +165,12 @@ class ConvexBody:
         """Half-space (or affine-subspace) membership test with slack tol.
 
         Facet-major in blocks of _CONTAINS_CELLS distances; a block that
-        ``_certified_blocks`` proves inside is set True without them.
+        ``_certified_blocks`` proves inside is set True without them.  A
+        point holding a NaN or an inf is outside (0 * inf is NaN, and NaN
+        fails every comparison).  At tol = 0 a point within rounding of a
+        facet can get either boolean, depending on which other points share
+        its block; callers that need a stable answer pass a tol above
+        rounding, as hull validation's 1e-9 does.
         """
         pts = np.atleast_2d(np.asarray(points, dtype=float))
         if self.normals is None:
@@ -178,10 +183,11 @@ class ConvexBody:
             certified = np.zeros(-(-len(pts) // rows), dtype=bool)
         col = bound[:, None]
         out = np.ones(len(pts), dtype=bool)
-        for i, done in zip(range(0, len(pts), rows), certified.tolist()):
-            if not done:
-                block = pts[i : i + rows]
-                out[i : i + len(block)] = (self.normals @ block.T <= col).all(axis=0)
+        with np.errstate(invalid="ignore"):
+            for i, done in zip(range(0, len(pts), rows), certified.tolist()):
+                if not done:
+                    block = pts[i : i + rows]
+                    out[i : i + len(block)] = (self.normals @ block.T <= col).all(axis=0)
         return out
 
 

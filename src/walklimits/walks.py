@@ -108,13 +108,12 @@ def _lattice_steps(law: IncrementLaw, n: int, rng) -> np.ndarray:
 
 class LawKind(NamedTuple):
     """An increment law kind: its step sampler, its builder, whether its mean is
-    zero, whether every step is an integer vector and in which dimensions a
-    walk's steps may be drawn in chunks of an even number of steps."""
+    zero and in which dimensions a walk's steps may be drawn in chunks of an
+    even number of steps."""
 
     steps: Callable  # (law, n, rng) -> a fresh (n, dim) float array of increments
     build: Callable  # (dim, mu, sigma) -> IncrementLaw
     zero_mean: bool
-    integer: bool
     # dim -> whether draws of even step counts take the stream's words
     # exactly as one whole draw does.  integers(0, 2d) takes one 32-bit half
     # per draw when 2d is a power of two (Lemire's method never rejects
@@ -152,16 +151,16 @@ def _uniform_cube_steps(law: IncrementLaw, n: int, rng) -> np.ndarray:
 
 LAWS = {
     "rademacher": LawKind(
-        _rademacher_steps, lambda dim, mu, sigma: rademacher(dim), True, True),
+        _rademacher_steps, lambda dim, mu, sigma: rademacher(dim), True),
     "gaussian": LawKind(
-        _gaussian_steps, lambda dim, mu, sigma: gaussian(mu, sigma), False, False),
+        _gaussian_steps, lambda dim, mu, sigma: gaussian(mu, sigma), False),
     "uniform-cube": LawKind(
-        _uniform_cube_steps, lambda dim, mu, sigma: uniform_cube(mu), False, False),
+        _uniform_cube_steps, lambda dim, mu, sigma: uniform_cube(mu), False),
     "deterministic": LawKind(
         lambda law, n, rng: np.tile(law.mu, (n, 1)),
-        lambda dim, mu, sigma: deterministic(mu), False, False),
+        lambda dim, mu, sigma: deterministic(mu), False),
     "lattice-simple-symmetric": LawKind(
-        _lattice_steps, lambda dim, mu, sigma: lattice(dim), True, True,
+        _lattice_steps, lambda dim, mu, sigma: lattice(dim), True,
         split=lambda dim: dim & (dim - 1) == 0),
 }
 

@@ -1,8 +1,16 @@
+import os
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 from walklimits.metrics import TimeChange
 from walklimits.trajectory import CONSTANT, Trajectory
+
+# pytest's ``pythonpath`` puts src on this process's path; child processes
+# (``python -m walklimits``) find the same package through PYTHONPATH.
+SRC = str(Path(__file__).resolve().parent.parent / "src")
+os.environ["PYTHONPATH"] = os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")]))
 
 
 def random_step(rng, d=1, max_jumps=5, start_zero=True, scale=1.0):

@@ -264,6 +264,19 @@ seed = 3
     assert "cov(0.5,1):" in res.stdout
 
 
+def test_report_subcommand_prints_the_summary_rows(tmp_path, capsys):
+    # a max-clt report's rows carry no note, the one field the CSV leaves out
+    out = tmp_path / "m"
+    main(["experiment", "--builtin", "max-clt", "--override", "n=1000",
+          "--override", "replicas=200", "--out", str(out)])
+    capsys.readouterr()
+    assert main(["report", "--csv", str(out / "report.csv")]) == 0
+    printed = capsys.readouterr().out.splitlines()
+    assert printed[0] == f"report: {out / 'report.csv'}"
+    rows = (out / "report.txt").read_text().split("\n\n", 1)[1].splitlines()
+    assert rows and printed[1:] == rows
+
+
 def test_dump_samples_written(tmp_path):
     cfg = tmp_path / "max.cfg"
     cfg.write_text(CONFIG_OK + "dump_samples = true\n")

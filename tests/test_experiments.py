@@ -19,7 +19,8 @@ from walklimits import (
 )
 from walklimits.config import parse_text
 from walklimits.fixtures import BUILTIN_CONFIGS
-from walklimits.experiments import law_from_config, run_distributional
+from walklimits.experiments import (
+    ReportRow, law_from_config, read_rows, rows_csv, run_distributional)
 from walklimits.rng import replica_stream
 from walklimits.stats import kolmogorov_threshold
 from walklimits import centre_of_mass, lattice, sample_walk, rademacher
@@ -385,8 +386,8 @@ def test_lattice_walk_batches_hold_one_row_and_one_chunk(d):
 @pytest.mark.parametrize("law", [rademacher(1), rademacher(2), lattice(1), lattice(2)],
                          ids=lambda law: f"{law.kind}-d{law.dim}")
 def test_integer_step_com_equals_com_at(law):
-    # the one weighted product of the steps gives com_at's sequential cumsum
-    # of cumsums bit for bit, at k = 1, a k below n and k = n
+    # the batched route (step bytes at d = 1, prefix-sum batches at d = 2)
+    # gives com_at on each walk alone bit for bit, at k = 1, a k below n and k = n
     import walklimits.experiments as experiments
 
     n, m, ks = 600, 300, [1, 299, 600]
@@ -509,6 +510,53 @@ def test_only_integer_step_com_kernel_skips_com_at(monkeypatch, kind):
         assert hashlib.sha256(text.encode()).hexdigest()[:16] == REAL_COM_PINS[kind]
     else:
         assert calls == []
+
+
+# com-kernel reports of integer-step laws, recorded while d >= 2 walks still
+# took G_k as a weighted product of their steps (one BLAS thread and the
+# default thread count alike)
+INTEGER_COM_PINS = {
+    ("rademacher", 2): "62dbcc8dfac7e870",
+    ("rademacher", 3): "830f64ffd9418bbd",
+    ("lattice-simple-symmetric", 1): "31a9bb5510705bb4",
+    ("lattice-simple-symmetric", 2): "84120d5a2119e79c",
+}
+
+
+@pytest.mark.parametrize("kind,dim", sorted(INTEGER_COM_PINS), ids=str)
+def test_integer_step_com_kernel_report_is_byte_identical(kind, dim):
+    cfg = _cfg(BUILTIN_CONFIGS["com-kernel"],
+               [f"law={kind}", f"dim={dim}", "replicas=2000", "n=500"])
+    text = run_experiment(cfg).csv_text()
+    assert hashlib.sha256(text.encode()).hexdigest()[:16] == INTEGER_COM_PINS[kind, dim]
+
+
+def test_report_columns_round_trip():
+    rows = [
+        ReportRow("plain", 1.5, 0.25, -2.0, 0.125, True, 0.5),
+        ReportRow("empty"),
+        ReportRow('cov(0.5,1) "q"', math.nan, -0.0, math.inf, -math.inf, np.bool_(False), 1e-300),
+        ReportRow("numpy", np.float64(0.1), passed=np.bool_(True), threshold=np.float32(0.05)),
+        ReportRow("a,b", estimate=-0.0, passed=False),
+    ]
+    text = rows_csv(rows)
+    assert text.splitlines() == [
+        "name,estimate,stderr,reference,ks,pass,threshold",
+        "plain,1.5,0.25,-2.0,0.125,true,0.5",
+        "empty,,,,,,",
+        '"cov(0.5,1) ""q""",nan,-0.0,inf,-inf,false,1e-300',
+        "numpy,0.1,,,,true,0.05000000074505806",
+        '"a,b",-0.0,,,,false,']
+    back = read_rows(io.StringIO(text))
+    assert rows_csv(back) == text
+    assert [r.text() for r in back] == [r.text() for r in rows]
+    assert rows[2].text() == ('cov(0.5,1) "q": estimate=nan stderr=-0 reference=inf ks=-inf '
+                              'threshold=1e-300 FAIL')
+    # short rows are padded with empty cells, cells past the last column dropped
+    short, = read_rows(["name,estimate\n", "x,2.0\n"])
+    assert short == ReportRow("x", 2.0)
+    wide, = read_rows(["h\n", "y,,,,,true,,extra\n"])
+    assert wide == ReportRow("y", passed=True)
 
 
 # sha256 prefixes of every builtin's report.csv at reduced sizes (each well

@@ -491,9 +491,10 @@ def _dense_contains(body, pts, tol):
     bound = (body.offsets + tol)[:, None]
     rows = max(1, geometry._CONTAINS_CELLS // len(bound))
     out = np.empty(len(pts), dtype=bool)
-    for i in range(0, len(pts), rows):
-        block = pts[i : i + rows]
-        out[i : i + len(block)] = (body.normals @ block.T <= bound).all(axis=0)
+    with np.errstate(invalid="ignore"):
+        for i in range(0, len(pts), rows):
+            block = pts[i : i + rows]
+            out[i : i + len(block)] = (body.normals @ block.T <= bound).all(axis=0)
     return out
 
 

@@ -22,14 +22,14 @@ import os
 import re
 import secrets
 import sys
-from dataclasses import replace
+import warnings
 from typing import Iterable
 
 import numpy as np
 
 from . import csvio, geometry, metrics
 from .config import ConfigError, ExperimentConfig, build_config, load_config
-from .config import manifest_text, parse_text, typed_value, validate_config, validate_walk
+from .config import manifest_text, parse_text, typed_value, validate_walk
 from .experiments import Report, ReportRow, law_from_config, read_rows, rows_csv, run_experiment
 from .fixtures import BUILTIN_CONFIGS, builtin_examples, get_fixture
 from .trajectory import CONSTANT, LINEAR
@@ -53,6 +53,16 @@ def _write_atomic(path: str, text: str | Iterable[str]) -> None:
         if os.path.exists(tmp):
             os.unlink(tmp)
         raise
+
+
+def _read_input(path: str, parse):
+    """parse(file) of a file named on the command line; ConfigError if it
+    cannot be opened or parse raises ValueError."""
+    try:
+        with open(path, encoding="utf-8", newline="") as fh:
+            return parse(fh)
+    except (OSError, ValueError) as exc:
+        raise ConfigError(f"cannot read {path}: {exc}") from None
 
 
 def _out_dir(args) -> str:
@@ -81,16 +91,14 @@ def _write_report(report: Report, out: str) -> list[str]:
 def _cmd_experiment(args) -> int:
     if bool(args.config) == bool(args.builtin):
         raise ConfigError("pass exactly one of --config PATH or --builtin NAME")
+    overrides = args.override + ([] if args.seed is None else [f"seed={args.seed}"])
     if args.builtin:
         if args.builtin not in BUILTIN_CONFIGS:
             known = ", ".join(sorted(BUILTIN_CONFIGS))
             raise ConfigError(f"unknown builtin config: {args.builtin} (known: {known})")
-        cfg = build_config(parse_text(BUILTIN_CONFIGS[args.builtin]), args.override)
+        cfg = build_config(parse_text(BUILTIN_CONFIGS[args.builtin]), overrides)
     else:
-        cfg = load_config(args.config, args.override)
-    if args.seed is not None:
-        cfg = replace(cfg, seed=args.seed)
-        validate_config(cfg)
+        cfg = load_config(args.config, overrides)
     out = _out_dir(args)
     report = run_experiment(cfg)
     os.makedirs(out, exist_ok=True)
@@ -118,10 +126,8 @@ def _cmd_metric(args) -> int:
         return _metric_example(args.example)
     if not (args.f and args.g):
         raise ConfigError("pass --example NAME, --list-examples, or --f/--g CSV paths")
-    with open(args.f, encoding="utf-8") as fh:
-        f = csvio.read_trajectory_csv(fh.read())
-    with open(args.g, encoding="utf-8") as fh:
-        g = csvio.read_trajectory_csv(fh.read())
+    f, g = (_read_input(path, lambda fh: csvio.read_trajectory_csv(fh.read()))
+            for path in (args.f, args.g))
     fn = _METRIC_FUNCS.get(args.metric)
     if fn is None:
         raise ConfigError(f"unknown metric: {args.metric}")
@@ -195,11 +201,20 @@ def _cmd_simulate(args) -> int:
     return 0
 
 
+def _points(fh) -> np.ndarray:
+    """The rows of a points CSV under its header line: at least one, all finite."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # loadtxt warns on no rows, rejected below
+        points = np.loadtxt(fh, delimiter=",", skiprows=1, ndmin=2)
+    if not (points.size and np.isfinite(points).all()):
+        raise ValueError("need at least one row of finite coordinates")
+    return points
+
+
 def _cmd_hull(args) -> int:
     cfg = _walk_config(args, directions=args.directions)
     if args.points:
-        data = np.loadtxt(args.points, delimiter=",", skiprows=1, ndmin=2)
-        points = data
+        points = _read_input(args.points, _points)
         source = f"points = {args.points}"
     else:
         if args.n < 1:
@@ -227,8 +242,7 @@ def _cmd_hull(args) -> int:
 
 
 def _cmd_report(args) -> int:
-    with open(args.csv, encoding="utf-8", newline="") as fh:
-        rows = read_rows(fh)
+    rows = _read_input(args.csv, read_rows)
     print(f"report: {args.csv}")
     for row in rows:
         print("  " + row.text())

@@ -6,7 +6,8 @@ booleans (``true``/``false``), comma-separated vectors (``mu = 1,0``),
 semicolon-separated matrix rows (``sigma = 4,0;0,1``), comma-separated
 integer or float lists (``n_list = 1000,10000``) and colon pairs
 (``pairs = 0.5:1,1:1``).  Each ``ExperimentConfig`` field carries its key's
-codec, so a key is declared once, with its default and its type.  Unknown
+codec, so a key is declared once, with its default, its type and, for a
+number, its range [lo, hi], which ``validate_walk`` checks.  Unknown
 keys are rejected.  Overrides apply after the file parse and before
 validation.  The manifest an ``experiment`` run writes is itself a valid
 config that reproduces the run; ``simulate`` and ``hull`` manifests carry
@@ -15,11 +16,13 @@ not configs.
 
 The valid laws are the keys of ``walks.LAWS`` and the valid experiments
 those of ``experiments.EXPERIMENTS``; each experiment entry holds its own
-checks (its functional, dimensions and lists), after the shared ones here.
+checks (its functional, dimensions, lists and reference), after the shared
+ones here, so a config that ``build_config`` returns is one its runner can run.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field, fields
 from typing import Callable, NamedTuple
 
@@ -78,8 +81,9 @@ PAIRS = Codec(_tuple(_pair),
               lambda v: ",".join(f"{repr(float(a))}:{repr(float(b))}" for a, b in v))
 
 
-def _key(default, codec: Codec):
-    return field(default=default, metadata={"codec": codec})
+def _key(default, codec: Codec, lo=None, hi=math.inf):
+    """A key's default and codec, and for a number key its range [lo, hi]."""
+    return field(default=default, metadata={"codec": codec, "range": (lo, hi)})
 
 
 @dataclass(frozen=True)
@@ -89,21 +93,21 @@ class ExperimentConfig:
     experiment: str = _key("distributional", STR)
     functional: str = _key("", STR)
     law: str = _key("rademacher", STR)
-    dim: int = _key(1, INT)
+    dim: int = _key(1, INT, 1)
     mu: tuple = _key((), VECTOR)
     sigma: tuple = _key((), MATRIX)
     n: int = _key(0, INT)
     n_list: tuple = _key((), INT_LIST)
-    replicas: int = _key(1, INT)
-    seed: int = _key(0, INT)
-    t: float = _key(1.0, FLOAT)
+    replicas: int = _key(1, INT, 1)
+    seed: int = _key(0, INT, 0)
+    t: float = _key(1.0, FLOAT, 0, 1)
     pairs: tuple = _key((), PAIRS)
     x_grid: tuple = _key((), VECTOR)
-    directions: int = _key(512, INT)
+    directions: int = _key(512, INT, 1)
     reference: str = _key("auto", STR)
-    surrogate_grid: int = _key(0, INT)
-    surrogate_replicas: int = _key(0, INT)
-    threshold: float = _key(0.0, FLOAT)
+    surrogate_grid: int = _key(0, INT, 0)
+    surrogate_replicas: int = _key(0, INT, 0)
+    threshold: float = _key(0.0, FLOAT, 0)
     dump_samples: bool = _key(False, BOOL)
 
 
@@ -163,14 +167,15 @@ def load_config(path, overrides: list[str] | None = None) -> ExperimentConfig:
 
 
 def validate_walk(cfg: ExperimentConfig) -> None:
-    """The law, dim, seed, mu, sigma and directions checks every walk run shares."""
+    """The checks every walk run shares: the law, each key's range, mu and sigma."""
     law = LAWS.get(cfg.law)
     if law is None:
         raise ConfigError(f"unknown value for law: {cfg.law!r}")
-    if cfg.dim < 1:
-        raise ConfigError("dim must be >= 1")
-    if cfg.seed < 0:
-        raise ConfigError("seed must be >= 0")
+    for f in fields(cfg):
+        lo, hi = f.metadata["range"]
+        if lo is not None and not lo <= getattr(cfg, f.name) <= hi:  # NaN fails too
+            raise ConfigError(f"{f.name} must be >= {lo}" if hi == math.inf
+                              else f"{f.name} must lie in [{lo}, {hi}]")
     if cfg.mu and len(cfg.mu) != cfg.dim:
         raise ConfigError("mu must have exactly dim components")
     if law.zero_mean and cfg.mu and any(x != 0.0 for x in cfg.mu):
@@ -182,8 +187,6 @@ def validate_walk(cfg: ExperimentConfig) -> None:
             sqrt_psd(cfg.sigma)
         except ValueError as exc:
             raise ConfigError(f"sigma: {exc}") from None
-    if cfg.directions < 1:
-        raise ConfigError("directions must be >= 1")
 
 
 def validate_config(cfg: ExperimentConfig) -> None:
@@ -196,18 +199,9 @@ def validate_config(cfg: ExperimentConfig) -> None:
     validate_walk(cfg)
     if cfg.reference not in REFERENCES:
         raise ConfigError(f"unknown value for reference: {cfg.reference!r}")
-    if cfg.replicas < 1:
-        raise ConfigError("replicas must be >= 1")
-    for key in ("surrogate_grid", "surrogate_replicas"):
-        if getattr(cfg, key) < 0:
-            raise ConfigError(f"{key} must be >= 0 (0 takes the default)")
     if kind.needs_n and cfg.n < 1:
         raise ConfigError("n must be >= 1")
     kind.check(cfg)
-    if not (0.0 <= cfg.t <= 1.0):
-        raise ConfigError("t must lie in [0, 1]")
-    if not cfg.threshold >= 0:
-        raise ConfigError("threshold must be a number >= 0")
 
 
 def manifest_text(cfg: ExperimentConfig) -> str:

@@ -180,6 +180,11 @@ def _mean_row(name: str, values, single=None) -> ReportRow:
     return ReportRow(name=name, estimate=float(values.mean()), stderr=stderr)
 
 
+def _names(functional: str, width: int) -> list[str]:
+    """A functional's row name per coordinate: its own, or ``<functional>.x<i>``."""
+    return [functional] if width == 1 else [f"{functional}.x{j + 1}" for j in range(width)]
+
+
 def _check_functional(cfg: ExperimentConfig):
     spec = functionals.FUNCTIONALS.get(cfg.functional)
     if spec is None:
@@ -189,16 +194,16 @@ def _check_functional(cfg: ExperimentConfig):
     return spec
 
 
-def run_distributional(cfg: ExperimentConfig) -> Report:
-    """Empirical CDF of a per-replica functional vs its limit law, one row per
-    coordinate of a vector functional (named ``<functional>.x<i>``)."""
-    law = law_from_config(cfg)
-    spec = functionals.FUNCTIONALS[cfg.functional]
-    n, m = cfg.n, cfg.replicas
-    if spec.at_t and math.floor(n * cfg.t) < 1:
+def _reference(cfg: ExperimentConfig):
+    """The reference a distributional run judges against, as (mode, limit CDF
+    or None): ``auto`` takes the closed form where one exists, else the
+    surrogate.  ConfigError where the mode asked for does not exist."""
+    spec = _check_functional(cfg)
+    if spec.at_t and math.floor(cfg.n * cfg.t) < 1:
         raise ConfigError("t too small: floor(n*t) must be >= 1")
     mode = cfg.reference
-    cdf = spec.cdf(cfg, law) if spec.cdf and mode in ("auto", "closed-form") else None
+    cdf = (spec.cdf(cfg, law_from_config(cfg))
+           if spec.cdf and mode in ("auto", "closed-form") else None)
     if mode == "closed-form" and cdf is None:
         raise ConfigError(f"functional {cfg.functional!r} has no closed-form reference; "
                           "set reference = surrogate")
@@ -207,48 +212,55 @@ def run_distributional(cfg: ExperimentConfig) -> Report:
     if mode == "surrogate" and not spec.surrogate:
         raise ConfigError(f"functional {cfg.functional!r} has no surrogate mode; "
                           "set reference = closed-form or none")
+    return mode, cdf
+
+
+def run_distributional(cfg: ExperimentConfig) -> Report:
+    """Empirical CDF of a per-replica functional vs its limit law, one row per
+    coordinate of a vector functional, judged by one-sample KS against the
+    closed form or two-sample KS against the Brownian surrogate."""
+    law = law_from_config(cfg)
+    spec = functionals.FUNCTIONALS[cfg.functional]
+    mode, cdf = _reference(cfg)
+    n, m = cfg.n, cfg.replicas
     values = _values(cfg.functional, _walks(law, n, cfg.seed, m, cfg.functional),
                      cfg) / spec.scale(n, cfg.dim)
-    if mode == "surrogate":
+    judge, m2 = None, m  # (sample, coordinate) -> (KS distance, default threshold)
+    if cdf is not None:
+        judge = lambda x, j: (stats.ks_statistic(x, cdf), stats.kolmogorov_threshold(m))
+    elif mode == "surrogate":
         # the default grid matches the walk's step count so both sides carry
         # the same discretization bias
         surr = _values(cfg.functional, _surrogates(
             walks.sample_brownian, laws.sqrt_psd(law.sigma), n, cfg), cfg)
+        m2 = len(surr)
+        judge = lambda x, j: (stats.ks_two_sample(x, surr[:, j]),
+                              stats.kolmogorov_threshold_two(m, m2))
     rows, samples = [], {}
-    width = values.shape[1]
-    for j in range(width):
-        name = cfg.functional if width == 1 else f"{cfg.functional}.x{j + 1}"
-        sample = values[:, j]
-        row = _mean_row(name, sample)
+    for j, name in enumerate(_names(cfg.functional, values.shape[1])):
+        row = _mean_row(name, values[:, j])
         rows.append(row)
-        samples[name] = sample
-        if cdf is not None:
-            if m > 1:
-                row.ks = stats.ks_statistic(sample, cdf)
-                row.threshold = cfg.threshold or stats.kolmogorov_threshold(m)
-                row.passed = row.ks <= row.threshold
-            else:
-                row.note = "ks undefined for a single replica"
-        elif mode == "surrogate":
-            s = surr[:, j]
-            samples[name + "-surrogate"] = s
-            rows.append(_mean_row(name + "-surrogate", s))
-            if m > 1 and len(s) > 1:
-                row.ks = stats.ks_two_sample(sample, s)
-                row.threshold = cfg.threshold or stats.kolmogorov_threshold_two(m, len(s))
-                row.passed = row.ks <= row.threshold
-            else:
-                row.note = "ks undefined for a single replica"
+        samples[name] = values[:, j]
+        if mode == "surrogate":
+            rows.append(_mean_row(name + "-surrogate", surr[:, j]))
+            samples[name + "-surrogate"] = surr[:, j]
+        if judge is None:
+            continue
+        if min(m, m2) > 1:
+            row.ks, threshold = judge(values[:, j], j)
+            row.threshold = cfg.threshold or threshold
+            row.passed = row.ks <= row.threshold
+        else:
+            row.note = "ks undefined for a single replica"
     return _finish(cfg, rows, samples)
 
 
 def _check_lln_sweep(cfg: ExperimentConfig) -> None:
-    spec = _check_functional(cfg)
-    if spec.lln is None:
-        raise ConfigError(f"functional {cfg.functional!r} has no first-order limit")
-    if not in_dims(cfg.dim, spec.lln_dims):
-        raise ConfigError(f"functional {cfg.functional} has a first-order limit "
-                          f"only in {dims_text(spec.lln_dims)}")
+    _check_functional(cfg)
+    try:
+        functionals.lln_reference(cfg.functional, law_from_config(cfg).mu, cfg.t)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from None
     if not cfg.n_list:
         raise ConfigError("n_list must not be empty")
     if any(b <= a for a, b in zip(cfg.n_list, cfg.n_list[1:])):
@@ -263,44 +275,27 @@ def run_lln_sweep(cfg: ExperimentConfig) -> Report:
     The error trend compares the norms of the error vectors."""
     law = law_from_config(cfg)
     reference = np.atleast_1d(functionals.lln_reference(cfg.functional, law.mu, cfg.t))
-    names = [cfg.functional] if len(reference) == 1 else [
-        f"{cfg.functional}.x{j + 1}" for j in range(len(reference))]
+    names = _names(cfg.functional, len(reference))
     threshold = cfg.threshold if cfg.threshold > 0 else None
-    rows = []
-    errors = []
-    samples = {}
+    rows, errors, samples = [], [], {}
     for n in cfg.n_list:
         vals = _values(cfg.functional, _walks(law, n, cfg.seed, cfg.replicas, cfg.functional),
                        cfg) / n
         mean_vec = vals.mean(axis=0)
         errors.append(float(np.linalg.norm(mean_vec - reference)))
         for j, base in enumerate(names):
-            name = f"{base}@n={n}"
-            sample = vals[:, j]
-            err = abs(float(mean_vec[j]) - float(reference[j]))
-            rows.append(
-                ReportRow(
-                    name=name,
-                    estimate=float(mean_vec[j]),
-                    stderr=float(sample.std(ddof=1) / math.sqrt(len(sample)))
-                    if len(sample) > 1
-                    else None,
-                    reference=float(reference[j]),
-                    passed=(err <= threshold) if threshold else None,
-                    threshold=threshold,
-                )
-            )
-            samples[name] = sample
-    rows.append(
-        ReportRow(
-            name="error-trend",
-            estimate=errors[-1],
-            reference=errors[0],
-            passed=errors[-1] <= errors[0],
-            threshold=errors[0],
-            note="error at largest n must not exceed the error at smallest n",
-        )
-    )
+            row = _mean_row(f"{base}@n={n}", vals[:, j])
+            # the estimate is the axis-0 mean, which can differ in the last bit
+            # from the column's own (pairwise) mean
+            row.estimate, row.reference = float(mean_vec[j]), float(reference[j])
+            if threshold:
+                row.threshold = threshold
+                row.passed = abs(row.estimate - row.reference) <= threshold
+            rows.append(row)
+            samples[row.name] = vals[:, j]
+    rows.append(ReportRow("error-trend", errors[-1], reference=errors[0],
+                          passed=errors[-1] <= errors[0], threshold=errors[0],
+                          note="error at largest n must not exceed the error at smallest n"))
     return _finish(cfg, rows, samples)
 
 
@@ -461,11 +456,11 @@ class Experiment(NamedTuple):
 
     run: Callable  # cfg -> Report
     needs_n: bool  # n must be >= 1
-    check: Callable  # cfg -> None, raises ConfigError after the shared checks
+    check: Callable  # cfg -> (ignored), raises ConfigError after the shared checks
 
 
 EXPERIMENTS = {
-    "distributional": Experiment(run_distributional, True, _check_functional),
+    "distributional": Experiment(run_distributional, True, _reference),
     "lln-sweep": Experiment(run_lln_sweep, False, _check_lln_sweep),
     "com-kernel": Experiment(run_com_kernel_check, True, _check_com_kernel),
     "etemadi": Experiment(run_etemadi, True, _check_etemadi),
@@ -474,11 +469,9 @@ EXPERIMENTS = {
 
 
 def run_experiment(cfg: ExperimentConfig) -> Report:
-    kind = EXPERIMENTS.get(cfg.experiment)
-    if kind is None:
-        raise ConfigError(f"unknown value for experiment: {cfg.experiment!r}")
+    """Run a config that ``build_config`` returned."""
     start = time.perf_counter()
-    report = kind.run(cfg)
+    report = EXPERIMENTS[cfg.experiment].run(cfg)
     report.runtime = time.perf_counter() - start
     return report
 

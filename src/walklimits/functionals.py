@@ -181,5 +181,6 @@ def lln_reference(functional: str, mu, t: float = 1.0):
     if spec is None or spec.lln is None:
         raise ValueError(f"functional {functional!r} has no first-order limit")
     if not in_dims(mu.size, spec.lln_dims):
-        raise ValueError(f"{functional} limit applies in {dims_text(spec.lln_dims)}")
+        raise ValueError(f"functional {functional} has a first-order limit "
+                         f"only in {dims_text(spec.lln_dims)}")
     return spec.lln(mu, t)

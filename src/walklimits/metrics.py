@@ -367,16 +367,17 @@ def modulus_w(f: Trajectory, delta: float) -> float:
         return _band_sup(*_piece_intervals(f), delta)
     cand = np.concatenate([f.times, f.times - delta, f.times + delta])
     cand = np.unique(np.clip(cand, 0.0, 1.0))
-    return _band_sup(cand, cand, f(cand), delta + 1e-15)
+    return _band_sup(cand, cand, f(cand), delta)
 
 
-def _band_sup(first, last, vals, reach) -> float:
-    """max |vals[j] - vals[i]| over i < j with first[j] - last[i] <= reach.
+def _band_sup(first, last, vals, delta) -> float:
+    """max |vals[j] - vals[i]| over i < j with first[j] - last[i] <= delta, up
+    to 1e-15, so a gap of exactly delta counts however its times round.
 
     The times are sorted, so past a lag with no pair in the window there are none."""
     best = 0.0
     for k in range(1, len(vals)):
-        near = first[k:] - last[:-k] <= reach
+        near = first[k:] - last[:-k] <= delta + 1e-15
         if not near.any():
             break
         diff = vals[k:] - vals[:-k]

@@ -375,13 +375,41 @@ def test_simulate_rejects_zero_dim(tmp_path):
         (["hull", "--n", "8", "--directions", "0"], "directions"),
         (["experiment", "--builtin", "perimeter-lln", "--override", "dim=3",
           "--override", "mu=1,0,0", "--override", "sigma="], "first-order limit"),
+        (["experiment", "--builtin", "max-clt", "--seed", "-1"], "seed must be >= 0"),
     ],
-    ids=["simulate-drift-on-zero-mean-law", "hull-directions", "lln-without-constant"],
+    ids=["simulate-drift-on-zero-mean-law", "hull-directions", "lln-without-constant",
+         "experiment-seed-flag"],
 )
 def test_walk_and_sweep_inputs_are_config_errors(tmp_path, args, message):
     res = run_cli(*args, "--out", str(tmp_path / "x"))
     assert res.returncode == 2, res.stderr
     assert res.stderr.startswith("config error:") and message in res.stderr
+    assert not (tmp_path / "x").exists()
+
+
+POINTS = {"abc": "x1,x2\n0,0\n1,abc\n", "no-rows": "x1,x2\n",
+          "nan": "x1,x2\n0,0\nnan,1\n1,1\n"}
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["hull", "--points", "missing.csv"],
+        *(["hull", "--points", f"{name}.csv"] for name in POINTS),
+        ["report", "--csv", "missing.csv"],
+        ["metric", "--f", "missing.csv", "--g", "missing.csv"],
+    ],
+    ids=["hull-missing", *(f"hull-{name}" for name in POINTS), "report-missing",
+         "metric-missing"],
+)
+def test_bad_input_files_are_config_errors(tmp_path, args):
+    for name, text in POINTS.items():
+        (tmp_path / f"{name}.csv").write_text(text)
+    args = [str(tmp_path / a) if a.endswith(".csv") else a for a in args]
+    out = ["--out", str(tmp_path / "x")] if args[0] == "hull" else []
+    res = run_cli(*args, *out)
+    assert res.returncode == 2, res.stderr
+    assert res.stderr.startswith("config error: cannot read ")
     assert not (tmp_path / "x").exists()
 
 

@@ -1,4 +1,5 @@
 import hashlib
+import math
 import re
 from dataclasses import fields
 from pathlib import Path
@@ -49,10 +50,23 @@ def test_kind_checks_name_the_key(kind, overrides, key):
         _cfg(KIND_BASES[kind], overrides)
 
 
-@pytest.mark.parametrize("key,value", [("surrogate_grid", -5), ("surrogate_replicas", -3)])
+# (key, (lo, hi)) for every key the key table gives a range
+RANGES = [(f.name, f.metadata["range"]) for f in fields(ExperimentConfig)
+          if f.metadata["range"][0] is not None]
+
+# every ranged key just below its range, t above its range, and NaN
+OUT_OF_RANGE = [("surrogate_grid", -5), ("surrogate_replicas", -3),
+                *((key, lo - 1) for key, (lo, _) in RANGES),
+                ("t", 1.5), ("t", "nan"), ("threshold", "nan")]
+
+
+@pytest.mark.parametrize("key,value", OUT_OF_RANGE)
 def test_negative_surrogate_size_names_the_key(key, value):
-    with pytest.raises(ConfigError, match=key):
+    lo, hi = dict(RANGES)[key]
+    with pytest.raises(ConfigError) as bad:
         _cfg("functional = max\nn = 10\nreference = surrogate\n", [f"{key}={value}"])
+    assert str(bad.value) == (f"{key} must be >= {lo}" if hi == math.inf
+                              else f"{key} must lie in [{lo}, {hi}]")
 
 
 # ------------------------------------------------------------ codecs
@@ -90,10 +104,20 @@ def test_every_key_round_trips_the_manifest():
     assert build_config(parse_text(text)) == NON_DEFAULT
 
 
-def test_readme_lists_every_key_in_field_order():
+def _readme_keys() -> str:
     readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
-    paragraph = re.search(r"^Keys: (.*?)\n\n", readme, re.M | re.S).group(1)
+    return " ".join(re.search(r"^Keys: (.*?)\n\n", readme, re.M | re.S).group(1).split())
+
+
+def test_readme_lists_every_key_in_field_order():
+    paragraph = _readme_keys()
     assert re.findall(r"`([a-z_]+)`", paragraph) == [f.name for f in fields(ExperimentConfig)]
+
+
+def test_readme_gives_each_key_its_range():
+    given = dict(re.findall(r"`([a-z_]+)` \((>= [^)]*|in \[[^]]*\])\)", _readme_keys()))
+    assert given == {key: f">= {lo}" if hi == math.inf else f"in [{lo}, {hi}]"
+                     for key, (lo, hi) in RANGES}
 
 
 # one unparsable string per codec (every string parses as a str)

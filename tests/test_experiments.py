@@ -20,7 +20,7 @@ from walklimits import (
 from walklimits.config import parse_text
 from walklimits.fixtures import BUILTIN_CONFIGS
 from walklimits.experiments import (
-    ReportRow, law_from_config, read_rows, rows_csv, run_distributional)
+    ReportRow, law_from_config, read_rows, rows_csv)
 from walklimits.rng import replica_stream
 from walklimits.stats import kolmogorov_threshold
 from walklimits import centre_of_mass, lattice, sample_walk, rademacher
@@ -108,8 +108,10 @@ def test_zero_mean_law_rejects_drift():
 
 
 def test_distributional_reference_unavailable_without_surrogate():
-    cfg = _cfg(
-        """
+    # rejected when the config is built, not when it runs
+    with pytest.raises(ConfigError, match="no closed-form reference"):
+        _cfg(
+            """
 experiment = distributional
 functional = diameter
 law = rademacher
@@ -119,9 +121,12 @@ replicas = 20
 seed = 3
 reference = closed-form
 """
-    )
-    with pytest.raises(ConfigError):
-        run_distributional(cfg)
+        )
+
+
+def test_distributional_arcsine_has_no_surrogate_mode():
+    with pytest.raises(ConfigError, match="no surrogate mode"):
+        _cfg(MAX_CFG, ["functional=arcsine", "reference=surrogate"])
 
 
 def test_distributional_surrogate_two_sample():
@@ -307,9 +312,50 @@ dump_samples = true
 
 
 def test_distributional_com_needs_a_step_before_t():
-    cfg = _cfg(MAX_CFG, ["functional=com", "n=4", "t=0.2"])
+    # rejected when the config is built, not when it runs
     with pytest.raises(ConfigError, match="floor"):
-        run_experiment(cfg)
+        _cfg(MAX_CFG, ["functional=com", "n=4", "t=0.2"])
+
+
+def _accepted(grid):
+    """The configs of a grid of override lists that build_config accepts."""
+    accepted = []
+    for overrides in grid:
+        with contextlib.suppress(ConfigError):
+            accepted.append(build_config({}, [f"{k}={v}" for k, v in overrides]))
+    return accepted
+
+
+LAW_NAMES = ("rademacher", "gaussian", "deterministic")
+
+# every functional in every reference mode, d = 1..3, three laws, and an n, t
+# pair with floor(n t) = 8 or 0: build_config rejects 237 of the 504 and every
+# other one runs (before the reference checks moved to build time,
+# build_config let 384 through and 117 of those raised in run_experiment)
+DISTRIBUTIONAL_GRID = [
+    (("functional", f), ("reference", ref), ("dim", d), ("law", law), ("n", n), ("t", t),
+     ("replicas", 3))
+    for f, ref, d, law, (n, t) in itertools.product(
+        sorted(functionals.FUNCTIONALS), ("auto", "closed-form", "surrogate", "none"),
+        (1, 2, 3), LAW_NAMES, ((8, 1.0), (4, 0.2)))]
+
+# every functional, d = 1..3, three laws (a drift where the law allows one)
+# and two times: 48 of the 126 have a first-order limit
+LLN_GRID = [
+    (("experiment", "lln-sweep"), ("functional", f), ("dim", d), ("law", law),
+     ("mu", "" if law == "rademacher" else ",".join(["1"] + ["0"] * (d - 1))), ("t", t),
+     ("replicas", 3), ("n_list", "4,8"))
+    for f, d, law, t in itertools.product(
+        sorted(functionals.FUNCTIONALS), (1, 2, 3), LAW_NAMES, (1.0, 0.5))]
+
+
+@pytest.mark.parametrize("grid,accepted", [(DISTRIBUTIONAL_GRID, 267), (LLN_GRID, 48)],
+                         ids=["distributional", "lln-sweep"])
+def test_every_config_build_config_accepts_runs(grid, accepted):
+    configs = _accepted(grid)
+    assert len(configs) == accepted
+    for cfg in configs:
+        run_experiment(cfg)  # raises no ConfigError
 
 
 def test_batch_byte_budget_leaves_report_unchanged(monkeypatch):
@@ -529,6 +575,31 @@ def test_integer_step_com_kernel_report_is_byte_identical(kind, dim):
                [f"law={kind}", f"dim={dim}", "replicas=2000", "n=500"])
     text = run_experiment(cfg).csv_text()
     assert hashlib.sha256(text.encode()).hexdigest()[:16] == INTEGER_COM_PINS[kind, dim]
+
+
+# lln-sweep and distributional reports of vector and hull functionals,
+# recorded before the reference checks moved to build time (the same on one
+# CPU and one BLAS thread).  The com sweep is the one to watch: its estimate
+# is an axis-0 mean, which a column's own pairwise .mean() misses in the last
+# bit about half the time at width 2.
+REPORT_PINS = {
+    "lln-com-d2": ("experiment=lln-sweep functional=com law=gaussian dim=2 mu=1,0 "
+                   "sigma=1,0;0,100 n_list=100,1000 replicas=400 seed=3", "8ca119026a0e8fc7"),
+    "distributional-com-d2": ("functional=com law=gaussian dim=2 sigma=1,0;0,4 n=500 "
+                              "replicas=1000 seed=5 t=0.5", "c88256558743572c"),
+    "distributional-diameter-d2": ("functional=diameter law=gaussian dim=2 n=400 "
+                                   "replicas=250 seed=9 surrogate_grid=400", "057e8e3c1ac58f00"),
+    "lln-perimeter-one-replica": ("experiment=lln-sweep functional=perimeter law=gaussian "
+                                  "dim=2 mu=1,0 n_list=100,1000 replicas=1 seed=4 "
+                                  "threshold=0.05", "fd523fa4c841d583"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(REPORT_PINS))
+def test_vector_and_hull_reports_are_byte_identical(name):
+    overrides, digest = REPORT_PINS[name]
+    text = run_experiment(build_config({}, overrides.split())).csv_text()
+    assert hashlib.sha256(text.encode()).hexdigest()[:16] == digest
 
 
 def test_report_columns_round_trip():

@@ -399,6 +399,17 @@ def _modulus_w_oracle(f, delta):
     return best
 
 
+@pytest.mark.parametrize("n,seed", [(200, 0), (200, 2), (200, 21), (1000, 0)])
+def test_step_modulus_counts_the_boundary_lag_at_integral_delta_n(n, seed):
+    # with delta n = w an integer, the pieces w + 1 apart on the grid k/n are
+    # delta apart, so the lag w + 1 counts however k/n rounds (seeds 2 and 21
+    # once read below this brute force over integer lags)
+    f = clt_trajectory(sample_walk(rademacher(1), n, seed), CONSTANT, [0.0])
+    v = f.values[:, 0]
+    brute = max(float(np.abs(v[lag:] - v[:-lag]).max()) for lag in range(1, n // 10 + 2))
+    assert modulus_w(f, 0.1) == pytest.approx(brute, abs=1e-12)
+
+
 def _modulus_w_prime_oracle(f, delta):
     # the same candidate cuts, with the oscillation recomputed for every cell
     starts, ends, vals = _piece_intervals(f)

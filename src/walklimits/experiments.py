@@ -257,8 +257,9 @@ def run_distributional(cfg: ExperimentConfig) -> Report:
 
 def _check_lln_sweep(cfg: ExperimentConfig) -> None:
     _check_functional(cfg)
+    mu = law_from_config(cfg).mu
     try:
-        functionals.lln_reference(cfg.functional, law_from_config(cfg).mu, cfg.t)
+        functionals.lln_reference(cfg.functional, mu, cfg.t)
     except ValueError as exc:
         raise ConfigError(str(exc)) from None
     if not cfg.n_list:

@@ -576,6 +576,29 @@ def test_integer_step_com_kernel_report_is_byte_identical(kind, dim):
     text = run_experiment(cfg).csv_text()
     assert hashlib.sha256(text.encode()).hexdigest()[:16] == INTEGER_COM_PINS[kind, dim]
 
+# report.csv and samples_*.csv of lattice walks, recorded while d = 1 lattice
+# walks still reached max and arcsine as step bytes and 2d a power of two
+# still read its moves off the top bits of each 32-bit half
+LATTICE_REPORT_PINS = {
+    "max-d1": (("max-clt", "n=40001", "replicas=200"), {
+        "report.csv": "9316a126a3dd1d74", "samples_max.csv": "bb0d887c320b6cbc"}),
+    "arcsine-d1": (("arcsine", "n=1001", "replicas=300"), {
+        "report.csv": "9abcd5f214dcc640", "samples_arcsine.csv": "643561252096a4a7"}),
+    "etemadi-d2": (("etemadi-d2", "replicas=2000"), {"report.csv": "ef6c8bf19b84d340"}),
+    "etemadi-d4": (("etemadi-d2", "dim=4", "n=20001", "replicas=40"),
+                   {"report.csv": "922565db60c21e38"}),
+}
+
+
+@pytest.mark.parametrize("name", sorted(LATTICE_REPORT_PINS))
+def test_lattice_reports_are_byte_identical(tmp_path, name):
+    (builtin, *overrides), want = LATTICE_REPORT_PINS[name]
+    args = ["experiment", "--builtin", builtin]
+    for o in ("law=lattice-simple-symmetric", "dump_samples=true", *overrides):
+        args += ["--override", o]
+    got = _run_cli_files(tmp_path, args)
+    assert {f: hashlib.sha256(b).hexdigest()[:16] for f, b in got.items()} == want
+
 
 # lln-sweep and distributional reports of vector and hull functionals,
 # recorded before the reference checks moved to build time (the same on one

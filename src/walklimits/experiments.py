@@ -4,13 +4,13 @@ Each runner simulates `replicas` independent walks (per-replica derived
 streams, so results are schedule-independent), evaluates one functional
 per replica, and compares the empirical distribution or moments against
 the matching reference law.  ``_walks`` picks how walks arrive, for every
-runner and com-kernel alike: d = 1 Rademacher and lattice walks as
-``walks.StepBytes`` where the functional evaluates on them (``_on_bytes``),
-every other walk and every Brownian surrogate as prefix-sum batches from
+runner and com-kernel alike: d = 1 Rademacher walks as ``walks.StepBytes``
+where the functional evaluates on them (``_on_bytes``), every other walk
+and every Brownian surrogate as prefix-sum batches from
 ``walks.prefix_sum_batches`` (surrogates on the replica indices after the
 walks').  ``functionals.evaluate`` turns any batch into (replicas, width)
-values.  Replica loops run in fixed index order and reductions are
-ordered, so every report is bit-reproducible from (config, seed).
+values.  Replica loops run in fixed index order and reductions are ordered,
+so every report is bit-reproducible from (config, seed).
 
 ``EXPERIMENTS`` declares each experiment kind once: its runner, whether it
 needs ``n``, and its own config checks, which ``config.validate_config``
@@ -138,11 +138,11 @@ def law_from_config(cfg: ExperimentConfig) -> walks.IncrementLaw:
 
 
 def _on_bytes(law, functional: str, n: int) -> bool:
-    """Whether walks reach a functional as step bytes: d = 1 steps of a law in
-    ``walks.BYTE_LAWS``, a functional with a byte evaluator, and n(n + 1)/2 <=
-    2**53: then every S_1 + ... + S_k is an integer that floats hold exactly,
-    so the evaluator's values equal those of the prefix sums bit for bit."""
-    return (law.kind in walks.BYTE_LAWS and law.dim == 1 and n * (n + 1) // 2 <= 2**53
+    """Whether walks reach a functional as step bytes: d = 1 Rademacher steps,
+    a functional with a byte evaluator, and n(n + 1)/2 <= 2**53: then every
+    S_1 + ... + S_k is an integer that floats hold exactly, so the
+    evaluator's values equal those of the prefix sums bit for bit."""
+    return (law.kind == "rademacher" and law.dim == 1 and n * (n + 1) // 2 <= 2**53
             and functionals.FUNCTIONALS[functional].on_bytes is not None)
 
 
@@ -150,7 +150,7 @@ def _walks(law, n: int, seed: int, total: int, functional: str | None = None):
     """Batches of walks 0..total-1 of n steps: ``walks.StepBytes`` where
     ``_on_bytes`` holds for ``functional``, else prefix sums."""
     if functional is not None and _on_bytes(law, functional, n):
-        return walks.step_byte_batches(n, seed, 0, total, walks.BYTE_LAWS[law.kind])
+        return walks.step_byte_batches(n, seed, 0, total)
     return walks.prefix_sum_batches(lambda rng, a, b: law.sample(b - a, rng), n, law.dim,
                                     seed, 0, total, walks.LAWS[law.kind].split(law.dim))
 

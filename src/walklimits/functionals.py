@@ -7,8 +7,8 @@ replica), that scale, its closed-form limit CDF if one is known, its LLN
 constant, whether a Brownian surrogate can stand in for its limit law, and
 the dimensions, as (lowest, highest), where it and its LLN constant apply.
 max, arcsine and com also evaluate on ``walks.StepBytes``, the packed steps
-of d = 1 Rademacher and lattice walks, from exact integer sums that equal
-the prefix sums' values bit for bit.
+of d = 1 Rademacher walks, from exact integer sums that equal the prefix
+sums' values bit for bit.
 """
 
 from __future__ import annotations

@@ -3,9 +3,9 @@
 ``prefix_sum_batches`` builds every prefix-sum batch: of walk ensembles and
 of Brownian surrogates (``sample_brownian``, ``sample_tilde_bd``) alike,
 drawing each replica's steps in cache-sized chunks.  ``step_byte_batches``
-gives d = 1 Rademacher and lattice ensembles as their step bits instead, 8
-steps to a byte with the walk's value before each byte; ``functionals``
-reads max, arcsine and G_k off them through ``BYTE_PATH``.  A single walk
+gives d = 1 Rademacher ensembles as their step bits instead, 8 steps to a
+byte with the walk's value before each byte; ``functionals`` reads max,
+arcsine and G_k off them through ``BYTE_PATH``.  A single walk
 (``sample_walk``) keys its one stream with ``rng.replica_stream``.
 """
 
@@ -99,11 +99,7 @@ def _lattice_steps(law: IncrementLaw, n: int, rng) -> np.ndarray:
     d = law.dim
     rows = np.zeros((2 * d, d))
     rows[np.arange(2 * d), np.arange(2 * d) // 2] = np.tile([1.0, -1.0], d)
-    if d & (d - 1):
-        return rows[rng.integers(0, 2 * d, size=n)]
-    # where 2d is a power of two, integers(0, 2d) is the top log2(2d) bits of
-    # each half (Lemire's method never rejects there)
-    return rows[_halves(rng, n) >> (32 - d.bit_length())]
+    return rows[rng.integers(0, 2 * d, size=n)]
 
 
 class LawKind(NamedTuple):
@@ -280,12 +276,6 @@ BYTE_PATH = np.cumsum(
 _BYTE_CHUNK_STEPS = 1 << 15
 
 
-# The d = 1 laws whose step is the top bit of a 32-bit half, by whether that
-# bit set is a down-step: Rademacher steps are (half >> 31) * 2 - 1, lattice
-# moves half >> 31 with move 0 the up-step +1.
-BYTE_LAWS = {"rademacher": False, "lattice-simple-symmetric": True}
-
-
 class StepBytes(NamedTuple):
     """A batch of d = 1 walks of n +-1 steps as packed step bits.
 
@@ -299,32 +289,28 @@ class StepBytes(NamedTuple):
     n: int
 
 
-def step_byte_batches(n: int, seed: int, lo: int, hi: int, inverted: bool = False):
-    """(a, b, ``StepBytes``) for d = 1 walks a..b-1 of lo..hi-1 of a law in
-    ``BYTE_LAWS``, whose entry is ``inverted``.
+def step_byte_batches(n: int, seed: int, lo: int, hi: int):
+    """(a, b, ``StepBytes``) for d = 1 Rademacher walks a..b-1 of lo..hi-1.
 
-    Each replica's steps are the bits ``_rademacher_steps`` (or, inverted,
-    ``_lattice_steps``) reads from its stream, the top bit of each half of a
-    raw word, drawn ``_BYTE_CHUNK_STEPS`` at a time and packed 8 to a byte,
-    a set bit an up-step.  A batch holds at
+    Each replica's steps are the bits ``_rademacher_steps`` reads from its
+    stream (the top bit of each 32-bit half), drawn ``_BYTE_CHUNK_STEPS`` at
+    a time and packed 8 to a byte, a set bit an up-step.  A batch holds at
     most ``_BATCH_REPLICAS`` replicas and, with one int64 temporary of its
     shape (the cumsum's cast and each evaluator make one), ``_BATCH_BYTES``
-    bytes (17 per 8 steps), or one replica.  Every batch is a view of the
-    same buffers.
+    bytes (17 per 8 steps), or one replica; every batch views the same buffers.
     """
     width = -(-n // 8)
     size = max(1, min(_BATCH_REPLICAS, _BATCH_BYTES // (width * 17)))
     bits = np.empty((min(size, hi - lo), width), dtype=np.uint8)
     before = np.empty(bits.shape, dtype=np.int64)
     before[:, 0] = 0
-    up = np.less if inverted else np.greater_equal
     streams = replica_streams(seed, lo, hi)
     for a in range(lo, hi, size):
         b = min(a + size, hi)
         for row, rng in zip(bits[: b - a], streams):
             for c in range(0, n, _BYTE_CHUNK_STEPS):
                 e = min(c + _BYTE_CHUNK_STEPS, n)
-                row[c // 8 : -(-e // 8)] = np.packbits(up(_halves(rng, e - c), 1 << 31))
+                row[c // 8 : -(-e // 8)] = np.packbits(_halves(rng, e - c) >= 1 << 31)
         np.cumsum(np.take(BYTE_PATH[:, 7], bits[: b - a, :-1]), axis=1, out=before[: b - a, 1:])
         yield a, b, StepBytes(bits[: b - a], before[: b - a], n)
 

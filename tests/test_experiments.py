@@ -450,8 +450,9 @@ BYTE_SIZES = [1, 2, 7, 8, 9, 15, 16, 17, 33, 1001, BYTE_CHUNK - 1, BYTE_CHUNK, B
               10003]
 
 
-def _prefix_sum_batch(n, seed, lo, hi, law=rademacher(1)):
-    """One float prefix-sum batch of d = 1 walks lo..hi-1, the reference."""
+def _prefix_sum_batch(n, seed, lo, hi):
+    """One float prefix-sum batch of d = 1 Rademacher walks lo..hi-1, the reference."""
+    law = rademacher(1)
     (_, _, sums), = walks.prefix_sum_batches(lambda rng, a, b: law.sample(b - a, rng), n, 1,
                                             seed, lo, hi)
     return sums.copy()
@@ -460,12 +461,12 @@ def _prefix_sum_batch(n, seed, lo, hi, law=rademacher(1)):
 @pytest.mark.parametrize("n", BYTE_SIZES)
 def test_step_byte_evaluators_equal_the_prefix_sums(n):
     # bit for bit, for max, arcsine and com (at t = 0.37) and for com_at at
-    # k = 1, k = n and ks with k mod 8 != 0, on Rademacher and lattice walks
+    # k = 1, k = n and ks with k mod 8 != 0
     cfg = _cfg(MAX_CFG, ["t=0.37"])
     ks = sorted({1, n, max(1, n // 3), max(1, n - 1), max(1, 5 * n // 7)})
-    for law, seed in itertools.product((rademacher(1), lattice(1)), (0, 3, 20260809)):
-        sums = _prefix_sum_batch(n, seed, 0, 6, law)
-        (_, _, batch), = walks.step_byte_batches(n, seed, 0, 6, walks.BYTE_LAWS[law.kind])
+    for seed in (0, 3, 20260809):
+        sums = _prefix_sum_batch(n, seed, 0, 6)
+        (_, _, batch), = walks.step_byte_batches(n, seed, 0, 6)
         for name in ("max", "arcsine", "com"):
             want = functionals.evaluate(name, sums, cfg)
             assert functionals.evaluate(name, batch, cfg).tobytes() == want.tobytes(), name
@@ -488,10 +489,10 @@ def test_step_bytes_of_a_walk_that_stays_at_or_below_zero(n, replica):
     (rademacher(1), "max", True), (rademacher(1), "arcsine", True), (rademacher(1), "com", True),
     (rademacher(1), "diameter", False), (rademacher(2), "arcsine", False),
     (rademacher(2), "com", False), (gaussian([0.0], [[1.0]]), "max", False),
-    (lattice(1), "max", True), (lattice(1), "com", True), (lattice(2), "arcsine", False)],
+    (lattice(1), "max", False), (lattice(1), "com", False), (lattice(2), "arcsine", False)],
     ids=lambda v: f"{v.kind}-d{v.dim}" if isinstance(v, walks.IncrementLaw) else str(v))
 def test_only_d1_rademacher_walks_reach_byte_evaluators_as_bytes(law, functional, on_bytes):
-    # d = 1 Rademacher and lattice walks, the laws of walks.BYTE_LAWS
+    # d = 1 lattice walks arrive as prefix sums like every other law's
     import walklimits.experiments as experiments
 
     for _, _, batch in experiments._walks(law, 100, 5, 3, functional):
@@ -515,10 +516,8 @@ def _run_cli_files(out, args):
     "experiment = distributional\nfunctional = arcsine\nlaw = rademacher\ndim = 1\n"
     "n = 1001\nreplicas = 300\nseed = 5\ndump_samples = true\n",
     "experiment = distributional\nfunctional = com\nlaw = rademacher\ndim = 1\nn = 1001\n"
-    "t = 0.3\nreplicas = 300\nseed = 5\ndump_samples = true\n",
-    "experiment = distributional\nfunctional = max\nlaw = lattice-simple-symmetric\ndim = 1\n"
-    "n = 1001\nreplicas = 300\nseed = 5\ndump_samples = true\n"],
-    ids=["lln-max", "arcsine", "com", "lattice-max"])
+    "t = 0.3\nreplicas = 300\nseed = 5\ndump_samples = true\n"],
+    ids=["lln-max", "arcsine", "com"])
 def test_byte_path_runs_write_the_prefix_sum_files(tmp_path, monkeypatch, text):
     # report.csv and every samples_*.csv byte for byte, with and without bytes
     import walklimits.experiments as experiments
@@ -575,6 +574,7 @@ def test_integer_step_com_kernel_report_is_byte_identical(kind, dim):
                [f"law={kind}", f"dim={dim}", "replicas=2000", "n=500"])
     text = run_experiment(cfg).csv_text()
     assert hashlib.sha256(text.encode()).hexdigest()[:16] == INTEGER_COM_PINS[kind, dim]
+
 
 # report.csv and samples_*.csv of lattice walks, recorded while d = 1 lattice
 # walks still reached max and arcsine as step bytes and 2d a power of two

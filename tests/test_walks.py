@@ -403,20 +403,18 @@ BYTE_CHUNK = walks._BYTE_CHUNK_STEPS
 def test_step_bytes_pack_the_rademacher_steps(n):
     # bit i of a row (first step in the top bit) is step i + 1 of the walk on
     # the same stream, the padding past n is down-steps, and before[:, j] =
-    # S_8j; lattice walks pack their inverted bits
-    for law in (rademacher(1), lattice(1)):
-        seen = []
-        inverted = walks.BYTE_LAWS[law.kind]
-        for a, b, batch in walks.step_byte_batches(n, 17, 250, 260, inverted):
-            assert batch.bits.shape == batch.before.shape == (b - a, -(-n // 8))
-            for r, bits, before in zip(range(a, b), batch.bits, batch.before):
-                steps = law.sample(n, replica_stream(17, r))[:, 0]
-                padded = np.concatenate([steps, -np.ones(8 * len(bits) - n)])
-                assert np.array_equal(np.unpackbits(bits) * 2.0 - 1.0, padded)
-                sums = np.concatenate([[0.0], np.cumsum(padded)])
-                assert np.array_equal(before, sums[: -1 : 8])
-                seen.append(r)
-        assert seen == list(range(250, 260))
+    # S_8j
+    seen = []
+    for a, b, batch in walks.step_byte_batches(n, 17, 250, 260):
+        assert batch.bits.shape == batch.before.shape == (b - a, -(-n // 8))
+        for r, bits, before in zip(range(a, b), batch.bits, batch.before):
+            steps = rademacher(1).sample(n, replica_stream(17, r))[:, 0]
+            padded = np.concatenate([steps, -np.ones(8 * len(bits) - n)])
+            assert np.array_equal(np.unpackbits(bits) * 2.0 - 1.0, padded)
+            sums = np.concatenate([[0.0], np.cumsum(padded)])
+            assert np.array_equal(before, sums[: -1 : 8])
+            seen.append(r)
+    assert seen == list(range(250, 260))
 
 
 def test_step_byte_batches_hold_the_budget_or_one_replica():

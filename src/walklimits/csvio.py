@@ -12,7 +12,7 @@ Schemas (UTF-8, comma separated, one header line):
 The OFF-like facet dump starts with the literal line 'OFF', then
 '<vertices> <faces> 0', the vertex coordinate lines, and one face line per
 facet ('<count> i j k ...', indices into the vertex list).  A planar body
-(d = 2 or a flat hull) dumps its single polygon loop as one face.
+(d = 2, or a flat polygon in d >= 3) dumps its polygon loop as one face.
 
 The O(n) writers (walk, trajectory, samples) also come as ``*_blocks``
 generators that format a few thousand rows at a time, so a long walk can

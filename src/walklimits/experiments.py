@@ -63,6 +63,7 @@ COLUMNS = (
     Column("threshold", "threshold", lambda x: f"threshold={x:.4g}"),
 )
 _SUMMARY_ORDER = sorted(COLUMNS, key=lambda c: c.field == "passed")
+_HEADERS = [c.header for c in COLUMNS]
 
 
 @dataclass
@@ -115,18 +116,21 @@ def rows_csv(rows) -> str:
     """Report rows as CSV text, one line of ``COLUMNS`` each under their headers."""
     out = io.StringIO()
     writer = csv.writer(out, lineterminator="\n")
-    writer.writerow([c.header for c in COLUMNS])
+    writer.writerow(_HEADERS)
     writer.writerows([c.write(getattr(r, c.field)) for c in COLUMNS] for r in rows)
     return out.getvalue()
 
 
 def read_rows(lines) -> list[ReportRow]:
     """The rows of a report CSV (lines of ``rows_csv`` text), short rows padded
-    with empty cells and cells past the last column dropped."""
-    rows = list(csv.reader(lines))[1:]
+    with empty cells and cells past the last column dropped.  ValueError
+    unless the first line is ``COLUMNS``' headers."""
+    rows = list(csv.reader(lines))
+    if rows[:1] != [_HEADERS]:
+        raise ValueError("not a report: the first line must be " + ",".join(_HEADERS))
     return [ReportRow(**{c.field: c.read(cell)
                          for c, cell in zip(COLUMNS, parts + [""] * len(COLUMNS))})
-            for parts in rows]
+            for parts in rows[1:]]
 
 
 def law_from_config(cfg: ExperimentConfig) -> walks.IncrementLaw:
@@ -194,13 +198,19 @@ def _check_functional(cfg: ExperimentConfig):
     return spec
 
 
+def _check_steps_before(n: int, times) -> None:
+    """ConfigError unless a walk of n steps has a step at or before every t."""
+    if any(math.floor(n * t) < 1 for t in times):
+        raise ConfigError("t too small: floor(n*t) must be >= 1")
+
+
 def _reference(cfg: ExperimentConfig):
     """The reference a distributional run judges against, as (mode, limit CDF
     or None): ``auto`` takes the closed form where one exists, else the
     surrogate.  ConfigError where the mode asked for does not exist."""
     spec = _check_functional(cfg)
-    if spec.at_t and math.floor(cfg.n * cfg.t) < 1:
-        raise ConfigError("t too small: floor(n*t) must be >= 1")
+    if spec.at_t:
+        _check_steps_before(cfg.n, [cfg.t])
     mode = cfg.reference
     cdf = (spec.cdf(cfg, law_from_config(cfg))
            if spec.cdf and mode in ("auto", "closed-form") else None)
@@ -256,7 +266,7 @@ def run_distributional(cfg: ExperimentConfig) -> Report:
 
 
 def _check_lln_sweep(cfg: ExperimentConfig) -> None:
-    _check_functional(cfg)
+    spec = _check_functional(cfg)
     mu = law_from_config(cfg).mu
     try:
         functionals.lln_reference(cfg.functional, mu, cfg.t)
@@ -268,6 +278,8 @@ def _check_lln_sweep(cfg: ExperimentConfig) -> None:
         raise ConfigError("n_list must be strictly increasing")
     if min(cfg.n_list) < 1:
         raise ConfigError("n_list entries must be >= 1")
+    if spec.at_t:
+        _check_steps_before(cfg.n_list[0], [cfg.t])
 
 
 def run_lln_sweep(cfg: ExperimentConfig) -> Report:
@@ -316,6 +328,7 @@ def _check_com_kernel(cfg: ExperimentConfig) -> None:
     for t1, t2 in cfg.pairs:
         if not (0.0 < t1 <= 1.0 and 0.0 < t2 <= 1.0):
             raise ConfigError("pairs entries must lie in (0, 1]")
+    _check_steps_before(cfg.n, [t for pair in cfg.pairs for t in pair])
 
 
 def run_com_kernel_check(cfg: ExperimentConfig) -> Report:
@@ -324,7 +337,7 @@ def run_com_kernel_check(cfg: ExperimentConfig) -> Report:
     kernel = laws.ComKernel(laws.sqrt_psd(law.sigma))
     n, m, d = cfg.n, cfg.replicas, cfg.dim
     times = sorted({t for pair in cfg.pairs for t in pair})
-    ks = [max(1, int(math.floor(n * t))) for t in times]
+    ks = [math.floor(n * t) for t in times]
     coms = _com_samples(law, n, cfg.seed, m, ks)
     root_n = math.sqrt(n)
     values = {t: coms[:, j] / root_n for j, t in enumerate(times)}

@@ -138,7 +138,8 @@ class ConvexBody:
     """A convex hull: extreme points plus an exact support evaluator.
 
     ``loop`` orders the vertices counter-clockwise in d = 2, starting at the
-    lexicographically smallest one (two entries for a degenerate segment);
+    lexicographically smallest one (two entries for a degenerate segment),
+    and around a flat polygon in d >= 3;
     ``faces`` holds facet triangles in d = 3; ``normals``/``offsets`` give
     the halfspace form A x <= b of a full-dimensional body.  ``flat_area``
     carries the (d-1)-volume of a flat body of rank d - 1 in d >= 3 (the
@@ -392,7 +393,7 @@ def _hull_degenerate(pts: np.ndarray, d: int) -> ConvexBody:
     return ConvexBody(
         dim=d,
         vertices=verts,
-        loop=verts if d == 2 else None,
+        loop=verts if d == 2 or rank == 2 else None,
         flat_area=flat_area,
         degenerate=True,
     )

@@ -12,7 +12,7 @@ from walklimits.cli import _walk_config, _write_atomic, build_parser, main
 from walklimits.config import build_config, parse_text
 from walklimits.experiments import law_from_config
 from walklimits.functionals import ANY_DIM, FUNCTIONALS
-from walklimits.geometry import ConvexBody
+from walklimits.geometry import ConvexBody, convex_hull
 from walklimits.trajectory import LINEAR, Trajectory
 from walklimits.walks import LAWS, Walk, sample_walk
 
@@ -277,6 +277,24 @@ def test_report_subcommand_prints_the_summary_rows(tmp_path, capsys):
     assert rows and printed[1:] == rows
 
 
+def test_report_reads_only_reports(tmp_path, capsys):
+    # a walk.csv and an empty file exit 2; a report.csv and a hull_report.csv print
+    main(["simulate", "--n", "8", "--seed", "1", "--out", str(tmp_path / "s")])
+    main(["hull", "--law", "gaussian", "--dim", "2", "--n", "16", "--seed", "3",
+          "--out", str(tmp_path / "h")])
+    main(["experiment", "--builtin", "max-clt", "--override", "n=100",
+          "--override", "replicas=20", "--out", str(tmp_path / "e")])
+    (tmp_path / "empty.csv").write_text("")
+    capsys.readouterr()
+    for path in (tmp_path / "s" / "walk.csv", tmp_path / "empty.csv"):
+        assert main(["report", "--csv", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"config error: cannot read {path}: not a report"), err
+    for path in (tmp_path / "e" / "report.csv", tmp_path / "h" / "hull_report.csv"):
+        assert main(["report", "--csv", str(path)]) == 0
+        assert "estimate=" in capsys.readouterr().out
+
+
 def test_dump_samples_written(tmp_path):
     cfg = tmp_path / "max.cfg"
     cfg.write_text(CONFIG_OK + "dump_samples = true\n")
@@ -482,6 +500,16 @@ def test_csv_rows_match_per_element_repr():
     assert csvio.vertices_csv(body).splitlines()[1:] == [_per_element_row(r) for r in SPECIAL_ROWS]
     assert csvio.off_text(body).splitlines()[2:] == [
         _per_element_row(r, " ") for r in SPECIAL_ROWS]
+
+
+def test_flat_polygon_dumps_its_loop_as_one_face():
+    # a coplanar square in d = 3 (and its centre, no vertex): one face through
+    # its four corners in loop order
+    square = [[0.0, 0.0, 1.0], [1.0, 0.0, 1.0], [1.0, 1.0, 1.0], [0.0, 1.0, 1.0], [0.5, 0.5, 1.0]]
+    off = csvio.off_text(convex_hull(np.array(square))).splitlines()
+    assert off[:2] == ["OFF", "4 1 0"]
+    assert sorted(off[2:6]) == sorted(" ".join(map(repr, p)) for p in square[:4])
+    assert off[6:] == ["4 0 1 2 3"]
 
 
 def _one_string_walk_csv(walk):

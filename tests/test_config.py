@@ -36,6 +36,10 @@ KIND_CASES = [
     ("hull-drift-volume", ["dim=1", "mu=1"], "dim"),
     ("hull-drift-volume", ["mu=0,0"], "mu"),
     ("lln-sweep", ["experiment=random-walk"], "experiment"),
+    # a time t where floor(n t) = 0: com-kernel at n, lln-sweep at its smallest n
+    ("com-kernel", ["n=4", "pairs=0.1:0.1"], "t too small"),
+    ("lln-sweep", ["functional=com", "law=gaussian", "mu=1", "n_list=100,1000", "t=0.001"],
+     "t too small"),
 ]
 
 

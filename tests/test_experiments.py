@@ -227,16 +227,17 @@ threshold = 1e-09
 
 
 LLN_CASES = {
-    "max": ("dim = 1\nmu = 0.3", lambda w, n, t: w.sums[:, 0].max() / n),
-    "diameter": ("dim = 2\nmu = 0.6,-0.8", lambda w, n, t: diameter(w.sums) / n),
+    "max": ("dim = 1\nmu = 0.3\nn_list = 1,5,40", lambda w, n, t: w.sums[:, 0].max() / n),
+    "diameter": ("dim = 2\nmu = 0.6,-0.8\nn_list = 1,5,40",
+                 lambda w, n, t: diameter(w.sums) / n),
     "perimeter": (
-        "dim = 2\nmu = 1,0.5",
+        "dim = 2\nmu = 1,0.5\nn_list = 1,5,40",
         lambda w, n, t: surface_area(convex_hull(w.sums, validate=False)) / n,
     ),
     "com": (
-        "dim = 2\nmu = 1,-2\nt = 0.5",
-        lambda w, n, t: np.cumsum(w.sums[1:], axis=0)[max(1, math.floor(n * t)) - 1]
-        / max(1, math.floor(n * t)) / n,
+        "dim = 2\nmu = 1,-2\nt = 0.5\nn_list = 2,5,40",
+        lambda w, n, t: np.cumsum(w.sums[1:], axis=0)[math.floor(n * t) - 1]
+        / math.floor(n * t) / n,
     ),
 }
 
@@ -244,7 +245,7 @@ LLN_CASES = {
 @pytest.mark.parametrize("functional", sorted(LLN_CASES))
 def test_lln_sweep_batches_match_per_walk_path(functional):
     # the batched sweep gives exactly the per-n values of one sample_walk per
-    # replica; n = 1 takes com's max(1, floor(n t)) index
+    # replica; com's n = 2 takes floor(n t) = 1, its smallest index
     extra, per_walk = LLN_CASES[functional]
     cfg = _cfg(
         f"""
@@ -252,7 +253,6 @@ experiment = lln-sweep
 functional = {functional}
 law = gaussian
 {extra}
-n_list = 1,5,40
 replicas = 3
 seed = 17
 dump_samples = true
@@ -647,10 +647,15 @@ def test_report_columns_round_trip():
     assert rows[2].text() == ('cov(0.5,1) "q": estimate=nan stderr=-0 reference=inf ks=-inf '
                               'threshold=1e-300 FAIL')
     # short rows are padded with empty cells, cells past the last column dropped
-    short, = read_rows(["name,estimate\n", "x,2.0\n"])
+    header = text.splitlines(keepends=True)[0]
+    short, = read_rows([header, "x,2.0\n"])
     assert short == ReportRow("x", 2.0)
-    wide, = read_rows(["h\n", "y,,,,,true,,extra\n"])
+    wide, = read_rows([header, "y,,,,,true,,extra\n"])
     assert wide == ReportRow("y", passed=True)
+    # any other first line, or none, is not a report
+    for lines in ([], ["name,estimate\n", "x,2.0\n"], ["k,x1\n", "0,0.0\n"]):
+        with pytest.raises(ValueError, match="not a report"):
+            read_rows(lines)
 
 
 # sha256 prefixes of every builtin's report.csv at reduced sizes (each well

@@ -11,7 +11,6 @@ from .geometry import (
     hausdorff,
     mean_width,
     steiner_neighborhood_volume,
-    support,
     surface_area,
     volume,
 )
@@ -32,7 +31,6 @@ from .metrics import (
     TimeChange,
     c_lambda,
     lambda_circ_norm,
-    max_functional,
     modulus_w,
     modulus_w_prime,
     occupation,

@@ -31,7 +31,7 @@ from . import csvio, geometry, metrics
 from .config import ConfigError, ExperimentConfig, build_config, load_config
 from .config import manifest_text, parse_text, typed_value, validate_walk
 from .experiments import Report, ReportRow, law_from_config, read_rows, rows_csv, run_experiment
-from .fixtures import BUILTIN_CONFIGS, builtin_examples, get_fixture
+from .fixtures import BUILTIN_CONFIGS, jump_alignment, step_f, step_g, step_h
 from .trajectory import CONSTANT, LINEAR
 from .walks import clt_trajectory, lln_trajectory, sample_walk
 
@@ -119,14 +119,18 @@ _METRIC_FUNCS = {
 
 def _cmd_metric(args) -> int:
     if args.list_examples:
-        for name, desc in builtin_examples():
+        for name, (desc, _) in _METRIC_EXAMPLES.items():
             print(f"{name}: {desc}")
         return 0
     if args.example:
-        return _metric_example(args.example)
+        if args.example not in _METRIC_EXAMPLES:
+            raise ConfigError(f"unknown example: {args.example} "
+                              f"(choose {' or '.join(_METRIC_EXAMPLES)})")
+        _METRIC_EXAMPLES[args.example][1]()
+        return 0
     if not (args.f and args.g):
         raise ConfigError("pass --example NAME, --list-examples, or --f/--g CSV paths")
-    f, g = (_read_input(path, lambda fh: csvio.read_trajectory_csv(fh.read()))
+    f, g = (_read_input(path, lambda fh: csvio.read_trajectory(fh.read()))
             for path in (args.f, args.g))
     fn = _METRIC_FUNCS.get(args.metric)
     if fn is None:
@@ -138,25 +142,30 @@ def _cmd_metric(args) -> int:
     return 0
 
 
-def _metric_example(name: str) -> int:
-    if name not in ("paper-2.1", "paper-2.2"):
-        raise ConfigError(f"unknown example: {name} (choose paper-2.1 or paper-2.2)")
-    f = get_fixture("paper-2.1-f")
-    g = get_fixture("paper-2.1-g")
-    h = get_fixture("paper-2.1-h")
-    if name == "paper-2.1":
-        print(f"rho_inf(f,g) = {metrics.rho_inf(f, g):.10g}")
-        print(f"rho_inf(f,h) = {metrics.rho_inf(f, h):.10g}")
-        return 0
-    lam = get_fixture("paper-2.2-lambda")
-    res_fg = metrics.rho_skorokhod(f, g)
-    res_fh = metrics.rho_skorokhod(f, h)
+def _paper_2_1() -> None:
+    f = step_f()
+    print(f"rho_inf(f,g) = {metrics.rho_inf(f, step_g()):.10g}")
+    print(f"rho_inf(f,h) = {metrics.rho_inf(f, step_h()):.10g}")
+
+
+def _paper_2_2() -> None:
+    f = step_f()
+    res_fg = metrics.rho_skorokhod(f, step_g())
+    res_fh = metrics.rho_skorokhod(f, step_h())
     print(f"rho_S(f,g) = {res_fg.value:.10g}")
     print(f"rho_S(f,h) = {res_fh.value:.10g}")
     if res_fh.witness is not None:
         print(f"witness sup|lambda - id| = {res_fh.witness.sup_deviation():.10g}")
-    print(f"bundled lambda chord-log norm = {metrics.lambda_circ_norm(lam):.10g}")
-    return 0
+    print(f"bundled lambda chord-log norm = {metrics.lambda_circ_norm(jump_alignment()):.10g}")
+
+
+# The paper's worked examples on the bundled fixtures, name -> (description,
+# printer): ``--list-examples`` lists exactly what ``--example`` runs.
+_METRIC_EXAMPLES = {
+    "paper-2.1": ("sup distances rho_inf(f,g) and rho_inf(f,h)", _paper_2_1),
+    "paper-2.2": ("Skorokhod distances rho_S(f,g) and rho_S(f,h), and the "
+                  "bundled time change's chord-log norm", _paper_2_2),
+}
 
 
 def _walk_config(args, **extra) -> ExperimentConfig:

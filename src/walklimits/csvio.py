@@ -14,9 +14,9 @@ The OFF-like facet dump starts with the literal line 'OFF', then
 facet ('<count> i j k ...', indices into the vertex list).  A planar body
 (d = 2, or a flat polygon in d >= 3) dumps its polygon loop as one face.
 
-The O(n) writers (walk, trajectory, samples) also come as ``*_blocks``
-generators that format a few thousand rows at a time, so a long walk can
-be streamed to a file; ``*_csv`` joins the same blocks.
+The O(n) writers (walk, trajectory, samples) are ``*_blocks`` generators
+that format a few thousand rows at a time, so a long walk is streamed to
+its file; ``"".join`` of the blocks gives the whole text.
 """
 
 from __future__ import annotations
@@ -67,20 +67,12 @@ def walk_blocks(walk: Walk):
     return _blocks(_header("k", walk.dim) + "\n", walk.sums)
 
 
-def walk_csv(walk: Walk) -> str:
-    return "".join(walk_blocks(walk))
-
-
 def trajectory_blocks(traj: Trajectory):
     return _blocks(f"# kind = {traj.kind}\n" + _header("t", traj.dim) + "\n",
                    traj.values, traj.times)
 
 
-def trajectory_csv(traj: Trajectory) -> str:
-    return "".join(trajectory_blocks(traj))
-
-
-def read_trajectory_csv(text: str, kind: str | None = None) -> Trajectory:
+def read_trajectory(text: str, kind: str | None = None) -> Trajectory:
     lines = [ln for ln in text.splitlines() if ln.strip()]
     if lines and lines[0].startswith("# kind"):
         kind = lines[0].partition("=")[2].strip()
@@ -94,10 +86,6 @@ def read_trajectory_csv(text: str, kind: str | None = None) -> Trajectory:
 
 def samples_blocks(values):
     return _blocks("sample_id,value\n", np.reshape(np.asarray(values, dtype=float), (-1, 1)))
-
-
-def samples_csv(values) -> str:
-    return "".join(samples_blocks(values))
 
 
 def vertices_csv(body: ConvexBody) -> str:

@@ -200,8 +200,11 @@ def _check_functional(cfg: ExperimentConfig):
 
 def _check_steps_before(n: int, times) -> None:
     """ConfigError unless a walk of n steps has a step at or before every t."""
-    if any(math.floor(n * t) < 1 for t in times):
-        raise ConfigError("t too small: floor(n*t) must be >= 1")
+    try:
+        for t in times:
+            functionals.step_at(n, t)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from None
 
 
 def _reference(cfg: ExperimentConfig):
@@ -337,7 +340,7 @@ def run_com_kernel_check(cfg: ExperimentConfig) -> Report:
     kernel = laws.ComKernel(laws.sqrt_psd(law.sigma))
     n, m, d = cfg.n, cfg.replicas, cfg.dim
     times = sorted({t for pair in cfg.pairs for t in pair})
-    ks = [math.floor(n * t) for t in times]
+    ks = [functionals.step_at(n, t) for t in times]
     coms = _com_samples(law, n, cfg.seed, m, ks)
     root_n = math.sqrt(n)
     values = {t: coms[:, j] / root_n for j, t in enumerate(times)}

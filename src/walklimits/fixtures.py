@@ -1,10 +1,11 @@
-"""Bundled fixtures: three step functions, a reference time change, the unit
-drift segment, and a named config for every acceptance experiment."""
+"""Bundled fixtures: the three step functions and the time change of the
+paper's examples 2.1 and 2.2 (``metric --example``), and a named config for
+every acceptance experiment (``experiment --builtin``)."""
 
 from __future__ import annotations
 
 from .metrics import TimeChange
-from .trajectory import CONSTANT, Trajectory, segment
+from .trajectory import CONSTANT, Trajectory
 
 
 def step_f() -> Trajectory:
@@ -25,20 +26,6 @@ def step_h() -> Trajectory:
 def jump_alignment() -> TimeChange:
     """The piecewise-linear time change mapping 0.5 to 0.49 (slopes 49/50, 51/50)."""
     return TimeChange([0.0, 0.5, 1.0], [0.0, 0.49, 1.0])
-
-
-def unit_drift_segment() -> Trajectory:
-    """The straight path t -> t in one dimension."""
-    return segment([1.0])
-
-
-FIXTURES = {
-    "paper-2.1-f": ("step function jumping 1 -> 0 at t = 0.5", step_f),
-    "paper-2.1-g": ("step function jumping 0.8 -> 0.2 at t = 0.5", step_g),
-    "paper-2.1-h": ("step function jumping 0.95 -> 0.05 at t = 0.49", step_h),
-    "paper-2.2-lambda": ("time change aligning the 0.5 jump onto 0.49", jump_alignment),
-    "segment-unit-drift": ("the straight path t -> t", unit_drift_segment),
-}
 
 
 BUILTIN_CONFIGS = {
@@ -147,17 +134,3 @@ seed = 20260816
 """,
 }
 
-
-def builtin_examples() -> list[tuple[str, str]]:
-    """Enumerate bundled fixtures and reference experiment configs."""
-    listing = [(name, desc) for name, (desc, _) in FIXTURES.items()]
-    for name, text in BUILTIN_CONFIGS.items():
-        first = text.splitlines()[0].lstrip("# ").strip()
-        listing.append((f"config:{name}", first))
-    return listing
-
-
-def get_fixture(name: str):
-    if name not in FIXTURES:
-        raise KeyError(f"unknown fixture: {name}")
-    return FIXTURES[name][1]()

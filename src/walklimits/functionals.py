@@ -112,9 +112,17 @@ def com_at(sums, ks) -> list:
     return [csum[:, k - 1, :] / k for k in ks]
 
 
+def step_at(n: int, t: float) -> int:
+    """k = floor(n t), the step of an n-step walk at time t; ValueError below 1."""
+    k = math.floor(n * t)
+    if k < 1:
+        raise ValueError("t too small: floor(n*t) must be >= 1")
+    return k
+
+
 def _com(sums, cfg) -> np.ndarray:
-    """G_k at k = max(1, floor(n t)), every coordinate."""
-    return com_at(sums, [max(1, math.floor((sums.shape[1] - 1) * cfg.t))])[0]
+    """G_k at k = step_at(n, t), every coordinate."""
+    return com_at(sums, [step_at(sums.shape[1] - 1, cfg.t)])[0]
 
 
 def _per_hull(measure):
@@ -162,7 +170,7 @@ FUNCTIONALS = {
         lambda n, dim: float(n) ** (dim / 2.0), PLANAR_UP),
     "com": Functional(
         _com, _root_n, ANY_DIM, _com_cdf, lambda mu, t: mu * (t / 2.0), at_t=True,
-        on_bytes=lambda batch, cfg: com_at_bytes(batch, [max(1, math.floor(batch.n * cfg.t))])[0]),
+        on_bytes=lambda batch, cfg: com_at_bytes(batch, [step_at(batch.n, cfg.t)])[0]),
 }
 
 

@@ -156,7 +156,7 @@ class ConvexBody:
     degenerate: bool = False
 
     def support(self, u) -> float:
-        """h(u) = max over vertices of u . v (no unit check; see support())."""
+        """The support function h(u) = max over vertices of u . v."""
         return float(np.max(self.vertices @ np.asarray(u, dtype=float)))
 
     def support_many(self, dirs: np.ndarray) -> np.ndarray:
@@ -397,14 +397,6 @@ def _hull_degenerate(pts: np.ndarray, d: int) -> ConvexBody:
         flat_area=flat_area,
         degenerate=True,
     )
-
-
-def support(body: ConvexBody, u) -> float:
-    """Support function h(u) = max over vertices of u . v, for unit u."""
-    u = np.asarray(u, dtype=float)
-    if abs(np.linalg.norm(u) - 1.0) > 1e-12:
-        raise ValueError("direction must be a unit vector")
-    return body.support(u)
 
 
 def hausdorff_support(a: ConvexBody, b: ConvexBody, directions: int = 4096) -> float:

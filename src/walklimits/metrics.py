@@ -5,7 +5,7 @@ rho_skorokhod               time-change metric, exact on step pairs
 rho_skorokhod_circ          chord-slope variant over jump matchings (segment DP)
 lambda_circ_norm, c_lambda  norms of a time change
 modulus_w, modulus_w_prime  moduli of continuity (banded lag scan, range-max DP)
-max_functional, occupation  path functionals (linear pieces cut at cone roots)
+occupation                  path functional (linear pieces cut at cone roots)
 
 The exact Skorokhod value on step functions is found by a dynamic program
 over the monotone staircase of co-occupied piece pairs; see
@@ -346,13 +346,6 @@ def _circ_dp(u, a, v, b):
     while path[-1]:
         path.append(back[path[-1]])
     return best[end], TimeChange(ts[path[::-1]], xs[path[::-1]])
-
-
-def max_functional(f: Trajectory) -> float:
-    """sup of a one-dimensional trajectory; exact at breakpoints."""
-    if f.dim != 1:
-        raise ValueError("the maximum functional is one-dimensional")
-    return float(f.values[:, 0].max())
 
 
 def modulus_w(f: Trajectory, delta: float) -> float:

@@ -3,6 +3,7 @@ import stat
 import subprocess
 import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -132,12 +133,28 @@ def test_metric_example_values():
         assert "paper-2.1" in res.stderr and "paper-2.2" in res.stderr
 
 
-def test_metric_listing_contains_fixtures():
+def test_metric_lists_only_the_examples_it_runs():
     res = run_cli("metric", "--list-examples")
-    assert res.returncode == 0
-    assert "paper-2.1-f" in res.stdout
-    assert "paper-2.2-lambda" in res.stdout
-    assert "config:max-clt" in res.stdout
+    assert res.returncode == 0, res.stderr
+    names = [line.partition(":")[0] for line in res.stdout.splitlines()]
+    assert names == ["paper-2.1", "paper-2.2"]
+    for name in names:
+        res = run_cli("metric", "--example", name)
+        assert res.returncode == 0, res.stderr
+        assert res.stdout
+    res = run_cli("metric", "--example", "config:max-clt")
+    assert res.returncode == 2 and res.stdout == ""
+    assert all(name in res.stderr for name in names)
+
+
+def test_readme_quick_tour_runs():
+    # the README's "Library quick tour" block, run as written
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    tour = readme.split("## Library quick tour", 1)[1].split("```python\n", 1)[1]
+    res = subprocess.run([sys.executable, "-c", tour.split("```", 1)[0]],
+                         capture_output=True, text=True)
+    assert res.returncode == 0, res.stderr
+    assert len(res.stdout.splitlines()) == 2
 
 
 def test_metric_between_trajectory_files(tmp_path):
@@ -146,8 +163,8 @@ def test_metric_between_trajectory_files(tmp_path):
 
     fa = tmp_path / "f.csv"
     fb = tmp_path / "h.csv"
-    fa.write_text(csvio.trajectory_csv(step_f()))
-    fb.write_text(csvio.trajectory_csv(step_h()))
+    fa.write_text("".join(csvio.trajectory_blocks(step_f())))
+    fb.write_text("".join(csvio.trajectory_blocks(step_h())))
     res = run_cli("metric", "--f", str(fa), "--g", str(fb), "--metric", "rho-s")
     assert res.returncode == 0
     assert "0.05" in res.stdout
@@ -161,7 +178,7 @@ def test_metric_prints_mode(tmp_path):
     def metric(name, f, g):
         paths = [tmp_path / "f.csv", tmp_path / "g.csv"]
         for path, traj in zip(paths, (f, g)):
-            path.write_text(csvio.trajectory_csv(traj))
+            path.write_text("".join(csvio.trajectory_blocks(traj)))
         res = run_cli("metric", "--f", str(paths[0]), "--g", str(paths[1]), "--metric", name)
         assert res.returncode == 0, res.stderr
         return res.stdout.splitlines()
@@ -475,7 +492,7 @@ def test_law_table_builds_the_same_law_from_config_and_cli(tmp_path, kind):
     assert main(["simulate", "--law", kind, "--dim", "2", "--mu", mu, "--n", "6",
                  "--seed", "4", "--out", str(tmp_path)]) == 0
     walk = sample_walk(from_cfg, 6, 4)
-    assert (tmp_path / "walk.csv").read_text() == csvio.walk_csv(walk)
+    assert (tmp_path / "walk.csv").read_text() == "".join(csvio.walk_blocks(walk))
 
 
 SPECIAL_ROWS = np.array([[-0.0, 1e16, 1e-5], [0.1 + 0.2, np.inf, np.nan], [-np.inf, 1.0, -2.5]])
@@ -488,13 +505,13 @@ def _per_element_row(row, sep=","):
 
 def test_csv_rows_match_per_element_repr():
     walk = Walk(dim=3, increments=SPECIAL_ROWS, sums=np.vstack([np.zeros(3), SPECIAL_ROWS]))
-    assert csvio.walk_csv(walk).splitlines()[1:] == [
+    assert "".join(csvio.walk_blocks(walk)).splitlines()[1:] == [
         f"{k},{_per_element_row(r)}" for k, r in enumerate(walk.sums)]
     traj = Trajectory(LINEAR, [0.0, 0.1 + 0.2, 1.0], SPECIAL_ROWS)
-    assert csvio.trajectory_csv(traj).splitlines()[2:] == [
+    assert "".join(csvio.trajectory_blocks(traj)).splitlines()[2:] == [
         f"{_per_element_row([t])},{_per_element_row(r)}" for t, r in zip(traj.times, traj.values)]
     for values in (SPECIAL_ROWS, np.arange(3), [True, 2, 0.5]):
-        assert csvio.samples_csv(values).splitlines()[1:] == [
+        assert "".join(csvio.samples_blocks(values)).splitlines()[1:] == [
             f"{i},{_per_element_row([v])}" for i, v in enumerate(np.ravel(values))]
     body = ConvexBody(dim=3, vertices=SPECIAL_ROWS)
     assert csvio.vertices_csv(body).splitlines()[1:] == [_per_element_row(r) for r in SPECIAL_ROWS]
@@ -513,7 +530,7 @@ def test_flat_polygon_dumps_its_loop_as_one_face():
 
 
 def _one_string_walk_csv(walk):
-    """walk_csv as first written: every line in one list, joined once."""
+    """The walk CSV as first written: every line in one list, joined once."""
     lines = ["k," + ",".join(f"x{i + 1}" for i in range(walk.dim))]
     for k, row in enumerate(np.asarray(walk.sums, dtype=float).tolist()):
         lines.append(str(k) + "," + ",".join(map(repr, row)))
@@ -545,15 +562,13 @@ def test_streamed_csv_equals_one_string_writers(rows):
     walk = Walk(dim=3, increments=values[1:], sums=values)
     traj = Trajectory(LINEAR, np.linspace(0.0, 1.0, rows) if rows > 1 else [0.0], values)
     samples = values.ravel()[:rows]
-    for blocks, joined, oracle in [
-        (csvio.walk_blocks(walk), csvio.walk_csv(walk), _one_string_walk_csv(walk)),
-        (csvio.trajectory_blocks(traj), csvio.trajectory_csv(traj),
-         _one_string_trajectory_csv(traj)),
-        (csvio.samples_blocks(samples), csvio.samples_csv(samples),
-         _one_string_samples_csv(samples)),
+    for blocks, oracle in [
+        (csvio.walk_blocks(walk), _one_string_walk_csv(walk)),
+        (csvio.trajectory_blocks(traj), _one_string_trajectory_csv(traj)),
+        (csvio.samples_blocks(samples), _one_string_samples_csv(samples)),
     ]:
         blocks = list(blocks)
-        assert joined == oracle == "".join(blocks)
+        assert "".join(blocks) == oracle
         assert len(blocks) == 1 + -(-rows // B)
         assert all(block.count("\n") <= B for block in blocks[1:])
 

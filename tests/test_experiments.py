@@ -460,16 +460,24 @@ def _prefix_sum_batch(n, seed, lo, hi):
 
 @pytest.mark.parametrize("n", BYTE_SIZES)
 def test_step_byte_evaluators_equal_the_prefix_sums(n):
-    # bit for bit, for max, arcsine and com (at t = 0.37) and for com_at at
+    # bit for bit, for max, arcsine and com (at t = 0.37; below n = 3 that
+    # names no step, and both batch types refuse it) and for com_at at
     # k = 1, k = n and ks with k mod 8 != 0
     cfg = _cfg(MAX_CFG, ["t=0.37"])
     ks = sorted({1, n, max(1, n // 3), max(1, n - 1), max(1, 5 * n // 7)})
     for seed in (0, 3, 20260809):
         sums = _prefix_sum_batch(n, seed, 0, 6)
         (_, _, batch), = walks.step_byte_batches(n, seed, 0, 6)
-        for name in ("max", "arcsine", "com"):
+        for name in ("max", "arcsine"):
             want = functionals.evaluate(name, sums, cfg)
             assert functionals.evaluate(name, batch, cfg).tobytes() == want.tobytes(), name
+        if n * cfg.t < 1:
+            for walks_in in (sums, batch):
+                with pytest.raises(ValueError, match="t too small"):
+                    functionals.evaluate("com", walks_in, cfg)
+        else:
+            want = functionals.evaluate("com", sums, cfg)
+            assert functionals.evaluate("com", batch, cfg).tobytes() == want.tobytes()
         for got, want in zip(functionals.com_at_bytes(batch, ks), functionals.com_at(sums, ks)):
             assert got.tobytes() == want.tobytes()
 

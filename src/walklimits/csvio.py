@@ -79,8 +79,9 @@ def read_trajectory(text: str, kind: str | None = None) -> Trajectory:
         lines = lines[1:]
     if kind not in (LINEAR, CONSTANT):
         raise ValueError("trajectory kind missing; pass kind= or a '# kind =' line")
-    rows = [ln.split(",") for ln in lines[1:]]
-    data = np.asarray([[float(x) for x in row] for row in rows])
+    data = np.asarray([[float(x) for x in ln.split(",")] for ln in lines[1:]])
+    if not (data.size and np.isfinite(data).all()):
+        raise ValueError("need at least one row of finite values")
     return Trajectory(kind, data[:, 0], data[:, 1:])
 
 

@@ -8,13 +8,15 @@ function of the vertex set, so the screen changes no output.  Volume and
 surface area are exact in every dimension: shoelace area and perimeter in
 d = 2 (plus the Steiner formula), tetrahedron and facet-triangle sums in
 d = 3, qhull's volume and facet areas above.  Flat bodies are legal and are
-built in coordinates of their affine hull.  Only the mean width, a sphere
-integral of the support function, is a quadrature (exact trapezoid rule in
-d = 2, quasi-random sphere points above).  ``ConvexBody.contains``, which
-validates every hull in d <= 3, sets whole blocks of points True when the
-bounding boxes of their runs lie inside every facet by a margin far above
-rounding (``_certified_blocks``), and takes the facet-major product for
-every other block, so its booleans are the product's bit for bit.
+built in coordinates of their affine hull; like every body they carry
+halfspaces, so one membership test serves them all.  Only the mean width,
+a sphere integral of the support function, is a quadrature (one formula in
+every d: trapezoid rule in d = 2, quasi-random sphere points above).
+``ConvexBody.contains``, which validates every hull in d <= 3, sets whole
+blocks of points True when the bounding boxes of their runs lie inside
+every facet by a margin far above rounding (``_certified_blocks``), and
+takes the facet-major product for every other block, so its booleans are
+the product's bit for bit.
 """
 
 from __future__ import annotations
@@ -141,7 +143,9 @@ class ConvexBody:
     lexicographically smallest one (two entries for a degenerate segment),
     and around a flat polygon in d >= 3;
     ``faces`` holds facet triangles in d = 3; ``normals``/``offsets`` give
-    the halfspace form A x <= b of a full-dimensional body.  ``flat_area``
+    the halfspace form A x <= b of every body ``convex_hull`` builds, flat
+    ones too (their in-plane facets plus both sides of each normal of the
+    affine hull; see ``_hull_degenerate``).  ``flat_area``
     carries the (d-1)-volume of a flat body of rank d - 1 in d >= 3 (the
     in-plane area of a flat polygon in d = 3).
     """
@@ -155,15 +159,11 @@ class ConvexBody:
     flat_area: float | None = None
     degenerate: bool = False
 
-    def support(self, u) -> float:
-        """The support function h(u) = max over vertices of u . v."""
-        return float(np.max(self.vertices @ np.asarray(u, dtype=float)))
-
     def support_many(self, dirs: np.ndarray) -> np.ndarray:
         return np.max(dirs @ self.vertices.T, axis=1)
 
     def contains(self, points, tol: float = 1e-9) -> np.ndarray:
-        """Half-space (or affine-subspace) membership test with slack tol.
+        """Half-space membership test with slack tol, flat bodies included.
 
         Facet-major in blocks of _CONTAINS_CELLS distances; a block that
         ``_certified_blocks`` proves inside is set True without them.  A
@@ -174,8 +174,6 @@ class ConvexBody:
         rounding, as hull validation's 1e-9 does.
         """
         pts = np.atleast_2d(np.asarray(points, dtype=float))
-        if self.normals is None:
-            return _contains_degenerate(self, pts, tol)
         bound = self.offsets + tol
         rows = max(1, _CONTAINS_CELLS // len(bound))
         if len(bound) >= _CERTIFY_FACETS and len(pts) >= _CERTIFY_POINTS:
@@ -230,37 +228,6 @@ def _certified_blocks(normals: np.ndarray, bound: np.ndarray, pts: np.ndarray,
             lim = bound - 1e-12 * (scale * l1 + np.abs(bound))
             runs = finite & (weights @ corners.T <= lim[:, None]).all(axis=0)
             out[b : b + m] = runs.reshape(m, len(offs)).all(axis=1)
-    return out
-
-
-def _contains_degenerate(body: ConvexBody, pts: np.ndarray, tol: float) -> np.ndarray:
-    """Membership in a flat body: within tol of its affine hull and inside
-    its hull in that hull's coordinates, in blocks of _CONTAINS_CELLS
-    coordinates."""
-    verts = body.vertices
-    base = verts[0]
-    span = verts[1:] - base
-    basis = np.zeros((body.dim, 0))
-    if len(span):
-        _, sv, vt = np.linalg.svd(span, full_matrices=False)
-        scale = max(1.0, float(sv.max(initial=0.0)))
-        basis = vt[sv > 1e-12 * scale].T
-    flat = np.vstack([np.zeros(basis.shape[1]), span @ basis])
-    if basis.shape[1] == 0:
-        inside = lambda proj: True
-    elif basis.shape[1] == 1:
-        lo, hi = float(flat.min()) - tol, float(flat.max()) + tol
-        inside = lambda proj: (proj[:, 0] >= lo) & (proj[:, 0] <= hi)
-    else:
-        sub = convex_hull(flat, validate=False)
-        inside = lambda proj: sub.contains(proj, tol)
-    rows = max(1, _CONTAINS_CELLS // body.dim)
-    out = np.empty(len(pts), dtype=bool)
-    for i in range(0, len(pts), rows):
-        rel = pts[i : i + rows] - base
-        proj = rel @ basis
-        rel -= proj @ basis.T
-        out[i : i + len(rel)] = (np.linalg.norm(rel, axis=1) <= tol) & inside(proj)
     return out
 
 
@@ -371,29 +338,43 @@ def _hull_nd(pts: np.ndarray, d: int) -> ConvexBody:
 
 
 def _hull_degenerate(pts: np.ndarray, d: int) -> ConvexBody:
-    """Hull of a flat point set, built in coordinates of its affine hull."""
+    """Hull of a flat point set, built in coordinates of its affine hull.
+
+    Its halfspaces are the in-plane facets (qhull's in those coordinates,
+    or +-u for a segment) lifted back through the SVD basis, and two
+    opposite ones for each normal of the affine hull, all taken through
+    the centre the SVD used.
+    """
     base = pts.mean(axis=0)
     centered = pts - base
     _, sv, vt = np.linalg.svd(centered, full_matrices=False)
     scale = max(1.0, float(sv.max(initial=0.0)))
     rank = int(np.sum(sv > 1e-9 * scale))
-    flat = centered @ vt[:rank].T
+    basis = vt[:rank]
+    flat = centered @ basis.T
     flat_area = None
     if rank == 0:
         idx = [0]
+        facets = np.zeros((0, 1))
     elif rank == 1:
         ends = (int(np.argmin(flat[:, 0])), int(np.argmax(flat[:, 0])))
         idx = sorted(ends, key=lambda i: tuple(pts[i]))
+        facets = np.array([[1.0, -flat.max()], [-1.0, flat.min()]])
     else:
         q = _QHull(flat)
         idx = _ccw_loop(q) if rank == 2 else q.vertices
+        facets = q.equations
         if rank == d - 1:
             flat_area = float(q.volume)
+    off = np.linalg.qr(basis.T, mode="complete")[0][:, rank:].T
+    normals = np.vstack([facets[:, :-1] @ basis, off, -off])
     verts = pts[idx]
     return ConvexBody(
         dim=d,
         vertices=verts,
         loop=verts if d == 2 or rank == 2 else None,
+        normals=normals,
+        offsets=normals @ base - np.concatenate([facets[:, -1], np.zeros(2 * len(off))]),
         flat_area=flat_area,
         degenerate=True,
     )
@@ -504,21 +485,17 @@ def mean_width(body: ConvexBody, directions: int = 4096) -> float:
     """Sphere integral of the support function (un-normalized convention).
 
     This is the plain integral over S^{d-1}, not the conventional
-    normalized mean width; in d = 2 it equals the perimeter.  d = 2 uses
-    the trapezoid rule on a uniform angle grid (deterministic, O(m^-2));
-    d >= 3 uses deterministic quasi-random sphere points times the sphere
-    area.
+    normalized mean width; in d = 2 it equals the perimeter.  One formula
+    in every d: the mean of the support function over
+    ``sphere_directions`` times the sphere area.  That is exact in d = 1
+    (the two directions +-1, area 2), the trapezoid rule on a uniform
+    angle grid in d = 2 (deterministic, O(m^-2)) and deterministic
+    quasi-random sphere points above.
     """
     if directions < 1:
         raise ValueError("direction count must be >= 1")
     d = body.dim
-    if d == 1:
-        return body.support(np.array([1.0])) + body.support(np.array([-1.0]))
-    dirs = sphere_directions(d, directions)
-    h = body.support_many(dirs)
-    if d == 2:
-        return float(h.mean() * 2.0 * np.pi)
-    return float(h.mean() * sphere_area(d))
+    return float(body.support_many(sphere_directions(d, directions)).mean() * sphere_area(d))
 
 
 def _perimeter(loop: np.ndarray) -> float:

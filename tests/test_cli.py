@@ -197,6 +197,30 @@ def test_metric_prints_mode(tmp_path):
         assert metric("rho-inf", f, g) == [f"rho-inf(f,g) = {value} mode=exact"]
 
 
+def _traj_text(traj):
+    return "".join(csvio.trajectory_blocks(traj))
+
+
+@pytest.mark.parametrize("metric,g_text,match", [
+    ("rho-s", "# kind = piecewise-constant\nt,x1\n", "at least one row"),
+    ("rho-s", "# kind = piecewise-constant\nt,x1\n0.0,0.0\n0.5,nan\n1.0,1.0\n", "finite"),
+    ("rho-inf", "# kind = piecewise-constant\nt,x1\n0.0,inf\n1.0,1.0\n", "finite"),
+    ("rho-inf", _traj_text(Trajectory("piecewise-constant", [0.0, 1.0], [[0.0, 0.0]] * 2)),
+     "equal dimension"),
+    ("rho-s", _traj_text(Trajectory(LINEAR, [0.0, 1.0], [0.0, 1.0])), "same kind"),
+    ("rho-s-circ", _traj_text(Trajectory(LINEAR, [0.0, 1.0], [0.0, 1.0])), "same kind"),
+], ids=["no-rows", "nan", "inf", "dimension", "kind-rho-s", "kind-rho-s-circ"])
+def test_metric_refuses_bad_trajectory_files(tmp_path, capsys, metric, g_text, match):
+    from walklimits.fixtures import step_f
+
+    (tmp_path / "f.csv").write_text(_traj_text(step_f()))
+    (tmp_path / "g.csv").write_text(g_text)
+    args = ["metric", "--f", str(tmp_path / "f.csv"), "--g", str(tmp_path / "g.csv")]
+    assert main([*args, "--metric", metric]) == 2
+    out = capsys.readouterr()
+    assert out.out == "" and out.err.startswith("config error") and match in out.err
+
+
 def test_simulate_writes_walk_and_manifest(tmp_path):
     out = tmp_path / "sim"
     res = run_cli(

@@ -31,6 +31,8 @@ KIND_CASES = [
     ("com-kernel", ["pairs=1:1.5"], "pairs"),
     ("etemadi", ["x_grid="], "x_grid"),
     ("etemadi", ["x_grid=1,-0.5"], "x_grid"),
+    # its rows' threshold is the Wilson z, whatever the config says
+    ("etemadi", ["threshold=0.5"], "threshold"),
     ("lln-sweep", ["n_list="], "n_list"),
     ("lln-sweep", ["n_list=0,10"], "n_list"),
     ("hull-drift-volume", ["dim=1", "mu=1"], "dim"),

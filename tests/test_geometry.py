@@ -45,7 +45,7 @@ def _point_to_polygon(p, body):
         denom = float(ab @ ab)
         t = 0.0 if denom == 0.0 else float(np.clip((p - a) @ ab / denom, 0.0, 1.0))
         best = min(best, float(np.linalg.norm(p - (a + t * ab))))
-    if body.normals is not None and bool(body.contains(p[None, :], 0.0)[0]):
+    if bool(body.contains(p[None, :], 0.0)[0]):
         return 0.0
     return best
 
@@ -179,12 +179,12 @@ def test_support_values():
     for theta in np.linspace(0, 2 * np.pi, 17):
         u = np.array([np.cos(theta), np.sin(theta)])
         u /= np.linalg.norm(u)
-        assert poly.support(u) == pytest.approx(1.0, abs=1e-3)
+        assert poly.support_many(u[None])[0] == pytest.approx(1.0, abs=1e-3)
     seg = convex_hull([[0.0, 0.0], [0.6, 0.8]])
     mu = np.array([0.6, 0.8])
     for theta in np.linspace(0, 2 * np.pi, 23):
         u = np.array([np.cos(theta), np.sin(theta)])
-        assert seg.support(u) == pytest.approx(max(0.0, mu @ u), abs=1e-12)
+        assert seg.support_many(u[None])[0] == pytest.approx(max(0.0, mu @ u), abs=1e-12)
 
 
 def test_support_hausdorff_identity_on_polygons(rng):
@@ -427,8 +427,9 @@ def test_hull_validation_memory_is_bounded():
 
 
 def test_flat_hull_validation_memory_is_bounded():
-    # a flat d = 3 walk: membership goes through _contains_degenerate, whose
-    # O(n d) temporaries (11 MB at 3e5 steps) now come in bounded blocks
+    # a flat d = 3 walk: validation takes the blocked halfspace loop of every
+    # body, so the O(n d) temporaries of projecting all points at once (11 MB
+    # at 3e5 steps) never arise
     pts = sample_walk(gaussian([1.0, 0.0, 0.0], np.diag([1.0, 1.0, 0.0])), 300000, 101).sums
     peaks = []
     for validate in (False, True):
@@ -476,7 +477,49 @@ def test_flat_membership_in_blocks_equals_the_whole_array_form(sigma):
     for tol in (1e-9, -1e-9):
         got = body.contains(probe, tol)
         assert np.array_equal(got, _flat_contains(body, probe, tol))
+        assert np.array_equal(got, _dense_contains(body, probe, tol))
         assert got.any() == (tol > 0) and not got.all()
+
+
+def _flat_cases():
+    # (points in local coordinates, in-plane rank r, ambient d): the body spans
+    # the first r coordinates and is rotated and shifted into R^d
+    square = np.array([[0.0, 0.0, 0.0], [1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [1.0, 1.0, 0.0],
+                       [0.5, 0.25, 0.0]])
+    return [pytest.param(np.array([[0.0, 0.0], [1.5, 0.0], [0.2, 0.0]]), 1, id="segment-d2"),
+            pytest.param(np.array([[0.0, 0.0, 0.0], [2.0, 0.0, 0.0]]), 1, id="segment-d3"),
+            pytest.param(np.zeros((1, 3)), 0, id="point-d3"),
+            pytest.param(square, 2, id="polygon-d3")]
+
+
+@pytest.mark.parametrize("tol", [1e-9, 1e-6])
+@pytest.mark.parametrize("local,r", _flat_cases())
+def test_flat_membership_slack_is_tol_along_each_normal(local, r, tol):
+    # inside within 0.99 tol of the affine hull; outside 1.01 sqrt(k) tol off
+    # it (k normals, each with its own slack of tol) or 2 tol past an end
+    rng = np.random.default_rng(17)
+    d = local.shape[1]
+    k = d - r
+    rot = np.linalg.qr(rng.normal(size=(d, d)))[0]
+    shift = rng.normal(size=d)
+    body = convex_hull(local @ rot.T + shift)
+    assert body.degenerate
+    hi = local.max(axis=0)[:r]
+
+    def probe(inplane, off):
+        return np.hstack([inplane, off]) @ rot.T + shift
+
+    m = 200
+    inplane = rng.uniform(0.0, 1.0, size=(m, r)) * hi
+    v = rng.normal(size=(m, k))
+    v /= np.linalg.norm(v, axis=1, keepdims=True)
+    assert body.contains(probe(inplane, 0.99 * tol * v), tol).all()
+    assert not body.contains(probe(inplane, 1.01 * math.sqrt(k) * tol * v), tol).any()
+    for j in range(r):
+        for end, step in ((0.0, -2.0 * tol), (hi[j], 2.0 * tol)):
+            past = inplane.copy()
+            past[:, j] = end + step
+            assert not body.contains(probe(past, np.zeros((m, k))), tol).any()
 
 
 # --------------------------------------------------- membership certificate

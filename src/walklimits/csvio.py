@@ -80,8 +80,8 @@ def read_trajectory(text: str, kind: str | None = None) -> Trajectory:
     if kind not in (LINEAR, CONSTANT):
         raise ValueError("trajectory kind missing; pass kind= or a '# kind =' line")
     data = np.asarray([[float(x) for x in ln.split(",")] for ln in lines[1:]])
-    if not (data.size and np.isfinite(data).all()):
-        raise ValueError("need at least one row of finite values")
+    if not (data.ndim == 2 and data.shape[1] > 1 and np.isfinite(data).all()):
+        raise ValueError("need at least one row of t,x1,... with every cell finite")
     return Trajectory(kind, data[:, 0], data[:, 1:])
 
 

@@ -385,8 +385,7 @@ def _check_etemadi(cfg: ExperimentConfig) -> None:
     if any(x < 0 for x in cfg.x_grid):
         raise ConfigError("x_grid entries must be >= 0")
     if cfg.threshold:
-        raise ConfigError("threshold does not apply to etemadi (its rows judge by "
-                          "the 99% Wilson z)")
+        raise ConfigError("threshold does not apply to etemadi: it judges by the Wilson z")
 
 
 def run_etemadi(cfg: ExperimentConfig) -> Report:

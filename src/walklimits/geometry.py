@@ -144,10 +144,9 @@ class ConvexBody:
     and around a flat polygon in d >= 3;
     ``faces`` holds facet triangles in d = 3; ``normals``/``offsets`` give
     the halfspace form A x <= b of every body ``convex_hull`` builds, flat
-    ones too (their in-plane facets plus both sides of each normal of the
-    affine hull; see ``_hull_degenerate``).  ``flat_area``
-    carries the (d-1)-volume of a flat body of rank d - 1 in d >= 3 (the
-    in-plane area of a flat polygon in d = 3).
+    ones too (``_hull_degenerate``).  ``flat_area`` carries the
+    (d-1)-volume of a flat body of rank d - 1 in d >= 3 (the in-plane area
+    of a flat polygon in d = 3).
     """
 
     dim: int
@@ -340,10 +339,9 @@ def _hull_nd(pts: np.ndarray, d: int) -> ConvexBody:
 def _hull_degenerate(pts: np.ndarray, d: int) -> ConvexBody:
     """Hull of a flat point set, built in coordinates of its affine hull.
 
-    Its halfspaces are the in-plane facets (qhull's in those coordinates,
-    or +-u for a segment) lifted back through the SVD basis, and two
-    opposite ones for each normal of the affine hull, all taken through
-    the centre the SVD used.
+    Its halfspaces are the in-plane facets (qhull's, or +-u for a segment)
+    lifted back through the SVD basis, and both sides of each normal of the
+    affine hull, all taken through the centre the SVD used.
     """
     base = pts.mean(axis=0)
     centered = pts - base
@@ -486,16 +484,15 @@ def mean_width(body: ConvexBody, directions: int = 4096) -> float:
 
     This is the plain integral over S^{d-1}, not the conventional
     normalized mean width; in d = 2 it equals the perimeter.  One formula
-    in every d: the mean of the support function over
-    ``sphere_directions`` times the sphere area.  That is exact in d = 1
-    (the two directions +-1, area 2), the trapezoid rule on a uniform
-    angle grid in d = 2 (deterministic, O(m^-2)) and deterministic
-    quasi-random sphere points above.
+    in every d, the mean support over ``sphere_directions`` times the
+    sphere area, is exact in d = 1 (directions +-1, area 2), the trapezoid
+    rule on a uniform angle grid in d = 2 (deterministic, O(m^-2)) and
+    deterministic quasi-random sphere points above.
     """
     if directions < 1:
         raise ValueError("direction count must be >= 1")
-    d = body.dim
-    return float(body.support_many(sphere_directions(d, directions)).mean() * sphere_area(d))
+    dirs = sphere_directions(body.dim, directions)
+    return float(body.support_many(dirs).mean() * sphere_area(body.dim))
 
 
 def _perimeter(loop: np.ndarray) -> float:

@@ -205,11 +205,12 @@ def _traj_text(traj):
     ("rho-s", "# kind = piecewise-constant\nt,x1\n", "at least one row"),
     ("rho-s", "# kind = piecewise-constant\nt,x1\n0.0,0.0\n0.5,nan\n1.0,1.0\n", "finite"),
     ("rho-inf", "# kind = piecewise-constant\nt,x1\n0.0,inf\n1.0,1.0\n", "finite"),
+    ("rho-inf", "# kind = piecewise-constant\nt\n0.0\n1.0\n", "at least one row"),
     ("rho-inf", _traj_text(Trajectory("piecewise-constant", [0.0, 1.0], [[0.0, 0.0]] * 2)),
      "equal dimension"),
     ("rho-s", _traj_text(Trajectory(LINEAR, [0.0, 1.0], [0.0, 1.0])), "same kind"),
     ("rho-s-circ", _traj_text(Trajectory(LINEAR, [0.0, 1.0], [0.0, 1.0])), "same kind"),
-], ids=["no-rows", "nan", "inf", "dimension", "kind-rho-s", "kind-rho-s-circ"])
+], ids=["no-rows", "nan", "inf", "no-values", "dimension", "kind-rho-s", "kind-rho-s-circ"])
 def test_metric_refuses_bad_trajectory_files(tmp_path, capsys, metric, g_text, match):
     from walklimits.fixtures import step_f
 

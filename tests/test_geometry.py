@@ -428,8 +428,8 @@ def test_hull_validation_memory_is_bounded():
 
 def test_flat_hull_validation_memory_is_bounded():
     # a flat d = 3 walk: validation takes the blocked halfspace loop of every
-    # body, so the O(n d) temporaries of projecting all points at once (11 MB
-    # at 3e5 steps) never arise
+    # body, so it adds one block of distances to the build's peak, not the
+    # O(n d) temporaries of projecting every point at once (11 MB at 3e5 steps)
     pts = sample_walk(gaussian([1.0, 0.0, 0.0], np.diag([1.0, 1.0, 0.0])), 300000, 101).sums
     peaks = []
     for validate in (False, True):

@@ -31,8 +31,6 @@ KIND_CASES = [
     ("com-kernel", ["pairs=1:1.5"], "pairs"),
     ("etemadi", ["x_grid="], "x_grid"),
     ("etemadi", ["x_grid=1,-0.5"], "x_grid"),
-    # its rows' threshold is the Wilson z, whatever the config says
-    ("etemadi", ["threshold=0.5"], "threshold"),
     ("lln-sweep", ["n_list="], "n_list"),
     ("lln-sweep", ["n_list=0,10"], "n_list"),
     ("hull-drift-volume", ["dim=1", "mu=1"], "dim"),
@@ -42,6 +40,8 @@ KIND_CASES = [
     ("com-kernel", ["n=4", "pairs=0.1:0.1"], "t too small"),
     ("lln-sweep", ["functional=com", "law=gaussian", "mu=1", "n_list=100,1000", "t=0.001"],
      "t too small"),
+    # its rows' threshold is the Wilson z, whatever the config says
+    ("etemadi", ["threshold=0.5"], "threshold"),
 ]
 
 

@@ -1,6 +1,6 @@
 """Random-walk trajectories, path metrics, hull geometry and their limit laws."""
 
-from .config import ConfigError, ExperimentConfig, build_config, load_config, manifest_text
+from .config import ConfigError, ExperimentConfig, build_config, manifest_text
 from .experiments import Report, ReportRow, run_experiment
 from .functionals import lln_reference
 from .geometry import (

@@ -28,8 +28,8 @@ from typing import Iterable
 import numpy as np
 
 from . import csvio, geometry, metrics
-from .config import ConfigError, ExperimentConfig, build_config, load_config
-from .config import manifest_text, parse_text, typed_value, validate_walk
+from .config import ConfigError, ExperimentConfig, build_config, manifest_text
+from .config import parse_text, typed_value, validate_walk
 from .experiments import Report, ReportRow, law_from_config, read_rows, rows_csv, run_experiment
 from .fixtures import BUILTIN_CONFIGS, jump_alignment, step_f, step_g, step_h
 from .trajectory import CONSTANT, LINEAR
@@ -96,12 +96,12 @@ def _cmd_experiment(args) -> int:
         if args.builtin not in BUILTIN_CONFIGS:
             known = ", ".join(sorted(BUILTIN_CONFIGS))
             raise ConfigError(f"unknown builtin config: {args.builtin} (known: {known})")
-        cfg = build_config(parse_text(BUILTIN_CONFIGS[args.builtin]), overrides)
+        raw = parse_text(BUILTIN_CONFIGS[args.builtin])
     else:
-        cfg = load_config(args.config, overrides)
+        raw = _read_input(args.config, lambda fh: parse_text(fh.read()))
+    cfg = build_config(raw, overrides)
     out = _out_dir(args)
     report = run_experiment(cfg)
-    os.makedirs(out, exist_ok=True)
     _write_atomic(os.path.join(out, "manifest.cfg"), manifest_text(cfg))
     paths = _write_report(report, out)
     print(report.summary_text(), end="")
@@ -132,14 +132,11 @@ def _cmd_metric(args) -> int:
         raise ConfigError("pass --example NAME, --list-examples, or --f/--g CSV paths")
     f, g = (_read_input(path, lambda fh: csvio.read_trajectory(fh.read()))
             for path in (args.f, args.g))
-    fn = _METRIC_FUNCS.get(args.metric)
-    if fn is None:
-        raise ConfigError(f"unknown metric: {args.metric}")
     try:
         metrics._check_pair(f, g, same_kind=args.metric != "rho-inf")
     except ValueError as exc:
         raise ConfigError(f"--f and --g: {exc}") from None
-    res = fn(f, g)
+    res = _METRIC_FUNCS[args.metric](f, g)
     print(f"{args.metric}(f,g) = {res.value:.10g} mode={res.mode}")
     if res.witness is not None:
         print(f"witness sup|lambda - id| = {res.witness.sup_deviation():.10g}")
@@ -172,10 +169,24 @@ _METRIC_EXAMPLES = {
 }
 
 
+# The config keys set by the walk flags, in the order a manifest lists them.
+_WALK_KEYS = ("law", "dim", "mu", "n", "seed")
+
+
+def _add_walk_flags(parser: argparse.ArgumentParser, dim: int) -> None:
+    """The walk flags of simulate and hull, and --out; dim is --dim's default."""
+    parser.add_argument("--law", default="rademacher")
+    parser.add_argument("--dim", type=int, default=dim)
+    parser.add_argument("--mu", default="")
+    parser.add_argument("--n", type=int, default=0)
+    parser.add_argument("--seed", type=int, default=0)
+    parser.add_argument("--out", default="")
+
+
 def _walk_config(args, **extra) -> ExperimentConfig:
     """The walk flags of simulate and hull, checked as a config's would be."""
     cfg = ExperimentConfig(law=args.law, dim=args.dim, mu=typed_value("mu", args.mu),
-                           seed=args.seed, **extra)
+                           n=args.n, seed=args.seed, **extra)
     validate_walk(cfg)
     return cfg
 
@@ -183,10 +194,10 @@ def _walk_config(args, **extra) -> ExperimentConfig:
 def _cmd_simulate(args) -> int:
     if args.n < 1:
         raise ConfigError("n must be >= 1")
-    law = law_from_config(_walk_config(args))
-    walk = sample_walk(law, args.n, args.seed)
+    cfg = _walk_config(args)
+    law = law_from_config(cfg)
+    walk = sample_walk(law, cfg.n, cfg.seed)
     out = _out_dir(args)
-    os.makedirs(out, exist_ok=True)
     if args.kind == "walk":
         _write_atomic(os.path.join(out, "walk.csv"), csvio.walk_blocks(walk))
         written = "walk.csv"
@@ -198,18 +209,8 @@ def _cmd_simulate(args) -> int:
             traj = clt_trajectory(walk, tkind, law.mu)
         _write_atomic(os.path.join(out, "trajectory.csv"), csvio.trajectory_blocks(traj))
         written = "trajectory.csv"
-    manifest = "\n".join(
-        [
-            "subcommand = simulate",
-            f"law = {args.law}",
-            f"dim = {args.dim}",
-            f"mu = {args.mu or ''}",
-            f"n = {args.n}",
-            f"seed = {args.seed}",
-            f"kind = {args.kind}",
-        ]
-    )
-    _write_atomic(os.path.join(out, "manifest.cfg"), manifest + "\n")
+    head = f"subcommand = simulate\nkind = {args.kind}\n"
+    _write_atomic(os.path.join(out, "manifest.cfg"), head + manifest_text(cfg, _WALK_KEYS))
     print(f"wrote {os.path.join(out, written)}")
     return 0
 
@@ -228,15 +229,14 @@ def _cmd_hull(args) -> int:
     cfg = _walk_config(args, directions=args.directions)
     if args.points:
         points = _read_input(args.points, _points)
-        source = f"points = {args.points}"
+        head, keys = f"subcommand = hull\npoints = {args.points}\n", ("directions",)
     else:
-        if args.n < 1:
+        if cfg.n < 1:
             raise ConfigError("n must be >= 1 (or pass --points CSV)")
-        points = sample_walk(law_from_config(cfg), args.n, args.seed).sums
-        source = f"law = {args.law}\ndim = {args.dim}\nn = {args.n}\nseed = {args.seed}"
+        points = sample_walk(law_from_config(cfg), cfg.n, cfg.seed).sums
+        head, keys = "subcommand = hull\n", (*_WALK_KEYS, "directions")
     body = geometry.convex_hull(points)
     out = _out_dir(args)
-    os.makedirs(out, exist_ok=True)
     _write_atomic(os.path.join(out, "vertices.csv"), csvio.vertices_csv(body))
     _write_atomic(os.path.join(out, "body.off"), csvio.off_text(body))
     rows = [
@@ -247,8 +247,7 @@ def _cmd_hull(args) -> int:
     ]
     _write_atomic(os.path.join(out, "hull_report.csv"),
                   rows_csv([ReportRow(name, estimate=v) for name, v in rows]))
-    manifest = f"subcommand = hull\n{source}\ndirections = {args.directions}\n"
-    _write_atomic(os.path.join(out, "manifest.cfg"), manifest)
+    _write_atomic(os.path.join(out, "manifest.cfg"), head + manifest_text(cfg, keys))
     for name, v in rows:
         print(f"{name} = {v:.10g}")
     return 0
@@ -270,17 +269,12 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="subcommand", required=True)
 
     p_sim = sub.add_parser("simulate", help="sample a walk or rescaled trajectory")
-    p_sim.add_argument("--law", default="rademacher")
-    p_sim.add_argument("--dim", type=int, default=1)
-    p_sim.add_argument("--mu", default="")
-    p_sim.add_argument("--n", type=int, default=0)
-    p_sim.add_argument("--seed", type=int, default=0)
+    _add_walk_flags(p_sim, dim=1)
     p_sim.add_argument(
         "--kind",
         default="walk",
         choices=["walk", "lln-linear", "lln-constant", "clt-linear", "clt-constant"],
     )
-    p_sim.add_argument("--out", default="")
     p_sim.set_defaults(func=_cmd_simulate)
 
     p_met = sub.add_parser("metric", help="evaluate path metrics")
@@ -294,13 +288,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_hull = sub.add_parser("hull", help="hull vertices, facets and functionals")
     p_hull.add_argument("--points", default="", help="CSV of points (with header)")
-    p_hull.add_argument("--law", default="rademacher")
-    p_hull.add_argument("--dim", type=int, default=2)
-    p_hull.add_argument("--mu", default="")
-    p_hull.add_argument("--n", type=int, default=0)
-    p_hull.add_argument("--seed", type=int, default=0)
+    _add_walk_flags(p_hull, dim=2)
     p_hull.add_argument("--directions", type=int, default=4096)
-    p_hull.add_argument("--out", default="")
     p_hull.set_defaults(func=_cmd_hull)
 
     p_exp = sub.add_parser(

@@ -11,8 +11,9 @@ number, its range [lo, hi], which ``validate_walk`` checks.  Unknown
 keys are rejected.  Overrides apply after the file parse and before
 validation.  The manifest an ``experiment`` run writes is itself a valid
 config that reproduces the run; ``simulate`` and ``hull`` manifests carry
-``subcommand`` (and ``kind``) keys, which are rejected, so they are records,
-not configs.
+``subcommand`` (and ``kind`` or ``points``) keys, which are rejected, then
+each walk key the run used, written by its codec, so they are records, not
+configs.
 
 The valid laws are the keys of ``walks.LAWS`` and the valid experiments
 those of ``experiments.EXPERIMENTS``; each experiment entry holds its own
@@ -157,15 +158,6 @@ def build_config(raw: dict[str, str], overrides: list[str] | None = None) -> Exp
     return cfg
 
 
-def load_config(path, overrides: list[str] | None = None) -> ExperimentConfig:
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            text = fh.read()
-    except OSError as exc:
-        raise ConfigError(f"cannot read config file {path}: {exc}") from exc
-    return build_config(parse_text(text), overrides)
-
-
 def validate_walk(cfg: ExperimentConfig) -> None:
     """The checks every walk run shares: the law, each key's range, mu and sigma."""
     law = LAWS.get(cfg.law)
@@ -204,7 +196,11 @@ def validate_config(cfg: ExperimentConfig) -> None:
     kind.check(cfg)
 
 
-def manifest_text(cfg: ExperimentConfig) -> str:
-    """Canonical serialization of the fully-resolved config (round-trips)."""
-    lines = [f"{key} = {_CODECS[key].format(getattr(cfg, key))}" for key in sorted(_CODECS)]
+def manifest_text(cfg: ExperimentConfig, keys=None) -> str:
+    """Canonical serialization of the fully-resolved config (round-trips).
+
+    ``keys`` lists the keys to write, in order (default: every key, sorted).
+    """
+    lines = [f"{key} = {_CODECS[key].format(getattr(cfg, key))}"
+             for key in (sorted(_CODECS) if keys is None else keys)]
     return "\n".join(lines) + "\n"

@@ -72,14 +72,12 @@ def trajectory_blocks(traj: Trajectory):
                    traj.values, traj.times)
 
 
-def read_trajectory(text: str, kind: str | None = None) -> Trajectory:
+def read_trajectory(text: str) -> Trajectory:
     lines = [ln for ln in text.splitlines() if ln.strip()]
-    if lines and lines[0].startswith("# kind"):
-        kind = lines[0].partition("=")[2].strip()
-        lines = lines[1:]
+    kind = lines[0].partition("=")[2].strip() if lines and lines[0].startswith("# kind") else None
     if kind not in (LINEAR, CONSTANT):
-        raise ValueError("trajectory kind missing; pass kind= or a '# kind =' line")
-    data = np.asarray([[float(x) for x in ln.split(",")] for ln in lines[1:]])
+        raise ValueError(f"the first line must be '# kind = {LINEAR}' or '# kind = {CONSTANT}'")
+    data = np.asarray([[float(x) for x in ln.split(",")] for ln in lines[2:]])
     if not (data.ndim == 2 and data.shape[1] > 1 and np.isfinite(data).all()):
         raise ValueError("need at least one row of t,x1,... with every cell finite")
     return Trajectory(kind, data[:, 0], data[:, 1:])

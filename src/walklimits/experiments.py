@@ -423,7 +423,7 @@ def run_etemadi(cfg: ExperimentConfig) -> Report:
                 stderr=float(math.sqrt(left_p * (1.0 - left_p) / m)),
                 reference=3.0 * float(right_p),
                 passed=not violated,
-                threshold=2.5758293035489004,
+                threshold=stats.Z_99,
                 note="left P(max>=3x) vs 3 max_j P(>=x); threshold is the Wilson z",
             )
         )

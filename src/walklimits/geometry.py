@@ -503,10 +503,10 @@ def surface_area(body: ConvexBody) -> float:
     """Exact boundary measure: perimeter (d = 2), facet-triangle sum (d = 3),
     qhull's facet-area sum (d >= 4).
 
-    A flat body returns twice its lower-dimensional boundary measure (both
-    sides of the degenerate surface): a segment of length L in the plane
-    gives 2L, a flat polygon in d = 3 twice its area, a flat body of rank
-    d - 1 twice its (d-1)-volume; a flatter body in d >= 4 gives 0.
+    A flat body of rank d - 1 returns twice its (d-1)-volume (both sides of
+    the degenerate surface): a segment of length L in the plane gives 2L, a
+    flat polygon in d = 3 twice its area.  A flatter body gives 0 in every d:
+    its eps-neighbourhood has no term linear in eps (Steiner's formula).
     """
     d = body.dim
     if d == 1:
@@ -518,8 +518,6 @@ def surface_area(body: ConvexBody) -> float:
     if body.degenerate:
         if body.flat_area is not None:
             return 2.0 * body.flat_area
-        if d == 3 and len(body.vertices) == 2:
-            return 2.0 * float(np.linalg.norm(body.vertices[1] - body.vertices[0]))
         return 0.0
     if d == 3:
         a, b, c = body.faces[:, 0], body.faces[:, 1], body.faces[:, 2]

@@ -36,24 +36,28 @@ def ks_two_sample(a, b) -> float:
     return float(np.abs(fa - fb).max())
 
 
-def kolmogorov_threshold(m: int, alpha: float = 0.01) -> float:
-    """One-sample KS acceptance threshold c(alpha)/sqrt(m).
+# The 99% two-sided standard normal quantile: P(|Z| > Z_99) = 1%.
+Z_99 = 2.5758293035489004
 
-    c(alpha) = sqrt(-ln(alpha/2)/2) from the Kolmogorov tail bound, so a
-    sample genuinely drawn from the reference exceeds the threshold with
-    probability at most alpha.
-    """
-    c = math.sqrt(-math.log(alpha / 2.0) / 2.0)
-    return c / math.sqrt(m)
+
+def _kolmogorov_c(alpha: float) -> float:
+    """c(alpha) = sqrt(-ln(alpha/2)/2) from the Kolmogorov tail bound, so a
+    sample genuinely drawn from the reference exceeds c(alpha)/sqrt(m) with
+    probability at most alpha."""
+    return math.sqrt(-math.log(alpha / 2.0) / 2.0)
+
+
+def kolmogorov_threshold(m: int, alpha: float = 0.01) -> float:
+    """One-sample KS acceptance threshold c(alpha)/sqrt(m)."""
+    return _kolmogorov_c(alpha) / math.sqrt(m)
 
 
 def kolmogorov_threshold_two(m1: int, m2: int, alpha: float = 0.01) -> float:
     """Two-sample analogue with the effective size m1*m2/(m1+m2)."""
-    c = math.sqrt(-math.log(alpha / 2.0) / 2.0)
-    return c * math.sqrt(1.0 / m1 + 1.0 / m2)
+    return _kolmogorov_c(alpha) * math.sqrt(1.0 / m1 + 1.0 / m2)
 
 
-def wilson_interval(successes: int, trials: int, z: float = 2.5758293035489004):
+def wilson_interval(successes: int, trials: int, z: float = Z_99):
     """Wilson score interval (z defaults to the 99% two-sided quantile)."""
     if trials <= 0:
         raise ValueError("trials must be positive")

@@ -40,11 +40,8 @@ class IncrementLaw:
         return LAWS[self.kind].steps(self, n, rng)
 
 
-def _vec(mu, dim) -> np.ndarray:
-    mu = np.atleast_1d(np.asarray(mu, dtype=float))
-    if dim is not None and mu.size != dim:
-        raise ValueError(f"mean vector has dimension {mu.size}, expected {dim}")
-    return _frozen(mu)
+def _vec(mu) -> np.ndarray:
+    return _frozen(np.atleast_1d(np.asarray(mu, dtype=float)))
 
 
 def rademacher(dim: int = 1) -> IncrementLaw:
@@ -54,7 +51,7 @@ def rademacher(dim: int = 1) -> IncrementLaw:
 
 def gaussian(mu, sigma) -> IncrementLaw:
     """Normal increments with the given mean and covariance."""
-    mu = _vec(mu, None)
+    mu = _vec(mu)
     spec = sqrt_psd(sigma)
     if spec.dim != mu.size:
         raise ValueError("mean and covariance dimensions do not match")
@@ -63,14 +60,14 @@ def gaussian(mu, sigma) -> IncrementLaw:
 
 def uniform_cube(mu) -> IncrementLaw:
     """Uniform on the unit cube centred at mu; covariance identity / 12."""
-    mu = _vec(mu, None)
+    mu = _vec(mu)
     d = mu.size
     return IncrementLaw("uniform-cube", d, mu, _frozen(np.eye(d) / 12.0))
 
 
 def deterministic(mu) -> IncrementLaw:
     """Every step equals mu exactly; covariance 0."""
-    mu = _vec(mu, None)
+    mu = _vec(mu)
     d = mu.size
     return IncrementLaw("deterministic", d, mu, _frozen(np.zeros((d, d))))
 

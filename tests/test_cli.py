@@ -83,12 +83,6 @@ def test_experiment_rejects_unknown_key(tmp_path):
     assert "walkers" in res.stderr
 
 
-def test_experiment_missing_config_is_config_error(tmp_path):
-    res = run_cli("experiment", "--config", str(tmp_path / "nope.cfg"))
-    assert res.returncode == 2
-    assert "nope.cfg" in res.stderr
-
-
 def test_experiment_seed_override(tmp_path):
     cfg = tmp_path / "max.cfg"
     cfg.write_text(CONFIG_OK)
@@ -210,7 +204,9 @@ def _traj_text(traj):
      "equal dimension"),
     ("rho-s", _traj_text(Trajectory(LINEAR, [0.0, 1.0], [0.0, 1.0])), "same kind"),
     ("rho-s-circ", _traj_text(Trajectory(LINEAR, [0.0, 1.0], [0.0, 1.0])), "same kind"),
-], ids=["no-rows", "nan", "inf", "no-values", "dimension", "kind-rho-s", "kind-rho-s-circ"])
+    ("rho-s", "t,x1\n0.0,0.0\n1.0,1.0\n", "the first line must be '# kind = "),
+], ids=["no-rows", "nan", "inf", "no-values", "dimension", "kind-rho-s", "kind-rho-s-circ",
+        "no-kind-line"])
 def test_metric_refuses_bad_trajectory_files(tmp_path, capsys, metric, g_text, match):
     from walklimits.fixtures import step_f
 
@@ -258,6 +254,24 @@ def test_hull_subcommand_outputs(tmp_path):
     assert off[0] == "OFF"
     assert (out / "hull_report.csv").exists()
     assert "volume" in res.stdout
+
+
+@pytest.mark.parametrize("args,manifest", [
+    (["simulate", "--law", "gaussian", "--dim", "2", "--mu", "1,0", "--n", "5", "--seed", "7",
+      "--kind", "clt-linear"],
+     "subcommand = simulate\nkind = clt-linear\nlaw = gaussian\ndim = 2\nmu = 1.0,0.0\n"
+     "n = 5\nseed = 7\n"),
+    (["hull", "--law", "gaussian", "--dim", "3", "--mu", "1,0,0", "--n", "40", "--seed", "2"],
+     "subcommand = hull\nlaw = gaussian\ndim = 3\nmu = 1.0,0.0,0.0\nn = 40\nseed = 2\n"
+     "directions = 4096\n"),
+    (["hull", "--points", "points.csv", "--directions", "64"],
+     "subcommand = hull\npoints = points.csv\ndirections = 64\n"),
+], ids=["simulate", "hull-drift", "hull-points"])
+def test_manifest_records_every_walk_key_the_run_used(tmp_path, monkeypatch, args, manifest):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "points.csv").write_text("x1,x2\n0,0\n1,0\n0,1\n")
+    assert main([*args, "--out", "run"]) == 0
+    assert (tmp_path / "run" / "manifest.cfg").read_text() == manifest
 
 
 def test_hull_subcommand_reports_exact_volume_in_d4(tmp_path):
@@ -458,18 +472,21 @@ POINTS = {"abc": "x1,x2\n0,0\n1,abc\n", "no-rows": "x1,x2\n",
         *(["hull", "--points", f"{name}.csv"] for name in POINTS),
         ["report", "--csv", "missing.csv"],
         ["metric", "--f", "missing.csv", "--g", "missing.csv"],
+        ["experiment", "--config", "missing.cfg"],
+        ["experiment", "--config", "latin1.cfg"],
     ],
     ids=["hull-missing", *(f"hull-{name}" for name in POINTS), "report-missing",
-         "metric-missing"],
+         "metric-missing", "experiment-missing", "experiment-not-utf8"],
 )
 def test_bad_input_files_are_config_errors(tmp_path, args):
     for name, text in POINTS.items():
         (tmp_path / f"{name}.csv").write_text(text)
-    args = [str(tmp_path / a) if a.endswith(".csv") else a for a in args]
-    out = ["--out", str(tmp_path / "x")] if args[0] == "hull" else []
+    (tmp_path / "latin1.cfg").write_bytes("law = gaußian\n".encode("latin-1"))
+    args = [str(tmp_path / a) if a.endswith((".csv", ".cfg")) else a for a in args]
+    out = ["--out", str(tmp_path / "x")] if args[0] in ("hull", "experiment") else []
     res = run_cli(*args, *out)
     assert res.returncode == 2, res.stderr
-    assert res.stderr.startswith("config error: cannot read ")
+    assert res.stderr.startswith(f"config error: cannot read {args[2]}: ")  # the first file
     assert not (tmp_path / "x").exists()
 
 

@@ -319,6 +319,14 @@ def test_volume_and_area_exact_in_d4():
     assert surface_area(cross) == pytest.approx(16.0 / 3.0, rel=1e-12)
 
 
+@pytest.mark.parametrize("d,area", [(2, 4.0), (3, 0.0), (4, 0.0)])
+def test_segment_surface_area_is_doubled_length_only_in_the_plane(d, area):
+    # a segment of length 2 has rank 1: d - 1 only in the plane
+    body = convex_hull(np.vstack([np.zeros(d), 2.0 * np.eye(d)[0]]), validate=False)
+    assert body.degenerate
+    assert surface_area(body) == area
+
+
 def test_flat_d4_body_has_doubled_facet_area(rng):
     # a box of 3-volume 6 in a rotated hyperplane of R^4
     box = np.array([[a, b, c, 0.0] for a in (0, 1) for b in (0, 2) for c in (0, 3)])

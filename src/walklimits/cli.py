@@ -9,8 +9,10 @@ output.  Exit codes: 0 success, 3 an experiment report with a
 failing check (every output is still written), 2 configuration error
 (diagnostic names the offending key), 1 runtime failure.  The default
 output directory comes from $WALKLIMITS_OUT (falling back to '.').
-``main`` has the process freeze its objects at exit rather than collect
-them, since every output is closed by then.
+``simulate`` and ``hull`` take their config, law and walk from one helper,
+``_walk_run``; ``hull --points`` reads no walk flag and checks only
+``--directions``.  ``main`` has the process freeze its objects at exit
+rather than collect them, since every output is closed by then.
 """
 
 from __future__ import annotations
@@ -183,20 +185,20 @@ def _add_walk_flags(parser: argparse.ArgumentParser, dim: int) -> None:
     parser.add_argument("--out", default="")
 
 
-def _walk_config(args, **extra) -> ExperimentConfig:
-    """The walk flags of simulate and hull, checked as a config's would be."""
+def _walk_run(args, **extra):
+    """The config, law and walk of simulate's and hull's walk flags (and the
+    extra keys), checked as a config's would be, with n >= 1."""
     cfg = ExperimentConfig(law=args.law, dim=args.dim, mu=typed_value("mu", args.mu),
                            n=args.n, seed=args.seed, **extra)
     validate_walk(cfg)
-    return cfg
+    if cfg.n < 1:
+        raise ConfigError("n must be >= 1")
+    law = law_from_config(cfg)
+    return cfg, law, sample_walk(law, cfg.n, cfg.seed)
 
 
 def _cmd_simulate(args) -> int:
-    if args.n < 1:
-        raise ConfigError("n must be >= 1")
-    cfg = _walk_config(args)
-    law = law_from_config(cfg)
-    walk = sample_walk(law, cfg.n, cfg.seed)
+    cfg, law, walk = _walk_run(args)
     out = _out_dir(args)
     if args.kind == "walk":
         _write_atomic(os.path.join(out, "walk.csv"), csvio.walk_blocks(walk))
@@ -226,14 +228,15 @@ def _points(fh) -> np.ndarray:
 
 
 def _cmd_hull(args) -> int:
-    cfg = _walk_config(args, directions=args.directions)
-    if args.points:
+    if args.points:  # the walk flags are not read, so not checked
+        cfg = ExperimentConfig(directions=args.directions)
+        validate_walk(cfg)
         points = _read_input(args.points, _points)
         head, keys = f"subcommand = hull\npoints = {args.points}\n", ("directions",)
     else:
-        if cfg.n < 1:
-            raise ConfigError("n must be >= 1 (or pass --points CSV)")
-        points = sample_walk(law_from_config(cfg), cfg.n, cfg.seed).sums
+        cfg, _, walk = _walk_run(args, directions=args.directions)
+        points = walk.sums
+        del walk  # the hull reads only the sums: free the increments before it
         head, keys = "subcommand = hull\n", (*_WALK_KEYS, "directions")
     body = geometry.convex_hull(points)
     out = _out_dir(args)

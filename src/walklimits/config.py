@@ -17,8 +17,9 @@ configs.
 
 The valid laws are the keys of ``walks.LAWS`` and the valid experiments
 those of ``experiments.EXPERIMENTS``; each experiment entry holds its own
-checks (its functional, dimensions, lists and reference), after the shared
-ones here, so a config that ``build_config`` returns is one its runner can run.
+checks (its functional, dimensions, lists and reference), which run on the
+config and its law after the shared ones here, so a config that
+``build_config`` returns is one its runner can run.
 """
 
 from __future__ import annotations
@@ -35,7 +36,7 @@ class ConfigError(Exception):
     """A configuration problem; the message names the offending key."""
 
 
-REFERENCES = ("auto", "closed-form", "surrogate", "none")
+REFERENCES = ("auto", "surrogate", "none")
 
 
 class Codec(NamedTuple):
@@ -183,7 +184,7 @@ def validate_walk(cfg: ExperimentConfig) -> None:
 
 def validate_config(cfg: ExperimentConfig) -> None:
     """The shared checks, then the experiment's own (``experiments.EXPERIMENTS``)."""
-    from .experiments import EXPERIMENTS
+    from .experiments import EXPERIMENTS, law_from_config
 
     kind = EXPERIMENTS.get(cfg.experiment)
     if kind is None:
@@ -193,7 +194,7 @@ def validate_config(cfg: ExperimentConfig) -> None:
         raise ConfigError(f"unknown value for reference: {cfg.reference!r}")
     if kind.needs_n and cfg.n < 1:
         raise ConfigError("n must be >= 1")
-    kind.check(cfg)
+    kind.check(cfg, law_from_config(cfg))
 
 
 def manifest_text(cfg: ExperimentConfig, keys=None) -> str:

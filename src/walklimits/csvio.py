@@ -73,6 +73,8 @@ def trajectory_blocks(traj: Trajectory):
 
 
 def read_trajectory(text: str) -> Trajectory:
+    """The trajectory of ``trajectory_blocks`` text; ValueError unless it has
+    the kind line, the header line and at least one row of finite cells."""
     lines = [ln for ln in text.splitlines() if ln.strip()]
     kind = lines[0].partition("=")[2].strip() if lines and lines[0].startswith("# kind") else None
     if kind not in (LINEAR, CONSTANT):
@@ -80,6 +82,9 @@ def read_trajectory(text: str) -> Trajectory:
     data = np.asarray([[float(x) for x in ln.split(",")] for ln in lines[2:]])
     if not (data.ndim == 2 and data.shape[1] > 1 and np.isfinite(data).all()):
         raise ValueError("need at least one row of t,x1,... with every cell finite")
+    header = _header("t", data.shape[1] - 1)
+    if lines[1] != header:
+        raise ValueError(f"the second line must be {header}")
     return Trajectory(kind, data[:, 0], data[:, 1:])
 
 
@@ -99,11 +104,8 @@ def off_text(body: ConvexBody) -> str:
     faces: list[list[int]] = []
     if body.dim == 3 and body.faces is not None:
         index = {tuple(v): i for i, v in enumerate(map(tuple, verts))}
-        for tri in body.faces:
-            try:
-                faces.append([index[tuple(p)] for p in tri])
-            except KeyError:
-                continue
+        for tri in body.faces:  # qhull's simplices index only its vertices
+            faces.append([index[tuple(p)] for p in tri])
     elif body.loop is not None and len(body.loop) >= 2:
         index = {tuple(v): i for i, v in enumerate(map(tuple, verts))}
         faces.append([index[tuple(p)] for p in body.loop])

@@ -14,9 +14,13 @@ so every report is bit-reproducible from (config, seed).
 
 ``EXPERIMENTS`` declares each experiment kind once: its runner, whether it
 needs ``n``, and its own config checks, which ``config.validate_config``
-runs after the shared ones.  ``COLUMNS`` declares the report's columns
-once: ``rows_csv`` writes them, ``read_rows`` reads them back and
-``ReportRow.text`` formats them as a summary line.
+runs after the shared ones.  Runners and checks take (cfg, law); a runner
+returns its report rows and samples, and ``run_experiment`` builds its law,
+times it, hashes the manifest and keeps the samples only under
+``dump_samples``.  A mean over one replica has no stderr.  ``COLUMNS``
+declares the report's columns once: ``rows_csv`` writes them,
+``read_rows`` reads them back and ``ReportRow.text`` formats them as a
+summary line.
 """
 
 from __future__ import annotations
@@ -177,10 +181,10 @@ def _values(functional: str, batches, cfg: ExperimentConfig) -> np.ndarray:
                            for _, _, sums in batches])
 
 
-def _mean_row(name: str, values, single=None) -> ReportRow:
-    """The mean of values and its standard error (``single`` for one value)."""
+def _mean_row(name: str, values) -> ReportRow:
+    """The mean of values and its standard error (none for one value)."""
     m = len(values)
-    stderr = float(values.std(ddof=1) / math.sqrt(m)) if m > 1 else single
+    stderr = float(values.std(ddof=1) / math.sqrt(m)) if m > 1 else None
     return ReportRow(name=name, estimate=float(values.mean()), stderr=stderr)
 
 
@@ -207,34 +211,29 @@ def _check_steps_before(n: int, times) -> None:
         raise ConfigError(str(exc)) from None
 
 
-def _reference(cfg: ExperimentConfig):
+def _reference(cfg: ExperimentConfig, law):
     """The reference a distributional run judges against, as (mode, limit CDF
     or None): ``auto`` takes the closed form where one exists, else the
-    surrogate.  ConfigError where the mode asked for does not exist."""
+    surrogate.  ConfigError where the surrogate is needed but does not exist."""
     spec = _check_functional(cfg)
     if spec.at_t:
         _check_steps_before(cfg.n, [cfg.t])
     mode = cfg.reference
-    cdf = (spec.cdf(cfg, law_from_config(cfg))
-           if spec.cdf and mode in ("auto", "closed-form") else None)
-    if mode == "closed-form" and cdf is None:
-        raise ConfigError(f"functional {cfg.functional!r} has no closed-form reference; "
-                          "set reference = surrogate")
+    cdf = spec.cdf(cfg, law) if spec.cdf and mode == "auto" else None
     if mode == "auto" and cdf is None:
         mode = "surrogate"
     if mode == "surrogate" and not spec.surrogate:
         raise ConfigError(f"functional {cfg.functional!r} has no surrogate mode; "
-                          "set reference = closed-form or none")
+                          "set reference = auto or none")
     return mode, cdf
 
 
-def run_distributional(cfg: ExperimentConfig) -> Report:
+def run_distributional(cfg: ExperimentConfig, law):
     """Empirical CDF of a per-replica functional vs its limit law, one row per
     coordinate of a vector functional, judged by one-sample KS against the
     closed form or two-sample KS against the Brownian surrogate."""
-    law = law_from_config(cfg)
     spec = functionals.FUNCTIONALS[cfg.functional]
-    mode, cdf = _reference(cfg)
+    mode, cdf = _reference(cfg, law)
     n, m = cfg.n, cfg.replicas
     values = _values(cfg.functional, _walks(law, n, cfg.seed, m, cfg.functional),
                      cfg) / spec.scale(n, cfg.dim)
@@ -265,14 +264,13 @@ def run_distributional(cfg: ExperimentConfig) -> Report:
             row.passed = row.ks <= row.threshold
         else:
             row.note = "ks undefined for a single replica"
-    return _finish(cfg, rows, samples)
+    return rows, samples
 
 
-def _check_lln_sweep(cfg: ExperimentConfig) -> None:
+def _check_lln_sweep(cfg: ExperimentConfig, law) -> None:
     spec = _check_functional(cfg)
-    mu = law_from_config(cfg).mu
     try:
-        functionals.lln_reference(cfg.functional, mu, cfg.t)
+        functionals.lln_reference(cfg.functional, law.mu, cfg.t)
     except ValueError as exc:
         raise ConfigError(str(exc)) from None
     if not cfg.n_list:
@@ -285,11 +283,10 @@ def _check_lln_sweep(cfg: ExperimentConfig) -> None:
         _check_steps_before(cfg.n_list[0], [cfg.t])
 
 
-def run_lln_sweep(cfg: ExperimentConfig) -> Report:
+def run_lln_sweep(cfg: ExperimentConfig, law):
     """Per-n estimates of a first-order functional against its limit constant,
     one row per coordinate of a vector functional (``<functional>.x<i>@n=N``).
     The error trend compares the norms of the error vectors."""
-    law = law_from_config(cfg)
     reference = np.atleast_1d(functionals.lln_reference(cfg.functional, law.mu, cfg.t))
     names = _names(cfg.functional, len(reference))
     threshold = cfg.threshold if cfg.threshold > 0 else None
@@ -312,7 +309,7 @@ def run_lln_sweep(cfg: ExperimentConfig) -> Report:
     rows.append(ReportRow("error-trend", errors[-1], reference=errors[0],
                           passed=errors[-1] <= errors[0], threshold=errors[0],
                           note="error at largest n must not exceed the error at smallest n"))
-    return _finish(cfg, rows, samples)
+    return rows, samples
 
 
 def _com_samples(law, n: int, seed: int, m: int, ks) -> np.ndarray:
@@ -325,7 +322,7 @@ def _com_samples(law, n: int, seed: int, m: int, ks) -> np.ndarray:
     return out
 
 
-def _check_com_kernel(cfg: ExperimentConfig) -> None:
+def _check_com_kernel(cfg: ExperimentConfig, law) -> None:
     if not cfg.pairs:
         raise ConfigError("pairs must not be empty")
     for t1, t2 in cfg.pairs:
@@ -334,9 +331,8 @@ def _check_com_kernel(cfg: ExperimentConfig) -> None:
     _check_steps_before(cfg.n, [t for pair in cfg.pairs for t in pair])
 
 
-def run_com_kernel_check(cfg: ExperimentConfig) -> Report:
+def run_com_kernel_check(cfg: ExperimentConfig, law):
     """Empirical covariances of the scaled centre of mass vs the limit kernel."""
-    law = law_from_config(cfg)
     kernel = laws.ComKernel(laws.sqrt_psd(law.sigma))
     n, m, d = cfg.n, cfg.replicas, cfg.dim
     times = sorted({t for pair in cfg.pairs for t in pair})
@@ -376,10 +372,10 @@ def run_com_kernel_check(cfg: ExperimentConfig) -> Report:
             )
         )
     samples = {f"G@{t:g}": values[t][:, 0] if d == 1 else values[t] for t in times}
-    return _finish(cfg, rows, samples)
+    return rows, samples
 
 
-def _check_etemadi(cfg: ExperimentConfig) -> None:
+def _check_etemadi(cfg: ExperimentConfig, law) -> None:
     if not cfg.x_grid:
         raise ConfigError("x_grid must not be empty")
     if any(x < 0 for x in cfg.x_grid):
@@ -388,14 +384,13 @@ def _check_etemadi(cfg: ExperimentConfig) -> None:
         raise ConfigError("threshold does not apply to etemadi: it judges by the Wilson z")
 
 
-def run_etemadi(cfg: ExperimentConfig) -> Report:
+def run_etemadi(cfg: ExperimentConfig, law):
     """Falsification-only check of the maximal inequality on an x grid.
 
     Left side: P(max_j |S_j| >= 3x); right side: 3 max_j P(|S_j| >= x).
     A violation is flagged only when the 99% Wilson intervals separate
     (left lower bound above 3x the largest per-j upper bound).
     """
-    law = law_from_config(cfg)
     n, m = cfg.n, cfg.replicas
     xs = np.asarray(cfg.x_grid, dtype=float)
     left_counts = np.zeros(len(xs), dtype=np.int64)
@@ -427,19 +422,19 @@ def run_etemadi(cfg: ExperimentConfig) -> Report:
                 note="left P(max>=3x) vs 3 max_j P(>=x); threshold is the Wilson z",
             )
         )
-    return _finish(cfg, rows, {})
+    return rows, {}
 
 
-def _check_drift_volume(cfg: ExperimentConfig) -> None:
+def _check_drift_volume(cfg: ExperimentConfig, law) -> None:
     if cfg.dim < 2:
         raise ConfigError("dim must be >= 2 for hull-drift-volume")
-    if not cfg.mu or not any(x != 0.0 for x in cfg.mu):
+    if not law.mu.any():
         raise ConfigError("mu must be a nonzero drift for hull-drift-volume")
 
 
-def run_hull_drift_volume(cfg: ExperimentConfig) -> Report:
-    """Scaled hull volume of a drifting walk vs the time-space path surrogate."""
-    law = law_from_config(cfg)
+def run_hull_drift_volume(cfg: ExperimentConfig, law):
+    """Scaled hull volume of a drifting walk vs the time-space path surrogate.
+    The ratio has a stderr only where both sides have one."""
     mu = law.mu
     n, d = cfg.n, cfg.dim
     walk_vals = _values("volume", _walks(law, n, cfg.seed, cfg.replicas), cfg)[:, 0]
@@ -451,31 +446,32 @@ def run_hull_drift_volume(cfg: ExperimentConfig) -> Report:
     )
     surr_vals = _values("volume", _surrogates(walks.sample_tilde_bd, perp, 2048, cfg),
                         cfg)[:, 0]
-    walk = _mean_row("walk-side", walk_vals, 0.0)
-    vtilde = _mean_row("vtilde", surr_vals, 0.0)
+    walk = _mean_row("walk-side", walk_vals)
+    vtilde = _mean_row("vtilde", surr_vals)
     walk_mean, walk_se = walk.estimate, walk.stderr
     theory = det_factor * vtilde.estimate
-    theory_se = det_factor * vtilde.stderr
+    theory_se = None if vtilde.stderr is None else det_factor * vtilde.stderr
     rows = [walk, vtilde, ReportRow(name="theory-side", estimate=theory, stderr=theory_se)]
     ratio = ReportRow(name="ratio", reference=1.0, threshold=cfg.threshold or 0.15)
     if theory > 0.0 and walk_mean > 0.0:
         ratio.estimate = walk_mean / theory
-        ratio.stderr = ratio.estimate * math.sqrt(
-            (walk_se / walk_mean) ** 2 + (theory_se / theory) ** 2
-        )
+        if walk_se is not None and theory_se is not None:
+            ratio.stderr = ratio.estimate * math.sqrt(
+                (walk_se / walk_mean) ** 2 + (theory_se / theory) ** 2
+            )
         ratio.passed = abs(ratio.estimate - 1.0) <= ratio.threshold
     else:
         ratio.note = "undefined: a side is degenerate (zero volume)"
     rows.append(ratio)
-    return _finish(cfg, rows, {"walk-volume": walk_vals, "surrogate-volume": surr_vals})
+    return rows, {"walk-volume": walk_vals, "surrogate-volume": surr_vals}
 
 
 class Experiment(NamedTuple):
     """One experiment kind: its runner and its own config checks."""
 
-    run: Callable  # cfg -> Report
+    run: Callable  # (cfg, law) -> (report rows, samples: name -> values)
     needs_n: bool  # n must be >= 1
-    check: Callable  # cfg -> (ignored), raises ConfigError after the shared checks
+    check: Callable  # (cfg, law) -> (ignored), raises ConfigError after the shared checks
 
 
 EXPERIMENTS = {
@@ -488,14 +484,10 @@ EXPERIMENTS = {
 
 
 def run_experiment(cfg: ExperimentConfig) -> Report:
-    """Run a config that ``build_config`` returned."""
+    """Run a config that ``build_config`` returned on its law, timed; the
+    report keeps the samples only under ``dump_samples``."""
     start = time.perf_counter()
-    report = EXPERIMENTS[cfg.experiment].run(cfg)
-    report.runtime = time.perf_counter() - start
-    return report
-
-
-def _finish(cfg: ExperimentConfig, rows, samples) -> Report:
+    rows, samples = EXPERIMENTS[cfg.experiment].run(cfg, law_from_config(cfg))
     digest = hashlib.sha256(manifest_text(cfg).encode()).hexdigest()[:16]
-    return Report(experiment=cfg.experiment, rows=rows, seed=cfg.seed, config_hash=digest,
-                  runtime=0.0, samples=samples if cfg.dump_samples else {})
+    return Report(cfg.experiment, rows, cfg.seed, digest, time.perf_counter() - start,
+                  samples if cfg.dump_samples else {})

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from walklimits import csvio
-from walklimits.cli import _walk_config, _write_atomic, build_parser, main
+from walklimits.cli import _walk_run, _write_atomic, build_parser, main
 from walklimits.config import build_config, parse_text
 from walklimits.experiments import law_from_config
 from walklimits.functionals import ANY_DIM, FUNCTIONALS
@@ -205,8 +205,10 @@ def _traj_text(traj):
     ("rho-s", _traj_text(Trajectory(LINEAR, [0.0, 1.0], [0.0, 1.0])), "same kind"),
     ("rho-s-circ", _traj_text(Trajectory(LINEAR, [0.0, 1.0], [0.0, 1.0])), "same kind"),
     ("rho-s", "t,x1\n0.0,0.0\n1.0,1.0\n", "the first line must be '# kind = "),
+    ("rho-s", "# kind = piecewise-constant\n0.0,1.0\n0.5,0.0\n1.0,0.0\n",
+     "the second line must be t,x1"),
 ], ids=["no-rows", "nan", "inf", "no-values", "dimension", "kind-rho-s", "kind-rho-s-circ",
-        "no-kind-line"])
+        "no-kind-line", "no-header-line"])
 def test_metric_refuses_bad_trajectory_files(tmp_path, capsys, metric, g_text, match):
     from walklimits.fixtures import step_f
 
@@ -272,6 +274,19 @@ def test_manifest_records_every_walk_key_the_run_used(tmp_path, monkeypatch, arg
     (tmp_path / "points.csv").write_text("x1,x2\n0,0\n1,0\n0,1\n")
     assert main([*args, "--out", "run"]) == 0
     assert (tmp_path / "run" / "manifest.cfg").read_text() == manifest
+
+
+@pytest.mark.parametrize("flags", [["--dim", "0"], ["--law", "foo"], ["--mu", "1,0"],
+                                   ["--seed", "-1"]], ids=["dim", "law", "mu", "seed"])
+def test_hull_points_ignores_the_walk_flags(tmp_path, monkeypatch, flags):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "points.csv").write_text("x1,x2\n0,0\n1,0\n0,1\n")
+    assert main(["hull", "--points", "points.csv", "--out", "plain"]) == 0
+    assert main(["hull", "--points", "points.csv", *flags, "--out", "flags"]) == 0
+    for name in ("vertices.csv", "body.off", "hull_report.csv", "manifest.cfg"):
+        assert (tmp_path / "flags" / name).read_bytes() == (tmp_path / "plain" / name).read_bytes()
+    assert main(["hull", "--points", "points.csv", "--directions", "0", "--out", "x"]) == 2
+    assert not (tmp_path / "x").exists()
 
 
 def test_hull_subcommand_reports_exact_volume_in_d4(tmp_path):
@@ -526,14 +541,14 @@ def test_law_table_builds_the_same_law_from_config_and_cli(tmp_path, kind):
                                   "sigma = 1,0;0,1\nn = 6\nx_grid = 1\nseed = 4\n"))
     args = build_parser().parse_args(["simulate", "--law", kind, "--dim", "2", "--mu", mu,
                                       "--n", "6", "--seed", "4", "--out", str(tmp_path)])
-    from_cli = law_from_config(_walk_config(args))
+    _, from_cli, walk = _walk_run(args)
     from_cfg = law_from_config(cfg)
     assert from_cli.kind == from_cfg.kind == kind
     assert np.array_equal(from_cli.mu, from_cfg.mu)
     assert np.array_equal(from_cli.sigma, from_cfg.sigma)
+    assert np.array_equal(walk.sums, sample_walk(from_cfg, 6, 4).sums)
     assert main(["simulate", "--law", kind, "--dim", "2", "--mu", mu, "--n", "6",
                  "--seed", "4", "--out", str(tmp_path)]) == 0
-    walk = sample_walk(from_cfg, 6, 4)
     assert (tmp_path / "walk.csv").read_text() == "".join(csvio.walk_blocks(walk))
 
 

@@ -42,6 +42,8 @@ KIND_CASES = [
      "t too small"),
     # its rows' threshold is the Wilson z, whatever the config says
     ("etemadi", ["threshold=0.5"], "threshold"),
+    # closed-form is not a reference mode: auto takes the closed form where one exists
+    ("com-kernel", ["reference=closed-form"], "unknown value for reference"),
 ]
 
 

@@ -107,23 +107,6 @@ def test_zero_mean_law_rejects_drift():
     assert cfg.mu == (0.0,)
 
 
-def test_distributional_reference_unavailable_without_surrogate():
-    # rejected when the config is built, not when it runs
-    with pytest.raises(ConfigError, match="no closed-form reference"):
-        _cfg(
-            """
-experiment = distributional
-functional = diameter
-law = rademacher
-dim = 2
-n = 64
-replicas = 20
-seed = 3
-reference = closed-form
-"""
-        )
-
-
 def test_distributional_arcsine_has_no_surrogate_mode():
     with pytest.raises(ConfigError, match="no surrogate mode"):
         _cfg(MAX_CFG, ["functional=arcsine", "reference=surrogate"])
@@ -329,14 +312,13 @@ def _accepted(grid):
 LAW_NAMES = ("rademacher", "gaussian", "deterministic")
 
 # every functional in every reference mode, d = 1..3, three laws, and an n, t
-# pair with floor(n t) = 8 or 0: build_config rejects 237 of the 504 and every
-# other one runs (before the reference checks moved to build time,
-# build_config let 384 through and 117 of those raised in run_experiment)
+# pair with floor(n t) = 8 or 0: build_config rejects 135 of the 378 and every
+# other one runs
 DISTRIBUTIONAL_GRID = [
     (("functional", f), ("reference", ref), ("dim", d), ("law", law), ("n", n), ("t", t),
      ("replicas", 3))
     for f, ref, d, law, (n, t) in itertools.product(
-        sorted(functionals.FUNCTIONALS), ("auto", "closed-form", "surrogate", "none"),
+        sorted(functionals.FUNCTIONALS), ("auto", "surrogate", "none"),
         (1, 2, 3), LAW_NAMES, ((8, 1.0), (4, 0.2)))]
 
 # every functional, d = 1..3, three laws (a drift where the law allows one)
@@ -349,7 +331,7 @@ LLN_GRID = [
         sorted(functionals.FUNCTIONALS), (1, 2, 3), LAW_NAMES, (1.0, 0.5))]
 
 
-@pytest.mark.parametrize("grid,accepted", [(DISTRIBUTIONAL_GRID, 267), (LLN_GRID, 48)],
+@pytest.mark.parametrize("grid,accepted", [(DISTRIBUTIONAL_GRID, 243), (LLN_GRID, 48)],
                          ids=["distributional", "lln-sweep"])
 def test_every_config_build_config_accepts_runs(grid, accepted):
     configs = _accepted(grid)
@@ -694,6 +676,16 @@ def test_builtin_report_is_byte_identical(name):
     overrides, digest = BUILTIN_REPORT_PINS[name]
     report = run_experiment(_cfg(BUILTIN_CONFIGS[name], overrides))
     assert hashlib.sha256(report.csv_text().encode()).hexdigest().startswith(digest)
+
+
+# etemadi's rows carry the binomial sqrt(p (1 - p) / m), which is defined at m = 1
+@pytest.mark.parametrize("name", sorted(name for name, text in BUILTIN_CONFIGS.items()
+                                        if "experiment = etemadi" not in text))
+def test_one_replica_leaves_every_stderr_empty(name):
+    size = "n_list=16,64" if "n_list" in BUILTIN_CONFIGS[name] else "n=64"
+    report = run_experiment(_cfg(BUILTIN_CONFIGS[name], ["replicas=1", size]))
+    assert [row.stderr for row in report.rows] == [None] * len(report.rows)
+
 
 def _arcsine_reshape(sums):
     """The arcsine functional as first written: one (b n, d) reshape of the batch."""

@@ -1,3 +1,6 @@
+import contextlib
+import hashlib
+import io
 import os
 import stat
 import subprocess
@@ -287,6 +290,43 @@ def test_hull_points_ignores_the_walk_flags(tmp_path, monkeypatch, flags):
         assert (tmp_path / "flags" / name).read_bytes() == (tmp_path / "plain" / name).read_bytes()
     assert main(["hull", "--points", "points.csv", "--directions", "0", "--out", "x"]) == 2
     assert not (tmp_path / "x").exists()
+
+
+HULL_POINTS = {
+    "point": "x1,x2\n0.5,-1.25\n",
+    "segment-d2": "x1,x2\n0.1,0.2\n-0.3,-0.6\n0.7,1.4\n0.0,0.0\n",
+    "segment-d3": "x1,x2,x3\n0.1,0.2,-0.3\n1.0,2.0,-3.0\n-0.5,-1.0,1.5\n0.0,0.0,0.0\n",
+    "square-d3": "x1,x2,x3\n0,0,1\n1,0,1\n1,1,1\n0,1,1\n0.5,0.5,1\n0.25,0.75,1\n",
+    "triangle-d4": "x1,x2,x3,x4\n0,0,0,0\n1,0,2,0\n0,1,0,-1\n0.2,0.3,0.4,-0.3\n",
+}
+
+# sha256 prefixes of (vertices.csv, body.off, hull_report.csv): Gaussian walks
+# of 2000 steps (seed 7) in d = 1-4, and the HULL_POINTS files
+HULL_PINS = {
+    "walk-d1": ("a5520012a7d1c281", "1b3cb0f41fa437f8", "b17c7831d1fd4c96"),
+    "walk-d2": ("d9a3df609f43d57e", "ecfb827b4f41d5ce", "d61ae85f57748e69"),
+    "walk-d3": ("eeba0d2fcb854695", "69d78580120bc5fb", "444886fca725bf87"),
+    "walk-d4": ("2b33fbd0e15404f3", "24d69d7afdf57a9a", "fcc3c16b9283112f"),
+    "point": ("f2feebe71ce88ec0", "8b3b9285d938827b", "05823aa865129c23"),
+    "segment-d2": ("f7cdf6de1102f4e9", "d84e60f6e77c795e", "9e25519cdc9c8669"),
+    "segment-d3": ("163e03af8f99c16d", "957067c26fc3bb44", "747ef4a8e2185591"),
+    "square-d3": ("baeb3d9c1d5e6fe9", "219d02c659504099", "194ba41b5604ee7c"),
+    "triangle-d4": ("13142c3881685ac7", "0f7db7717cd2656f", "4abbf7881f3667e8"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(HULL_PINS))
+def test_hull_outputs_are_byte_identical(tmp_path, monkeypatch, name):
+    monkeypatch.chdir(tmp_path)
+    if name in HULL_POINTS:
+        (tmp_path / "points.csv").write_text(HULL_POINTS[name])
+        args = ["--points", "points.csv"]
+    else:
+        args = ["--law", "gaussian", "--dim", name[-1], "--n", "2000", "--seed", "7"]
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert main(["hull", *args, "--out", "run"]) == 0
+    assert tuple(hashlib.sha256((tmp_path / "run" / f).read_bytes()).hexdigest()[:16]
+                 for f in ("vertices.csv", "body.off", "hull_report.csv")) == HULL_PINS[name]
 
 
 def test_hull_subcommand_reports_exact_volume_in_d4(tmp_path):

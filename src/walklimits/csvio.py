@@ -11,8 +11,10 @@ Schemas (UTF-8, comma separated, one header line):
 
 The OFF-like facet dump starts with the literal line 'OFF', then
 '<vertices> <faces> 0', the vertex coordinate lines, and one face line per
-facet ('<count> i j k ...', indices into the vertex list).  A planar body
-(d = 2, or a flat polygon in d >= 3) dumps its polygon loop as one face.
+face row of the body ('<count> i j k ...', its ``faces`` row of indices
+into the vertex list, as the hull builder made it): the facet triangles of
+a full d = 3 hull, one counter-clockwise loop for a polygon (d = 2, or a
+flat polygon in d >= 3), no face otherwise.
 
 The O(n) writers (walk, trajectory, samples) are ``*_blocks`` generators
 that format a few thousand rows at a time, so a long walk is streamed to
@@ -100,18 +102,9 @@ def vertices_csv(body: ConvexBody) -> str:
 
 
 def off_text(body: ConvexBody) -> str:
-    verts = body.vertices
-    faces: list[list[int]] = []
-    if body.dim == 3 and body.faces is not None:
-        index = {tuple(v): i for i, v in enumerate(map(tuple, verts))}
-        for tri in body.faces:  # qhull's simplices index only its vertices
-            faces.append([index[tuple(p)] for p in tri])
-    elif body.loop is not None and len(body.loop) >= 2:
-        index = {tuple(v): i for i, v in enumerate(map(tuple, verts))}
-        faces.append([index[tuple(p)] for p in body.loop])
-    lines = ["OFF", f"{len(verts)} {len(faces)} 0"]
-    for row in _floats(verts):
+    lines = ["OFF", f"{len(body.vertices)} {len(body.faces)} 0"]
+    for row in _floats(body.vertices):
         lines.append(" ".join(map(repr, row)))
-    for face in faces:
+    for face in body.faces.tolist():
         lines.append(str(len(face)) + " " + " ".join(map(str, face)))
     return "\n".join(lines) + "\n"

@@ -1,15 +1,16 @@
 """Point-set and convex-body geometry: hulls, Hausdorff distance, functionals.
 
 Every hull with d >= 2 is built by qhull: counter-clockwise vertex loops in
-the plane, facet triangles in d = 3, halfspaces in every d.  A large planar
-input first drops the points that the hull of a subsample proves interior
-(``_screen``); they cannot be vertices, and in the plane every output is a
-function of the vertex set, so the screen changes no output.  Volume and
-surface area are exact in every dimension: shoelace area and perimeter in
-d = 2 (plus the Steiner formula), tetrahedron and facet-triangle sums in
-d = 3, qhull's volume and facet areas above.  Flat bodies are legal and are
-built in coordinates of their affine hull; like every body they carry
-halfspaces, so one membership test serves them all.  Only the mean width,
+the plane, facet triangles (as vertex-index rows) in d = 3, halfspaces in
+every d.  A large planar input first drops the points that the hull of a
+subsample proves interior (``_screen``); they cannot be vertices, and in the
+plane every output is a function of the vertex set, so the screen changes
+no output.  Each builder stores the body's exact volume and surface area
+with it: shoelace area and perimeter in d = 2 (plus the Steiner formula),
+tetrahedron and facet-triangle sums in d = 3, the volume and facet areas of
+the build's own qhull run above, so no measure runs qhull again.  Flat
+bodies are legal and are built in coordinates of their affine hull; like
+every body they carry halfspaces, so one membership test serves them all.  Only the mean width,
 a sphere integral of the support function, is a quadrature (one formula in
 every d: trapezoid rule in d = 2, quasi-random sphere points above).
 ``ConvexBody.contains``, which validates every hull in d <= 3, sets whole
@@ -137,26 +138,28 @@ _CERTIFY_POINTS = 8192
 
 @dataclass(frozen=True)
 class ConvexBody:
-    """A convex hull: extreme points plus an exact support evaluator.
+    """A convex hull as its builder computed it, measures included.
 
-    ``loop`` orders the vertices counter-clockwise in d = 2, starting at the
-    lexicographically smallest one (two entries for a degenerate segment),
-    and around a flat polygon in d >= 3;
-    ``faces`` holds facet triangles in d = 3; ``normals``/``offsets`` give
-    the halfspace form A x <= b of every body ``convex_hull`` builds, flat
-    ones too (``_hull_degenerate``).  ``flat_area`` carries the
-    (d-1)-volume of a flat body of rank d - 1 in d >= 3 (the in-plane area
-    of a flat polygon in d = 3).
+    ``vertices`` are an exact subset of the input; in d = 2, and around a
+    flat polygon in d >= 3, they run counter-clockwise from the
+    lexicographically smallest (two for a degenerate segment).
+    ``normals``/``offsets`` give the halfspace form A x <= b of every body,
+    flat ones too (``_hull_degenerate``).  ``volume`` and ``surface_area``
+    are the exact measures, fixed at build.  ``faces`` holds rows of vertex
+    indices: the facet triangles of a full d = 3 hull, one row ``arange(k)``
+    for a polygon of k >= 2 vertices, none for any other body.
     """
 
-    dim: int
     vertices: np.ndarray
-    loop: np.ndarray | None = None
-    faces: np.ndarray | None = None
-    normals: np.ndarray | None = None
-    offsets: np.ndarray | None = None
-    flat_area: float | None = None
-    degenerate: bool = False
+    normals: np.ndarray
+    offsets: np.ndarray
+    volume: float
+    surface_area: float
+    faces: np.ndarray
+
+    @property
+    def dim(self) -> int:
+        return self.vertices.shape[1]
 
     def support_many(self, dirs: np.ndarray) -> np.ndarray:
         return np.max(dirs @ self.vertices.T, axis=1)
@@ -241,6 +244,15 @@ def _polygon_area(loop: np.ndarray) -> float:
     return 0.5 * float(np.abs(np.dot(x, _next(y)) - np.dot(y, _next(x))))
 
 
+def _perimeter(loop: np.ndarray) -> float:
+    return float(np.linalg.norm(_next(loop) - loop, axis=1).sum())
+
+
+# the faces of a body that is neither a full d = 3 hull nor a polygon
+_NO_FACES = np.zeros((0, 0), dtype=np.intp)
+_NO_FACES.setflags(write=False)
+
+
 def convex_hull(points, validate: bool = True) -> ConvexBody:
     """Convex hull of a point set; degenerate (flat) hulls are legal.
 
@@ -254,13 +266,8 @@ def convex_hull(points, validate: bool = True) -> ConvexBody:
     if d == 1:
         lo, hi = float(pts.min()), float(pts.max())
         verts = np.array([[lo]]) if lo == hi else np.array([[lo], [hi]])
-        return ConvexBody(
-            dim=1,
-            vertices=verts,
-            normals=np.array([[1.0], [-1.0]]),
-            offsets=np.array([hi, -lo]),
-            degenerate=lo == hi,
-        )
+        return ConvexBody(verts, np.array([[1.0], [-1.0]]), np.array([hi, -lo]),
+                          hi - lo, 2.0, _NO_FACES)
     body = _hull_nd(pts, d)
     if validate and d <= 3 and not bool(np.all(body.contains(pts, 1e-9))):
         raise AssertionError("hull does not contain an input point")
@@ -307,12 +314,9 @@ def _screen(pts: np.ndarray) -> np.ndarray:
         inner = _QHull(pts[::_SCREEN_STRIDE])
     except QhullError:
         return pts
-    body = ConvexBody(
-        dim=2,
-        vertices=inner.points[inner.vertices],
-        normals=inner.equations[:, :2],
-        offsets=-inner.equations[:, 2],
-    )
+    body = ConvexBody(inner.points[inner.vertices], inner.equations[:, :2],
+                      -inner.equations[:, 2], float(inner.volume), float(inner.area),
+                      np.arange(len(inner.vertices))[None])
     scale = max(-inner.min_bound.min(), inner.max_bound.max())
     keep = ~body.contains(pts, -_SCREEN_MARGIN * scale)
     keep[inner.vertices.astype(np.intp) * _SCREEN_STRIDE] = True
@@ -325,15 +329,22 @@ def _hull_nd(pts: np.ndarray, d: int) -> ConvexBody:
         q = _QHull(src)
     except QhullError:
         return _hull_degenerate(pts, d)
-    verts = src[_ccw_loop(q) if d == 2 else q.vertices]
-    return ConvexBody(
-        dim=d,
-        vertices=verts,
-        loop=verts if d == 2 else None,
-        faces=src[q.simplices] if d == 3 else None,
-        normals=q.equations[:, :-1],
-        offsets=-q.equations[:, -1],
-    )
+    normals, offsets = q.equations[:, :-1], -q.equations[:, -1]
+    if d == 2:
+        verts = src[_ccw_loop(q)]
+        return ConvexBody(verts, normals, offsets, _polygon_area(verts), _perimeter(verts),
+                          np.arange(len(verts))[None])
+    verts = src[q.vertices]
+    if d > 3:
+        return ConvexBody(verts, normals, offsets, float(q.volume), float(q.area), _NO_FACES)
+    # qhull lists vertices in input order for d >= 3, so they index its simplices
+    faces = np.searchsorted(q.vertices, q.simplices)
+    tri = verts[faces]
+    a, b, c = tri[:, 0], tri[:, 1], tri[:, 2]
+    centroid = verts.mean(axis=0)
+    tetra = np.einsum("ij,ij->i", a - centroid, np.cross(b - centroid, c - centroid))
+    return ConvexBody(verts, normals, offsets, float(np.abs(tetra).sum() / 6.0),
+                      float(0.5 * np.linalg.norm(np.cross(b - a, c - a), axis=1).sum()), faces)
 
 
 def _hull_degenerate(pts: np.ndarray, d: int) -> ConvexBody:
@@ -341,7 +352,11 @@ def _hull_degenerate(pts: np.ndarray, d: int) -> ConvexBody:
 
     Its halfspaces are the in-plane facets (qhull's, or +-u for a segment)
     lifted back through the SVD basis, and both sides of each normal of the
-    affine hull, all taken through the centre the SVD used.
+    affine hull, all taken through the centre the SVD used.  Its volume is 0;
+    its surface area counts both sides of a flat boundary: the perimeter of
+    the loop in the plane, twice the in-plane volume at rank d - 1 >= 2, and
+    0 for a flatter body, whose eps-neighbourhood has no term linear in eps
+    (Steiner's formula).
     """
     base = pts.mean(axis=0)
     centered = pts - base
@@ -350,7 +365,7 @@ def _hull_degenerate(pts: np.ndarray, d: int) -> ConvexBody:
     rank = int(np.sum(sv > 1e-9 * scale))
     basis = vt[:rank]
     flat = centered @ basis.T
-    flat_area = None
+    area = 0.0
     if rank == 0:
         idx = [0]
         facets = np.zeros((0, 1))
@@ -363,18 +378,18 @@ def _hull_degenerate(pts: np.ndarray, d: int) -> ConvexBody:
         idx = _ccw_loop(q) if rank == 2 else q.vertices
         facets = q.equations
         if rank == d - 1:
-            flat_area = float(q.volume)
+            area = 2.0 * float(q.volume)
     off = np.linalg.qr(basis.T, mode="complete")[0][:, rank:].T
     normals = np.vstack([facets[:, :-1] @ basis, off, -off])
     verts = pts[idx]
+    polygon = (d == 2 or rank == 2) and len(verts) >= 2
     return ConvexBody(
-        dim=d,
-        vertices=verts,
-        loop=verts if d == 2 or rank == 2 else None,
-        normals=normals,
-        offsets=normals @ base - np.concatenate([facets[:, -1], np.zeros(2 * len(off))]),
-        flat_area=flat_area,
-        degenerate=True,
+        verts,
+        normals,
+        normals @ base - np.concatenate([facets[:, -1], np.zeros(2 * len(off))]),
+        0.0,
+        _perimeter(verts) if d == 2 else area,
+        np.arange(len(verts))[None] if polygon else _NO_FACES,
     )
 
 
@@ -495,57 +510,22 @@ def mean_width(body: ConvexBody, directions: int = 4096) -> float:
     return float(body.support_many(dirs).mean() * sphere_area(body.dim))
 
 
-def _perimeter(loop: np.ndarray) -> float:
-    return float(np.linalg.norm(_next(loop) - loop, axis=1).sum())
-
-
 def surface_area(body: ConvexBody) -> float:
-    """Exact boundary measure: perimeter (d = 2), facet-triangle sum (d = 3),
-    qhull's facet-area sum (d >= 4).
-
-    A flat body of rank d - 1 returns twice its (d-1)-volume (both sides of
-    the degenerate surface): a segment of length L in the plane gives 2L, a
-    flat polygon in d = 3 twice its area.  A flatter body gives 0 in every d:
-    its eps-neighbourhood has no term linear in eps (Steiner's formula).
+    """Exact boundary measure, fixed when the hull was built: 2 in d = 1,
+    perimeter (d = 2), facet-triangle sum (d = 3), qhull's facet-area sum of
+    the build's own run (d >= 4); a flat body counts both sides of its
+    boundary (``_hull_degenerate``): a segment of length L in the plane
+    gives 2L, a flat polygon in d = 3 twice its area.
     """
-    d = body.dim
-    if d == 1:
-        return 2.0
-    if d == 2:
-        if len(body.vertices) == 1:
-            return 0.0
-        return _perimeter(body.loop)
-    if body.degenerate:
-        if body.flat_area is not None:
-            return 2.0 * body.flat_area
-        return 0.0
-    if d == 3:
-        a, b, c = body.faces[:, 0], body.faces[:, 1], body.faces[:, 2]
-        cross = np.cross(b - a, c - a)
-        return float(0.5 * np.linalg.norm(cross, axis=1).sum())
-    return float(_QHull(body.vertices).area)
+    return body.surface_area
 
 
 def volume(body: ConvexBody) -> float:
-    """Exact d-dimensional volume in every d (0 for degenerate bodies).
-
-    Shoelace in d = 2, tetrahedra over the facet triangles in d = 3, qhull's
-    volume in d >= 4.
+    """Exact d-dimensional volume, fixed when the hull was built: length in
+    d = 1, shoelace in d = 2, tetrahedra over the facet triangles in d = 3,
+    qhull's volume of the build's own run in d >= 4, 0 for a flat body.
     """
-    d = body.dim
-    if d == 1:
-        return float(body.vertices.max() - body.vertices.min())
-    if body.degenerate:
-        return 0.0
-    if d == 2:
-        return _polygon_area(body.loop)
-    if d == 3:
-        centroid = body.vertices.mean(axis=0)
-        a = body.faces[:, 0] - centroid
-        b = body.faces[:, 1] - centroid
-        c = body.faces[:, 2] - centroid
-        return float(np.abs(np.einsum("ij,ij->i", a, np.cross(b, c))).sum() / 6.0)
-    return float(_QHull(body.vertices).volume)
+    return body.volume
 
 
 def steiner_neighborhood_volume(body: ConvexBody, eps: float) -> float:

@@ -306,7 +306,7 @@ HULL_PINS = {
     "walk-d1": ("a5520012a7d1c281", "1b3cb0f41fa437f8", "b17c7831d1fd4c96"),
     "walk-d2": ("d9a3df609f43d57e", "ecfb827b4f41d5ce", "d61ae85f57748e69"),
     "walk-d3": ("eeba0d2fcb854695", "69d78580120bc5fb", "444886fca725bf87"),
-    "walk-d4": ("2b33fbd0e15404f3", "24d69d7afdf57a9a", "fcc3c16b9283112f"),
+    "walk-d4": ("2b33fbd0e15404f3", "24d69d7afdf57a9a", "718d3c232bfa1601"),
     "point": ("f2feebe71ce88ec0", "8b3b9285d938827b", "05823aa865129c23"),
     "segment-d2": ("f7cdf6de1102f4e9", "d84e60f6e77c795e", "9e25519cdc9c8669"),
     "segment-d3": ("163e03af8f99c16d", "957067c26fc3bb44", "747ef4a8e2185591"),
@@ -610,7 +610,8 @@ def test_csv_rows_match_per_element_repr():
     for values in (SPECIAL_ROWS, np.arange(3), [True, 2, 0.5]):
         assert "".join(csvio.samples_blocks(values)).splitlines()[1:] == [
             f"{i},{_per_element_row([v])}" for i, v in enumerate(np.ravel(values))]
-    body = ConvexBody(dim=3, vertices=SPECIAL_ROWS)
+    body = ConvexBody(vertices=SPECIAL_ROWS, normals=None, offsets=None, volume=0.0,
+                      surface_area=0.0, faces=np.zeros((0, 3), dtype=int))
     assert csvio.vertices_csv(body).splitlines()[1:] == [_per_element_row(r) for r in SPECIAL_ROWS]
     assert csvio.off_text(body).splitlines()[2:] == [
         _per_element_row(r, " ") for r in SPECIAL_ROWS]

@@ -36,7 +36,7 @@ def _polygon(rng, m=12, scale=1.0, shift=(0.0, 0.0)):
 
 def _point_to_polygon(p, body):
     # independent point-to-convex-polygon distance via edges
-    loop = body.loop
+    loop = body.vertices
     if len(loop) == 1:
         return float(np.linalg.norm(p - loop[0]))
     best = math.inf
@@ -51,8 +51,8 @@ def _point_to_polygon(p, body):
 
 
 def _body_hausdorff(a, b):
-    d1 = max(_point_to_polygon(v, b) for v in a.loop)
-    d2 = max(_point_to_polygon(v, a) for v in b.loop)
+    d1 = max(_point_to_polygon(v, b) for v in a.vertices)
+    d2 = max(_point_to_polygon(v, a) for v in b.vertices)
     return max(d1, d2)
 
 
@@ -86,9 +86,8 @@ def test_hull_square_with_centre():
 
 def test_hull_collinear_degenerates_to_segment():
     body = convex_hull([[0.0, 0.0], [1.0, 1.0], [2.0, 2.0], [0.5, 0.5]])
-    assert body.degenerate
-    assert len(body.vertices) == 2
     assert volume(body) == 0.0
+    assert len(body.vertices) == 2
     assert surface_area(body) == pytest.approx(2.0 * math.sqrt(8.0))
 
 
@@ -155,13 +154,13 @@ def test_hull_loop_matches_monotone_chain(law):
     for n in (5, 50, 2000):
         for seed in range(12):
             sums = sample_walk(law, n, seed).sums
-            assert np.array_equal(convex_hull(sums).loop, _chain_oracle(sums)), (n, seed)
+            assert np.array_equal(convex_hull(sums).vertices, _chain_oracle(sums)), (n, seed)
 
 
 def test_hull_collinear_loop_starts_lexicographically():
     pts = np.array([[2.0, 2.0], [0.0, 0.0], [1.0, 1.0], [-1.0, -1.0]])
-    assert np.array_equal(convex_hull(pts).loop, [[-1.0, -1.0], [2.0, 2.0]])
-    assert np.array_equal(convex_hull(pts[[1, 1]]).loop, [[0.0, 0.0]])
+    assert np.array_equal(convex_hull(pts).vertices, [[-1.0, -1.0], [2.0, 2.0]])
+    assert np.array_equal(convex_hull(pts[[1, 1]]).vertices, [[0.0, 0.0]])
 
 
 def test_hull_requires_points():
@@ -319,11 +318,38 @@ def test_volume_and_area_exact_in_d4():
     assert surface_area(cross) == pytest.approx(16.0 / 3.0, rel=1e-12)
 
 
+@pytest.mark.parametrize("d,n", [(4, 2000), (5, 500)])
+def test_measures_in_high_d_come_from_the_one_qhull_run(monkeypatch, d, n):
+    from scipy.spatial import ConvexHull as QHullOracle
+
+    pts = sample_walk(gaussian(np.zeros(d), np.eye(d)), n, 11).sums
+    runs = []
+
+    def counted(p):
+        runs.append(len(p))
+        return QHullOracle(p)
+
+    monkeypatch.setattr(geometry, "_QHull", counted)
+    body = convex_hull(pts)
+    measures = volume(body), surface_area(body)
+    assert runs == [len(pts)]
+    oracle = QHullOracle(pts)
+    assert measures == (oracle.volume, oracle.area)
+
+
+def test_d3_faces_index_the_vertices_as_qhull_gave_them():
+    from scipy.spatial import ConvexHull as QHullOracle
+
+    pts = sample_walk(gaussian(np.zeros(3), np.eye(3)), 2000, 12).sums
+    body = convex_hull(pts)
+    assert np.array_equal(body.vertices[body.faces], pts[QHullOracle(pts).simplices])
+
+
 @pytest.mark.parametrize("d,area", [(2, 4.0), (3, 0.0), (4, 0.0)])
 def test_segment_surface_area_is_doubled_length_only_in_the_plane(d, area):
     # a segment of length 2 has rank 1: d - 1 only in the plane
     body = convex_hull(np.vstack([np.zeros(d), 2.0 * np.eye(d)[0]]), validate=False)
-    assert body.degenerate
+    assert volume(body) == 0.0
     assert surface_area(body) == area
 
 
@@ -332,9 +358,8 @@ def test_flat_d4_body_has_doubled_facet_area(rng):
     box = np.array([[a, b, c, 0.0] for a in (0, 1) for b in (0, 2) for c in (0, 3)])
     rot, _ = np.linalg.qr(rng.normal(size=(4, 4)))
     body = convex_hull(box @ rot.T, validate=False)
-    assert body.degenerate
-    assert len(body.vertices) == 8
     assert volume(body) == 0.0
+    assert len(body.vertices) == 8
     assert surface_area(body) == pytest.approx(12.0, rel=1e-9)
     assert surface_area(convex_hull(box[:, [0, 1, 3, 3]], validate=False)) == 0.0
 
@@ -447,7 +472,7 @@ def test_flat_hull_validation_memory_is_bounded():
             peaks.append(tracemalloc.get_traced_memory()[1])
         finally:
             tracemalloc.stop()
-    assert body.degenerate and body.flat_area > 0.0
+    assert volume(body) == 0.0 and surface_area(body) > 0.0
     assert peaks[1] - peaks[0] < 4 * 2**20
 
 
@@ -479,7 +504,7 @@ def test_flat_membership_in_blocks_equals_the_whole_array_form(sigma):
     n = geometry._CONTAINS_CELLS // 3 + 5000
     pts = sample_walk(gaussian([0.0, 0.0, 0.0], sigma), n, 8).sums
     body = convex_hull(pts[:1000] if sigma.any() else pts[:1])
-    assert body.degenerate
+    assert volume(body) == 0.0
     probe = np.vstack([pts, pts[::7] + [0.0, 0.0, 1e-6], pts[::5] * 1.5,
                        np.full((3, 3), np.nan)])
     for tol in (1e-9, -1e-9):
@@ -511,7 +536,7 @@ def test_flat_membership_slack_is_tol_along_each_normal(local, r, tol):
     rot = np.linalg.qr(rng.normal(size=(d, d)))[0]
     shift = rng.normal(size=d)
     body = convex_hull(local @ rot.T + shift)
-    assert body.degenerate
+    assert volume(body) == 0.0
     hi = local.max(axis=0)[:r]
 
     def probe(inplane, off):
@@ -677,7 +702,7 @@ def _unscreened(monkeypatch, pts):
 
 def _assert_same_hull(body, ref):
     assert np.array_equal(body.vertices, ref.vertices)
-    assert np.array_equal(body.loop, ref.loop)
+    assert np.array_equal(body.vertices, ref.vertices)
     assert volume(body) == volume(ref)
     assert surface_area(body) == surface_area(ref)
 
@@ -724,7 +749,7 @@ def test_collinear_walk_reaches_the_flat_hull_with_every_point(monkeypatch):
 
     monkeypatch.setattr(geometry, "_hull_degenerate", flat)
     body = convex_hull(pts)
-    assert seen == [len(pts)] and body.degenerate and len(body.loop) == 2
+    assert seen == [len(pts)] and volume(body) == 0.0 and len(body.vertices) == 2
 
 
 def test_flat_inner_polygon_leaves_every_point_to_qhull(monkeypatch):

@@ -7,9 +7,10 @@ semicolon-separated matrix rows (``sigma = 4,0;0,1``), comma-separated
 integer or float lists (``n_list = 1000,10000``) and colon pairs
 (``pairs = 0.5:1,1:1``).  Each ``ExperimentConfig`` field carries its key's
 codec, so a key is declared once, with its default, its type and, for a
-number, its range [lo, hi], which ``validate_walk`` checks.  Unknown
-keys are rejected.  Overrides apply after the file parse and before
-validation.  The manifest an ``experiment`` run writes is itself a valid
+number, its range [lo, hi], which ``validate_walk`` checks: every number the
+key holds, a scalar or inside a vector, matrix, list or pair, must be finite
+and lie in it.  Unknown keys are rejected.  Overrides apply after the file
+parse and before validation.  The manifest an ``experiment`` run writes is itself a valid
 config that reproduces the run; ``simulate`` and ``hull`` manifests carry
 ``subcommand`` (and ``kind`` or ``points``) keys, which are rejected, then
 each walk key the run used, written by its codec, so they are records, not
@@ -84,7 +85,8 @@ PAIRS = Codec(_tuple(_pair),
 
 
 def _key(default, codec: Codec, lo=None, hi=math.inf):
-    """A key's default and codec, and for a number key its range [lo, hi]."""
+    """A key's default and codec, and for a number key the range [lo, hi]
+    that every number it holds must lie in, finite (lo = -inf: finite only)."""
     return field(default=default, metadata={"codec": codec, "range": (lo, hi)})
 
 
@@ -96,15 +98,15 @@ class ExperimentConfig:
     functional: str = _key("", STR)
     law: str = _key("rademacher", STR)
     dim: int = _key(1, INT, 1)
-    mu: tuple = _key((), VECTOR)
-    sigma: tuple = _key((), MATRIX)
+    mu: tuple = _key((), VECTOR, -math.inf)
+    sigma: tuple = _key((), MATRIX, -math.inf)
     n: int = _key(0, INT)
-    n_list: tuple = _key((), INT_LIST)
+    n_list: tuple = _key((), INT_LIST, 1)
     replicas: int = _key(1, INT, 1)
     seed: int = _key(0, INT, 0)
     t: float = _key(1.0, FLOAT, 0, 1)
-    pairs: tuple = _key((), PAIRS)
-    x_grid: tuple = _key((), VECTOR)
+    pairs: tuple = _key((), PAIRS, 0, 1)
+    x_grid: tuple = _key((), VECTOR, 0)
     directions: int = _key(512, INT, 1)
     reference: str = _key("auto", STR)
     surrogate_grid: int = _key(0, INT, 0)
@@ -159,6 +161,11 @@ def build_config(raw: dict[str, str], overrides: list[str] | None = None) -> Exp
     return cfg
 
 
+def _numbers(value) -> list:
+    """A number key's value as its numbers: itself, or those in its tuples."""
+    return [x for item in value for x in _numbers(item)] if isinstance(value, tuple) else [value]
+
+
 def validate_walk(cfg: ExperimentConfig) -> None:
     """The checks every walk run shares: the law, each key's range, mu and sigma."""
     law = LAWS.get(cfg.law)
@@ -166,8 +173,10 @@ def validate_walk(cfg: ExperimentConfig) -> None:
         raise ConfigError(f"unknown value for law: {cfg.law!r}")
     for f in fields(cfg):
         lo, hi = f.metadata["range"]
-        if lo is not None and not lo <= getattr(cfg, f.name) <= hi:  # NaN fails too
-            raise ConfigError(f"{f.name} must be >= {lo}" if hi == math.inf
+        if lo is not None and not all(lo <= x <= hi and -math.inf < x < math.inf  # NaN fails
+                                      for x in _numbers(getattr(cfg, f.name))):
+            raise ConfigError(f"{f.name} must be finite" if lo == -math.inf
+                              else f"{f.name} must be >= {lo}" if hi == math.inf
                               else f"{f.name} must lie in [{lo}, {hi}]")
     if cfg.mu and len(cfg.mu) != cfg.dim:
         raise ConfigError("mu must have exactly dim components")

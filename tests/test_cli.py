@@ -329,6 +329,22 @@ def test_hull_outputs_are_byte_identical(tmp_path, monkeypatch, name):
                  for f in ("vertices.csv", "body.off", "hull_report.csv")) == HULL_PINS[name]
 
 
+@pytest.mark.parametrize("args,key", [
+    (["simulate", "--law", "gaussian", "--mu", "nan", "--n", "4"], "mu"),
+    (["experiment", "--builtin", "etemadi-d1", "--override", "x_grid=nan,inf",
+      "--override", "replicas=50"], "x_grid"),
+    (["experiment", "--builtin", "max-clt", "--override", "threshold=inf"], "threshold"),
+    (["experiment", "--builtin", "hull-volume-identity", "--override", "sigma=inf,0;0,1"],
+     "sigma"),
+    (["hull", "--law", "gaussian", "--mu", "inf,0", "--n", "5"], "mu"),
+], ids=["simulate-mu", "etemadi-x_grid", "threshold", "sigma", "hull-mu"])
+def test_non_finite_numbers_exit_2_naming_the_key(tmp_path, capsys, args, key):
+    assert main([*args, "--out", str(tmp_path / "run")]) == 2
+    assert capsys.readouterr().err == f"config error: {key} must be " + (
+        "finite\n" if key in ("mu", "sigma") else ">= 0\n")
+    assert not (tmp_path / "run").exists()
+
+
 def test_hull_subcommand_reports_exact_volume_in_d4(tmp_path):
     out = tmp_path / "hull4"
     res = run_cli(

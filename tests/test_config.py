@@ -62,10 +62,19 @@ def test_kind_checks_name_the_key(kind, overrides, key):
 RANGES = [(f.name, f.metadata["range"]) for f in fields(ExperimentConfig)
           if f.metadata["range"][0] is not None]
 
-# every ranged key just below its range, t above its range, and NaN
+def _rule(lo, hi):
+    """How the README and the refusal state a range."""
+    return "finite" if lo == -math.inf else f">= {lo}" if hi == math.inf else f"in [{lo}, {hi}]"
+
+
+# every ranged key just below its range (-inf for a finite-only key; a pair
+# is written a:b), t above its range, NaN, and inf inside a vector, a matrix
+# and a pair
 OUT_OF_RANGE = [("surrogate_grid", -5), ("surrogate_replicas", -3),
-                *((key, lo - 1) for key, (lo, _) in RANGES),
-                ("t", 1.5), ("t", "nan"), ("threshold", "nan")]
+                *((key, lo - 1) for key, (lo, _) in RANGES if key != "pairs"),
+                ("t", 1.5), ("t", "nan"), ("threshold", "nan"), ("threshold", "inf"),
+                ("pairs", "-1:1"), ("mu", "nan"), ("x_grid", "1,inf"),
+                ("sigma", "1,0;0,inf"), ("pairs", "0.5:nan")]
 
 
 @pytest.mark.parametrize("key,value", OUT_OF_RANGE)
@@ -73,8 +82,8 @@ def test_negative_surrogate_size_names_the_key(key, value):
     lo, hi = dict(RANGES)[key]
     with pytest.raises(ConfigError) as bad:
         _cfg("functional = max\nn = 10\nreference = surrogate\n", [f"{key}={value}"])
-    assert str(bad.value) == (f"{key} must be >= {lo}" if hi == math.inf
-                              else f"{key} must lie in [{lo}, {hi}]")
+    rule = _rule(lo, hi)
+    assert str(bad.value) == f"{key} must {'lie ' if rule.startswith('in') else 'be '}{rule}"
 
 
 # ------------------------------------------------------------ codecs
@@ -123,9 +132,8 @@ def test_readme_lists_every_key_in_field_order():
 
 
 def test_readme_gives_each_key_its_range():
-    given = dict(re.findall(r"`([a-z_]+)` \((>= [^)]*|in \[[^]]*\])\)", _readme_keys()))
-    assert given == {key: f">= {lo}" if hi == math.inf else f"in [{lo}, {hi}]"
-                     for key, (lo, hi) in RANGES}
+    given = dict(re.findall(r"`([a-z_]+)` \((finite|>= [^)]*|in \[[^]]*\])\)", _readme_keys()))
+    assert given == {key: _rule(lo, hi) for key, (lo, hi) in RANGES}
 
 
 # one unparsable string per codec (every string parses as a str)

@@ -10,11 +10,11 @@ codec, so a key is declared once, with its default, its type and, for a
 number, its range [lo, hi], which ``validate_walk`` checks: every number the
 key holds, a scalar or inside a vector, matrix, list or pair, must be finite
 and lie in it.  Unknown keys are rejected.  Overrides apply after the file
-parse and before validation.  The manifest an ``experiment`` run writes is itself a valid
-config that reproduces the run; ``simulate`` and ``hull`` manifests carry
-``subcommand`` (and ``kind`` or ``points``) keys, which are rejected, then
-each walk key the run used, written by its codec, so they are records, not
-configs.
+parse and before validation.  The manifest an ``experiment`` run writes is
+itself a valid config that reproduces the run; ``simulate`` and ``hull``
+manifests carry ``subcommand`` (and ``kind`` or ``points``) keys, which are
+rejected, then each walk key the run used, written by its codec, so they
+are records, not configs.
 
 The valid laws are the keys of ``walks.LAWS`` and the valid experiments
 those of ``experiments.EXPERIMENTS``; each experiment entry holds its own
@@ -86,7 +86,8 @@ PAIRS = Codec(_tuple(_pair),
 
 def _key(default, codec: Codec, lo=None, hi=math.inf):
     """A key's default and codec, and for a number key the range [lo, hi]
-    that every number it holds must lie in, finite (lo = -inf: finite only)."""
+    that every number it holds must lie in, finite (lo = -inf: any finite
+    number)."""
     return field(default=default, metadata={"codec": codec, "range": (lo, hi)})
 
 

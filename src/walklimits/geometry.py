@@ -10,9 +10,10 @@ with it: shoelace area and perimeter in d = 2 (plus the Steiner formula),
 tetrahedron and facet-triangle sums in d = 3, the volume and facet areas of
 the build's own qhull run above, so no measure runs qhull again.  Flat
 bodies are legal and are built in coordinates of their affine hull; like
-every body they carry halfspaces, so one membership test serves them all.  Only the mean width,
-a sphere integral of the support function, is a quadrature (one formula in
-every d: trapezoid rule in d = 2, quasi-random sphere points above).
+every body they carry halfspaces, so one membership test serves them all.
+Only the mean width, a sphere integral of the support function, is a
+quadrature (one formula in every d: trapezoid rule in d = 2, quasi-random
+sphere points above).
 ``ConvexBody.contains``, which validates every hull in d <= 3, sets whole
 blocks of points True when the bounding boxes of their runs lie inside
 every facet by a margin far above rounding (``_certified_blocks``), and

@@ -236,7 +236,6 @@ def _cmd_hull(args) -> int:
     else:
         cfg, _, walk = _walk_run(args, directions=args.directions)
         points = walk.sums
-        del walk  # the hull reads only the sums: free the increments before it
         head, keys = "subcommand = hull\n", (*_WALK_KEYS, "directions")
     body = geometry.convex_hull(points)
     out = _out_dir(args)

@@ -6,9 +6,9 @@ per replica, and compares the empirical distribution or moments against
 the matching reference law.  ``_walks`` picks how walks arrive, for every
 runner and com-kernel alike: d = 1 Rademacher walks as ``walks.StepBytes``
 where the functional evaluates on them (``_on_bytes``), every other walk
-and every Brownian surrogate as prefix-sum batches from
-``walks.prefix_sum_batches`` (surrogates on the replica indices after the
-walks').  ``functionals.evaluate`` turns any batch into (replicas, width)
+(``walks.walk_batches``) and every Brownian surrogate as prefix-sum batches
+from ``walks.prefix_sum_batches`` (surrogates on the replica indices after
+the walks').  ``functionals.evaluate`` turns any batch into (replicas, width)
 values.  Replica loops run in fixed index order and reductions are ordered,
 so every report is bit-reproducible from (config, seed).
 
@@ -159,8 +159,7 @@ def _walks(law, n: int, seed: int, total: int, functional: str | None = None):
     ``_on_bytes`` holds for ``functional``, else prefix sums."""
     if functional is not None and _on_bytes(law, functional, n):
         return walks.step_byte_batches(n, seed, 0, total)
-    return walks.prefix_sum_batches(lambda rng, a, b: law.sample(b - a, rng), n, law.dim,
-                                    seed, 0, total, walks.LAWS[law.kind].split(law.dim))
+    return walks.walk_batches(law, n, seed, 0, total)
 
 
 def _surrogates(sample, cov, steps: int, cfg: ExperimentConfig):
@@ -215,8 +214,10 @@ def _check_steps_before(n: int, times, key: str) -> None:
 def _reference(cfg: ExperimentConfig, law):
     """The reference a distributional run judges against, as (mode, limit CDF
     or None): ``auto`` takes the closed form where one exists, else the
-    surrogate.  ConfigError where the surrogate is needed but does not exist."""
+    surrogate.  ConfigError on a drift, or where a needed surrogate does not exist."""
     spec = _check_functional(cfg)
+    if law.mu.any():
+        raise ConfigError("mu must be zero for distributional: its limit laws are driftless")
     if spec.at_t:
         _check_steps_before(cfg.n, [cfg.t], "t")
     mode = cfg.reference

@@ -160,7 +160,8 @@ FUNCTIONALS = {
         lambda sums, cfg: np.array([geometry.diameter(p) for p in sums]), _root_n,
         ANY_DIM, lln=lambda mu, t: float(np.linalg.norm(mu))),
     "perimeter": Functional(
-        _per_hull(lambda body, cfg: geometry.surface_area(body)), _root_n, PLANAR_UP,
+        _per_hull(lambda body, cfg: geometry.surface_area(body)),
+        lambda n, dim: math.sqrt(n) if dim == 2 else float(n) ** ((dim - 1) / 2.0), PLANAR_UP,
         lln=lambda mu, t: 2.0 * float(np.linalg.norm(mu)), lln_dims=(2, 2)),
     "mean-width": Functional(
         _per_hull(lambda body, cfg: geometry.mean_width(body, cfg.directions)),

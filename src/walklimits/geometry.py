@@ -30,7 +30,7 @@ import numpy as np
 from scipy.spatial import QhullError, cKDTree
 from scipy.spatial import ConvexHull as _QHull
 
-from .rng import replica_stream
+from .rng import replica_streams
 
 
 @dataclass(frozen=True)
@@ -482,7 +482,7 @@ def sphere_directions(dim: int, m: int) -> np.ndarray:
         phi = 2.0 * np.pi * k / golden
         dirs = np.column_stack([r * np.cos(phi), r * np.sin(phi), z])
     else:
-        rng = replica_stream(0x5D1E7, dim)
+        rng = next(replica_streams(0x5D1E7, dim, dim + 1))
         z = rng.standard_normal((m, dim))
         dirs = z / np.linalg.norm(z, axis=1, keepdims=True)
     dirs.setflags(write=False)

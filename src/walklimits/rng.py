@@ -27,18 +27,6 @@ _MASK = 0xFFFFFFFF
 _KEY_BATCH = 256
 
 
-def replica_stream(seed: int, replica: int) -> np.random.Generator:
-    """Independent generator for one replica, stable under scheduling.
-
-    Identical ``(seed, replica)`` always yields the identical stream,
-    no matter how replicas are grouped into batches or threads.
-    """
-    if replica < 0:
-        raise ValueError("replica index must be nonnegative")
-    ss = np.random.SeedSequence(seed, spawn_key=(replica,))
-    return np.random.Generator(np.random.Philox(ss))
-
-
 def _words(x: int) -> list:
     """x as little-endian 32-bit words, as SeedSequence takes an int (0 is one word)."""
     words = [x & _MASK]
@@ -100,7 +88,7 @@ def _replica_keys(seed: int, replicas: np.ndarray) -> np.ndarray:
 
 def replica_streams(seed: int, lo: int, hi: int):
     """The generators of replicas lo..hi-1 in order, each drawing what
-    ``replica_stream(seed, r)`` draws.
+    ``Generator(Philox(SeedSequence(seed, spawn_key=(r,))))`` draws.
 
     One Philox is re-keyed for every replica (zero counter, empty buffer), so
     a yielded generator is valid only until the next one is taken.  Keys are

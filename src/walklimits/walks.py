@@ -6,7 +6,7 @@ drawing each replica's steps in cache-sized chunks.  ``step_byte_batches``
 gives d = 1 Rademacher ensembles as their step bits instead, 8 steps to a
 byte with the walk's value before each byte; ``functionals`` reads max,
 arcsine and G_k off them through ``BYTE_PATH``.  A single walk
-(``sample_walk``) keys its one stream with ``rng.replica_stream``.
+(``sample_walk``) is one replica of a law's ensemble (``walk_batches``).
 """
 
 from __future__ import annotations
@@ -17,7 +17,7 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from .laws import CovSpec, sqrt_psd
-from .rng import replica_stream, replica_streams
+from .rng import replica_streams
 from .trajectory import Trajectory, _frozen
 
 
@@ -160,29 +160,26 @@ LAWS = {
 
 @dataclass(frozen=True)
 class Walk:
-    """Increments and prefix sums of one walk; immutable after construction."""
+    """The prefix sums S_0 = 0, S_1, ..., S_n of one walk, a read-only (n + 1, dim) array."""
 
-    dim: int
-    increments: np.ndarray
     sums: np.ndarray
 
     @property
+    def dim(self) -> int:
+        return self.sums.shape[1]
+
+    @property
     def n(self) -> int:
-        return len(self.increments)
+        return len(self.sums) - 1
 
 
 def sample_walk(law: IncrementLaw, n: int, seed: int, replica: int = 0) -> Walk:
-    """Sample a walk of n steps; identical (law, n, seed, replica) reproduce it."""
+    """Walk ``replica`` of ``walk_batches(law, n, seed, ...)``, in a buffer of its own."""
     if n < 1:
         raise ValueError("walk length n must be >= 1")
-    inc = law.sample(n, replica_stream(seed, replica))
-    sums = np.empty((n + 1, law.dim))
-    sums[0] = 0.0
-    np.cumsum(inc, axis=0, out=sums[1:])
-    # the sampler's array is fresh, so it is frozen in place, not copied
-    inc.setflags(write=False)
-    sums.setflags(write=False)
-    return Walk(dim=law.dim, increments=inc, sums=sums)
+    (_, _, batch), = walk_batches(law, n, seed, replica, replica + 1)
+    batch.setflags(write=False)
+    return Walk(batch[0])
 
 
 # A prefix-sum batch holds at most this many replicas and, when n is large,
@@ -254,6 +251,12 @@ def prefix_sum_batches(steps: Callable, n: int, dim: int, seed: int,
                     x[0] += row[c]
                 np.cumsum(x, axis=0, out=row[c + 1 : e + 1])
         yield a, b, buf[: b - a]
+
+
+def walk_batches(law: IncrementLaw, n: int, seed: int, lo: int, hi: int):
+    """``prefix_sum_batches`` of the law's walks lo..hi-1, chunked where its kind allows."""
+    return prefix_sum_batches(lambda rng, a, b: law.sample(b - a, rng), n, law.dim,
+                              seed, lo, hi, LAWS[law.kind].split(law.dim))
 
 
 # BYTE_PATH[b, t] is the walk after t + 1 of the 8 steps packed in byte b,
@@ -353,10 +356,11 @@ def centre_of_mass(walk: Walk) -> ComSeries:
 
 
 def centre_of_mass_weighted(walk: Walk) -> np.ndarray:
-    """G_n as the triangular weighted sum of increments, sum_i ((n-i+1)/n) xi_i."""
+    """G_n as the triangular weighted sum of increments, sum_i ((n-i+1)/n) xi_i,
+    with xi_i = S_i - S_{i-1}."""
     n = walk.n
     weights = (n - np.arange(1, n + 1) + 1) / n
-    return weights @ walk.increments
+    return weights @ np.diff(walk.sums, axis=0)
 
 
 def sample_brownian(cov: CovSpec, grid, seed: int, lo: int, hi: int):

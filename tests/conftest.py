@@ -13,6 +13,19 @@ SRC = str(Path(__file__).resolve().parent.parent / "src")
 os.environ["PYTHONPATH"] = os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")]))
 
 
+def reference_stream(seed, replica):
+    """Replica ``replica``'s stream built the direct way, by numpy alone."""
+    ss = np.random.SeedSequence(seed, spawn_key=(replica,))
+    return np.random.Generator(np.random.Philox(ss))
+
+
+def whole_walk_sums(law, n, seed, replica):
+    """The prefix sums of replica ``replica``'s walk from one whole draw of its
+    n steps on ``reference_stream``: one cumsum from an exact 0."""
+    steps = law.sample(n, reference_stream(seed, replica))
+    return np.vstack([np.zeros((1, law.dim)), np.cumsum(steps, axis=0)])
+
+
 def random_step(rng, d=1, max_jumps=5, start_zero=True, scale=1.0):
     """Random piecewise-constant trajectory with a few interior jumps."""
     p = int(rng.integers(0, max_jumps + 1))

@@ -521,9 +521,11 @@ def test_simulate_rejects_zero_dim(tmp_path):
         (["experiment", "--builtin", "perimeter-lln", "--override", "dim=3",
           "--override", "mu=1,0,0", "--override", "sigma="], "first-order limit"),
         (["experiment", "--builtin", "max-clt", "--seed", "-1"], "seed must be >= 0"),
+        (["experiment", "--builtin", "max-clt", "--override", "law=gaussian",
+          "--override", "mu=0.05", "--override", "replicas=500"], "mu must be zero"),
     ],
     ids=["simulate-drift-on-zero-mean-law", "hull-directions", "lln-without-constant",
-         "experiment-seed-flag"],
+         "experiment-seed-flag", "distributional-drift"],
 )
 def test_walk_and_sweep_inputs_are_config_errors(tmp_path, args, message):
     res = run_cli(*args, "--out", str(tmp_path / "x"))
@@ -617,7 +619,7 @@ def _per_element_row(row, sep=","):
 
 
 def test_csv_rows_match_per_element_repr():
-    walk = Walk(dim=3, increments=SPECIAL_ROWS, sums=np.vstack([np.zeros(3), SPECIAL_ROWS]))
+    walk = Walk(np.vstack([np.zeros(3), SPECIAL_ROWS]))
     assert "".join(csvio.walk_blocks(walk)).splitlines()[1:] == [
         f"{k},{_per_element_row(r)}" for k, r in enumerate(walk.sums)]
     traj = Trajectory(LINEAR, [0.0, 0.1 + 0.2, 1.0], SPECIAL_ROWS)
@@ -673,7 +675,7 @@ def test_streamed_csv_equals_one_string_writers(rows):
     # the special values (-0.0, 1e16, 1e-5, nan, +-inf) lead every table
     values = np.random.default_rng(rows).normal(scale=1e3, size=(rows, 3))
     values.ravel()[: SPECIAL_ROWS.size] = SPECIAL_ROWS.ravel()[: values.size]
-    walk = Walk(dim=3, increments=values[1:], sums=values)
+    walk = Walk(values)
     traj = Trajectory(LINEAR, np.linspace(0.0, 1.0, rows) if rows > 1 else [0.0], values)
     samples = values.ravel()[:rows]
     for blocks, oracle in [
@@ -717,18 +719,29 @@ def test_outputs_get_the_mode_open_would_give(tmp_path, umask):
         assert stat.S_IMODE((tmp_path / "sim" / name).stat().st_mode) == want
 
 
+def _traced_peak(args) -> int:
+    tracemalloc.start()
+    try:
+        assert main(args) == 0
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
 def test_simulate_memory_stays_bounded(tmp_path):
     # a 2e5-step d = 2 walk is streamed to walk.csv block by block; building
     # the file as one string took 49 MB of traced memory
-    tracemalloc.start()
-    try:
-        assert main(["simulate", "--law", "gaussian", "--dim", "2", "--mu", "1,0",
-                     "--n", "200000", "--seed", "102", "--out", str(tmp_path)]) == 0
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert (tmp_path / "walk.csv").stat().st_size > 8 * 10**6
+    peak = _traced_peak(["simulate", "--law", "gaussian", "--dim", "2", "--mu", "1,0",
+                         "--n", "200000", "--seed", "102", "--out", str(tmp_path / "sim")])
+    assert (tmp_path / "sim" / "walk.csv").stat().st_size > 8 * 10**6
     assert peak < 16 * 2**20
+    # a walk holds its sums and one chunk's temporaries, and the planar hull
+    # adds its screening masks: 17.9 MiB at 10^6 steps, where a whole draw
+    # beside the sums peaked at 30.6 MiB
+    n = 10**6
+    peak = _traced_peak(["hull", "--law", "gaussian", "--n", str(n), "--seed", "3",
+                         "--out", str(tmp_path / "hull")])
+    assert peak < (n + 1) * 2 * 8 + 4 * 2**20
 
 
 def test_exit_path_matches_an_in_process_run(tmp_path):

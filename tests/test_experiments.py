@@ -21,11 +21,12 @@ from walklimits.config import parse_text
 from walklimits.fixtures import BUILTIN_CONFIGS
 from walklimits.experiments import (
     ReportRow, law_from_config, read_rows, rows_csv)
-from walklimits.rng import replica_stream
 from walklimits.stats import kolmogorov_threshold
-from walklimits import centre_of_mass, lattice, sample_walk, rademacher
+from walklimits import Walk, centre_of_mass, lattice, sample_walk, rademacher
 from walklimits import convex_hull, diameter, functionals, gaussian, surface_area, walks
 from walklimits.metrics import HalfspaceCap
+
+from conftest import reference_stream, whole_walk_sums
 
 
 def _cfg(text, overrides=None):
@@ -43,7 +44,7 @@ def test_ks_statistic_hand_values():
 
 
 def test_ks_statistic_self_draw_small():
-    rng = replica_stream(314, 0)
+    rng = reference_stream(314, 0)
     sample = rng.random(10_000)
     uniform = lambda x: np.clip(x, 0.0, 1.0)
     # Kolmogorov bound: exceeding 0.02 at m = 1e4 has probability < 1%
@@ -105,6 +106,25 @@ def test_zero_mean_law_rejects_drift():
         _cfg(MAX_CFG, ["mu=0.5"])
     cfg = _cfg(MAX_CFG, ["mu=0"])  # an explicit zero is fine
     assert cfg.mu == (0.0,)
+
+
+def test_distributional_perimeter_scales_as_a_surface():
+    # a surface area grows as n^((d-1)/2): at d = 3 the walk's over n, not
+    # over sqrt(n) (which read 188.6 against 5.857), meets the surrogate's
+    scale = functionals.FUNCTIONALS["perimeter"].scale
+    assert all(scale(n, 2) == math.sqrt(n) for n in (2, 1000, 10**6 + 1))
+    assert scale(1000, 3) == 1000.0 and scale(100, 4) == 1000.0
+    rep = run_experiment(_cfg("""
+experiment = distributional
+functional = perimeter
+law = gaussian
+dim = 3
+n = 1000
+replicas = 300
+seed = 5
+"""))
+    walk, surrogate = rep.rows
+    assert walk.passed and abs(walk.estimate - surrogate.estimate) < 0.2
 
 
 def test_distributional_arcsine_has_no_surrogate_mode():
@@ -177,9 +197,11 @@ def test_distributional_judges_every_coordinate_of_com():
 
 
 def test_law_from_config_moments():
+    # lln-sweep, since distributional refuses a drift
     cfg = _cfg(
         MAX_CFG,
-        ["functional=diameter", "law=gaussian", "dim=2", "mu=0.5,0", "sigma=2,0;0,1"],
+        ["experiment=lln-sweep", "n_list=10,20", "functional=diameter", "law=gaussian",
+         "dim=2", "mu=0.5,0", "sigma=2,0;0,1"],
     )
     law = law_from_config(cfg)
     assert np.allclose(law.mu, [0.5, 0.0])
@@ -227,8 +249,8 @@ LLN_CASES = {
 
 @pytest.mark.parametrize("functional", sorted(LLN_CASES))
 def test_lln_sweep_batches_match_per_walk_path(functional):
-    # the batched sweep gives exactly the per-n values of one sample_walk per
-    # replica; com's n = 2 takes floor(n t) = 1, its smallest index
+    # the batched sweep gives exactly the per-n values of each replica's walk
+    # from one whole draw; com's n = 2 takes floor(n t) = 1, its smallest index
     extra, per_walk = LLN_CASES[functional]
     cfg = _cfg(
         f"""
@@ -246,7 +268,7 @@ dump_samples = true
     rows = iter(rep.rows)
     for n in cfg.n_list:
         vals = np.array(
-            [np.atleast_1d(per_walk(sample_walk(law, n, 17, replica=r), n, cfg.t))
+            [np.atleast_1d(per_walk(Walk(whole_walk_sums(law, n, 17, r)), n, cfg.t))
              for r in range(3)]
         )
         mean = vals.mean(axis=0)
@@ -365,7 +387,7 @@ def test_batches_reuse_one_buffer_without_stale_rows(monkeypatch, law):
     for lo, hi, sums in experiments._walks(law, n, 11, total):
         assert sums.shape == (hi - lo, n + 1, 2)
         for r in range(lo, hi):
-            assert np.array_equal(sums[r - lo], sample_walk(law, n, 11, replica=r).sums)
+            assert np.array_equal(sums[r - lo], whole_walk_sums(law, n, 11, r))
         seen.append(hi - lo)
     assert seen == [3, 3, 1]
 
@@ -422,7 +444,7 @@ def test_integer_step_com_equals_com_at(law):
     got = experiments._com_samples(law, n, 21, m, ks)
     assert got.shape == (m, len(ks), law.dim)
     for r in range(m):
-        want = functionals.com_at(sample_walk(law, n, 21, replica=r).sums[None], ks)
+        want = functionals.com_at(whole_walk_sums(law, n, 21, r)[None], ks)
         for j in range(len(ks)):
             assert np.array_equal(got[r, j], want[j][0])
 
@@ -774,7 +796,7 @@ dump_samples = true
     rep = run_experiment(cfg)
     stored = rep.samples["G@1"]
     for r in range(4):
-        walk = sample_walk(rademacher(1), 100, 5, replica=r)
+        walk = Walk(whole_walk_sums(rademacher(1), 100, 5, r))
         g = centre_of_mass(walk).values[-1, 0] / math.sqrt(100)
         assert stored[r] == pytest.approx(g, abs=1e-12)
 
@@ -953,12 +975,12 @@ def test_hull_trio_walk_vs_surrogate_two_sample():
     names = ("mean-width", "perimeter", "volume")
     walk_vals = {k: np.empty(m) for k in names}
     surr_vals = {k: np.empty(m) for k in names}
-    for r in range(m):
-        walk = sample_walk(law, n, seed=515, replica=r)
-        body = geometry.convex_hull(walk.sums, validate=False)
-        walk_vals["mean-width"][r] = mean_width(body, 512) / root_n
-        walk_vals["perimeter"][r] = surface_area(body) / root_n
-        walk_vals["volume"][r] = volume(body) / n
+    for lo, hi, batch in walks.walk_batches(law, n, 515, 0, m):
+        for r, sums in enumerate(batch, lo):
+            body = geometry.convex_hull(sums, validate=False)
+            walk_vals["mean-width"][r] = mean_width(body, 512) / root_n
+            walk_vals["perimeter"][r] = surface_area(body) / root_n
+            walk_vals["volume"][r] = volume(body) / n
     for lo, hi, paths in sample_brownian(cov, grid, 515, m, 2 * m):
         for r, path in enumerate(paths, lo - m):
             sbody = geometry.convex_hull(path, validate=False)

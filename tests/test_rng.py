@@ -1,7 +1,9 @@
 import numpy as np
 import pytest
 
-from walklimits.rng import _replica_keys, replica_stream, replica_streams
+from walklimits.rng import _replica_keys, replica_streams
+
+from conftest import reference_stream
 
 # seeds of 1 to 5 32-bit words
 SEEDS = [0, 2**32 - 1, 2**32, 2**64 - 1, 2**128 + 3]
@@ -23,7 +25,7 @@ def test_replica_streams_draw_what_replica_stream_draws(seed, lo, hi):
     # previous replica (buffer, half word) must not leak into the next
     count = 0
     for r, gen in zip(range(lo, hi), replica_streams(seed, lo, hi)):
-        ref = replica_stream(seed, r)
+        ref = reference_stream(seed, r)
         for i in range(len(DRAWS)):
             draw = DRAWS[(r + i) % len(DRAWS)]
             assert np.array_equal(draw(gen), draw(ref))

@@ -8,6 +8,7 @@ from walklimits import (
     CONSTANT,
     LINEAR,
     Trajectory,
+    Walk,
     centre_of_mass,
     centre_of_mass_weighted,
     clt_trajectory,
@@ -25,7 +26,8 @@ from walklimits import (
     uniform_cube,
 )
 from walklimits import experiments, walks
-from walklimits.rng import replica_stream
+
+from conftest import reference_stream, whole_walk_sums
 
 
 def test_sample_walk_reproducible():
@@ -52,13 +54,14 @@ def test_gaussian_law_rejects_dim_mismatch():
 def test_prefix_sum_invariant_against_compensated_sum():
     law = uniform_cube([0.3, -0.2])
     walk = sample_walk(law, 2000, seed=5)
+    inc = law.sample(2000, reference_stream(5, 0))
     for j in range(walk.dim):
-        exact = [math.fsum(walk.increments[:k, j]) for k in (1, 700, 2000)]
+        exact = [math.fsum(inc[:k, j]) for k in (1, 700, 2000)]
         for k, e in zip((1, 700, 2000), exact):
             scale = max(1.0, abs(e))
             assert abs(walk.sums[k, j] - e) <= 1e-10 * scale
     assert np.array_equal(walk.sums[0], np.zeros(2))
-    assert np.allclose(np.diff(walk.sums, axis=0), walk.increments, atol=1e-12)
+    assert np.allclose(np.diff(walk.sums, axis=0), inc, atol=1e-12)
 
 
 def test_deterministic_walks():
@@ -73,8 +76,7 @@ def test_law_moments_match_declared():
     rng_seed = 99
     for law in (rademacher(2), gaussian([0.5, -1.0], [[2.0, 0.3], [0.3, 1.0]]),
                 uniform_cube([0.25, 0.0]), lattice(2)):
-        walk = sample_walk(law, 200_000, rng_seed)
-        inc = walk.increments
+        inc = law.sample(200_000, reference_stream(rng_seed, 0))
         tol = 4.0 * np.sqrt(np.diag(law.sigma).max() / len(inc) + 1e-12)
         assert np.allclose(inc.mean(axis=0), law.mu, atol=max(tol, 0.02))
         emp = np.cov(inc.T)
@@ -87,7 +89,7 @@ def test_rademacher_mean_clt_bound():
     law = rademacher(1)
     total = 0.0
     for r in range(reps):
-        inc = law.sample(n, replica_stream(2024, r))
+        inc = law.sample(n, reference_stream(2024, r))
         total += inc.sum()
     mean = total / (reps * n)
     assert abs(mean) < 0.01
@@ -105,7 +107,7 @@ def test_rademacher_steps_equal_integers_draws(seed, replica):
     for n in (1, 2, 3, 7, 1000, 10001):
         for d in (1, 2, 3):
             law = rademacher(d)
-            for fresh in (lambda: replica_stream(seed, replica),
+            for fresh in (lambda: reference_stream(seed, replica),
                           lambda: np.random.default_rng(seed + replica)):
                 got = law.sample(n, fresh())
                 assert got.shape == (n, d) and got.dtype == np.float64
@@ -125,16 +127,17 @@ def _old_steps(law, n, rng):
     rademacher(2), gaussian([0.5, -1.0], [[2.0, 0.3], [0.3, 1.0]]), uniform_cube([0.1, -0.7]),
     deterministic([0.25, -3.0]), lattice(2)], ids=lambda law: law.kind)
 def test_sample_walk_arrays_are_frozen_and_separate(law):
-    # the walk freezes the sampler's fresh array in place and fills its sums
-    # with one cumsum: the same values as the old copy-and-vstack construction
-    for n in (1, 2, 999):
+    # a walk is its replica's row of the chunked ensemble route, frozen in its
+    # own buffer: byte for byte one whole draw's cumsum, and the values of
+    # the samplers as first written
+    for n in (1, 2, 999, walks._CHUNK_STEPS + 1):
         walk = sample_walk(law, n, 13, replica=4)
-        inc = _old_steps(law, n, replica_stream(13, 4))
-        assert np.array_equal(walk.increments, inc)
+        assert walk.n == n and walk.dim == 2
+        assert walk.sums.tobytes() == whole_walk_sums(law, n, 13, 4).tobytes()
+        inc = _old_steps(law, n, reference_stream(13, 4))
         assert np.array_equal(walk.sums, np.vstack([np.zeros(2), np.cumsum(inc, axis=0)]))
-        assert walk.increments.dtype == walk.sums.dtype == np.float64
-        assert not walk.increments.flags.writeable and not walk.sums.flags.writeable
-        assert not np.shares_memory(walk.increments, walk.sums)
+        assert walk.sums.dtype == np.float64 and not walk.sums.flags.writeable
+        assert not np.shares_memory(walk.sums, sample_walk(law, n, 13, replica=5).sums)
         with pytest.raises(ValueError):
             walk.sums[0, 0] = 1.0
 
@@ -150,9 +153,7 @@ def test_lln_trajectory_grid_agreement():
 
 def test_lln_trajectory_hand_evaluation():
     # sums (0, 1, 0): linear kind interpolates, constant kind floors
-    walk = sample_walk(deterministic([1.0]), 2, seed=0)
-    walk = type(walk)(dim=1, increments=np.array([[1.0], [-1.0]]),
-                      sums=np.array([[0.0], [1.0], [0.0]]))
+    walk = Walk(np.array([[0.0], [1.0], [0.0]]))
     lin = lln_trajectory(walk, LINEAR)
     con = lln_trajectory(walk, CONSTANT)
     assert lin(0.25)[0] == pytest.approx(0.25, abs=1e-15)
@@ -209,7 +210,7 @@ def test_clt_endpoint_variance():
     law = rademacher(1)
     vals = np.empty(reps)
     for r in range(reps):
-        inc = law.sample(n, replica_stream(77, r))
+        inc = law.sample(n, reference_stream(77, r))
         vals[r] = inc.sum() / math.sqrt(n)
     assert 0.95 <= vals.var(ddof=1) <= 1.05
 
@@ -242,13 +243,13 @@ def test_brownian_zero_covariance_is_zero_path():
 
 def test_brownian_batches_equal_direct_replica_draws():
     # replicas 250..261 straddle the 256-replica key batch edge; each path is
-    # the cumsum of sqrt(dt) * (z @ root) on replica_stream(seed, r), bit for bit
+    # the cumsum of sqrt(dt) * (z @ root) on replica r's stream, bit for bit
     cov = sqrt_psd([[2.0, 0.3], [0.3, 1.0]])
     grid = np.array([0.0, 0.1, 0.35, 0.5, 0.9, 1.0])
     seen = []
     for lo, hi, paths in sample_brownian(cov, grid, 19, 250, 262):
         for r, path in enumerate(paths, lo):
-            z = replica_stream(19, r).standard_normal((len(grid) - 1, 2))
+            z = reference_stream(19, r).standard_normal((len(grid) - 1, 2))
             steps = np.sqrt(np.diff(grid))[:, None] * (z @ cov.root)
             assert np.array_equal(path, np.vstack([np.zeros(2), np.cumsum(steps, axis=0)]))
             seen.append(r)
@@ -284,7 +285,7 @@ def test_chunked_walk_batches_equal_one_whole_draw(kind, d, n):
     law = walks.LAWS[kind].build(d, mu, sigma)
     _assert_bytes_equal_whole_draws(
         experiments._walks(law, n, 23, 3), 0, 3,
-        lambda r: _whole_sums(law.sample(n, replica_stream(23, r))))
+        lambda r: whole_walk_sums(law, n, 23, r))
 
 
 def test_lattice_walks_are_chunked_where_no_draw_rejects():
@@ -296,7 +297,7 @@ def test_lattice_walks_are_chunked_where_no_draw_rejects():
     n = CHUNK + 1
     _assert_bytes_equal_whole_draws(
         experiments._walks(law, n, 29, 2), 0, 2,
-        lambda r: _whole_sums(law.sample(n, replica_stream(29, r))))
+        lambda r: whole_walk_sums(law, n, 29, r))
 
 
 @pytest.mark.parametrize("n", CHUNK_SIZES)
@@ -308,7 +309,7 @@ def test_chunked_brownian_batches_equal_one_whole_draw(d, n):
     root_dt = np.sqrt(np.diff(grid))[:, None]
 
     def whole(r):
-        return _whole_sums(replica_stream(31, r).standard_normal((n, d)) @ cov.root * root_dt)
+        return _whole_sums(reference_stream(31, r).standard_normal((n, d)) @ cov.root * root_dt)
 
     _assert_bytes_equal_whole_draws(sample_brownian(cov, grid, 31, 5, 8), 5, 8, whole)
     _assert_bytes_equal_whole_draws(
@@ -392,8 +393,8 @@ def test_lattice_steps_equal_the_scatter_construction(d, n):
     # byte for byte: where 2d is a power of two the moves are read from the
     # top bits of the raw words, and every off-axis zero must be +0.0
     for seed, replica in ((0, 0), (31, 7), (2**40 + 1, 999)):
-        want = _scatter_lattice_steps(d, n, replica_stream(seed, replica))
-        assert lattice(d).sample(n, replica_stream(seed, replica)).tobytes() == want.tobytes()
+        want = _scatter_lattice_steps(d, n, reference_stream(seed, replica))
+        assert lattice(d).sample(n, reference_stream(seed, replica)).tobytes() == want.tobytes()
 
 
 BYTE_CHUNK = walks._BYTE_CHUNK_STEPS
@@ -408,7 +409,7 @@ def test_step_bytes_pack_the_rademacher_steps(n):
     for a, b, batch in walks.step_byte_batches(n, 17, 250, 260):
         assert batch.bits.shape == batch.before.shape == (b - a, -(-n // 8))
         for r, bits, before in zip(range(a, b), batch.bits, batch.before):
-            steps = rademacher(1).sample(n, replica_stream(17, r))[:, 0]
+            steps = rademacher(1).sample(n, reference_stream(17, r))[:, 0]
             padded = np.concatenate([steps, -np.ones(8 * len(bits) - n)])
             assert np.array_equal(np.unpackbits(bits) * 2.0 - 1.0, padded)
             sums = np.concatenate([[0.0], np.cumsum(padded)])

@@ -135,6 +135,15 @@ _CERTIFY_RUN = 128
 # and the screen keeps winning at 10^5.
 _CERTIFY_FACETS = 64
 _CERTIFY_POINTS = 8192
+# support_many takes its (directions x vertices) product in parts of
+# _SUPPORT_ROWS rows: about 1 MiB for the mean width's 4096 directions on a
+# few hundred vertices, not 5.  With one BLAS thread the parts match the whole
+# product bit for bit when each starts at a multiple of the directions
+# OpenBLAS's gemm packs at a time, 3 x its unroll width (24 on a 2-core x86-64
+# host; 480 is a multiple of it for power-of-two widths up to 32).  512-row
+# parts moved the last bit of a few products on bodies of over 192 vertices.
+# A lone last row joins the part before it: a one-row product takes gemv.
+_SUPPORT_ROWS = 480
 
 
 @dataclass(frozen=True)
@@ -163,7 +172,8 @@ class ConvexBody:
         return self.vertices.shape[1]
 
     def support_many(self, dirs: np.ndarray) -> np.ndarray:
-        return np.max(dirs @ self.vertices.T, axis=1)
+        parts = np.split(dirs, range(_SUPPORT_ROWS, len(dirs) - 1, _SUPPORT_ROWS))
+        return np.concatenate([np.max(p @ self.vertices.T, axis=1) for p in parts])
 
     def contains(self, points, tol: float = 1e-9) -> np.ndarray:
         """Half-space membership test with slack tol, flat bodies included.

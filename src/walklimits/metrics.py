@@ -254,24 +254,20 @@ def _sup_diff_under(u, a, v, b, lam: TimeChange) -> float:
     return best
 
 
-def _matching_count(p: int, q: int) -> int:
-    return math.comb(p + q, p)
-
-
 def rho_skorokhod_circ(
     f: Trajectory,
     g: Trajectory,
     j_max: int = 64,
-    budget: int = 200_000,
+    budget: int = 3_000_000,
 ) -> MetricResult:
     """Variant minimizing max(chord-slope log norm, |f - g o lambda|).
 
     Exact mode minimizes over piecewise-linear time changes whose
     breakpoints match jumps of f monotonically onto jumps of g, by a
     dynamic program over matched pairs; it is capped at j_max jumps per
-    side and `budget` candidate matchings, beyond which an upper bound is
-    returned (best of the identity and the rho_skorokhod witness re-scored
-    under this objective).
+    side and at `budget` for the program's work N^2 (p + q), N = pq + 2
+    nodes, beyond which an upper bound is returned (best of the identity
+    and the rho_skorokhod witness re-scored under this objective).
     """
     _check_pair(f, g, same_kind=True)
     if f.kind == LINEAR:
@@ -279,7 +275,7 @@ def rho_skorokhod_circ(
     u, a = _step_pieces(f)
     v, b = _step_pieces(g)
     p, q = len(u), len(v)
-    if p > j_max or q > j_max or _matching_count(p, q) > budget:
+    if p > j_max or q > j_max or (p * q + 2) ** 2 * (p + q) > budget:
         ident = identity_time_change()
         best, wit = rho_inf(f, g), ident
         alt = rho_skorokhod(f, g, j_max=j_max).witness

@@ -7,16 +7,17 @@ see identical draws.  Normal variates come from numpy's ziggurat
 sampler (``Generator.standard_normal``).
 
 A Philox stream is fixed by its 128-bit key alone (Salmon et al., SC'11),
-so ``replica_streams`` derives the keys of many replicas in one vectorised
-pass of the ``SeedSequence`` hash and loads each into one reused generator.
+so ``replica_streams`` loads each replica's key into one reused generator.
+The keys of many replicas come from one ``SeedSequence(seed).pool``: numpy
+hashes the seed once, and only the replicas' spawn-key words are mixed in
+here, as one array operation per hash step for all replicas at once.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-# numpy's SeedSequence: pool size and hash constants (numpy/random/bit_generator.pyx)
-_POOL = 4
+# numpy's SeedSequence hash constants (numpy/random/bit_generator.pyx)
 _INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
 _INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
 _MIX_L, _MIX_R = 0xCA01F9DD, 0x4973F715
@@ -27,63 +28,43 @@ _MASK = 0xFFFFFFFF
 _KEY_BATCH = 256
 
 
-def _words(x: int) -> list:
-    """x as little-endian 32-bit words, as SeedSequence takes an int (0 is one word)."""
-    words = [x & _MASK]
-    while x >> 32:
-        x >>= 32
-        words.append(x & _MASK)
-    return words
+def _hashmix(value, h: int, mult: int):
+    """SeedSequence's hashmix of ``value`` under the four hash constants from
+    ``h`` on, one per pool word: a (4, k) array, and the constant after them."""
+    consts = [h]
+    for _ in range(4):
+        consts.append(consts[-1] * mult & _MASK)
+    consts = np.array(consts, dtype=np.uint32)[:, None]
+    value = (value ^ consts[:4]) * consts[1:]
+    return value ^ (value >> np.uint32(16)), int(consts[4, 0])
+
+
+def _mix(x, y):
+    out = x * np.uint32(_MIX_L) - y * np.uint32(_MIX_R)
+    return out ^ (out >> np.uint32(16))
 
 
 def _replica_keys(seed: int, replicas: np.ndarray) -> np.ndarray:
     """(len(replicas), 2) uint64 Philox keys of ``SeedSequence(seed, spawn_key=(r,))``.
 
-    A uint32 transcription of SeedSequence's pool hash and of
-    ``generate_state(2, np.uint64)``, one array operation per hash step for
-    all replicas at once.  The replicas must all lie below 2**32 or all in
-    [2**32, 2**64), so that their spawn keys have the same number of words.
+    ``SeedSequence(seed).pool`` is the pool before the spawn key is mixed
+    in, after 16 hash steps (fill and cross-mix) plus 4 for each seed word
+    past the fourth.  Each replica's low word, then the high word of a
+    replica at or above 2**32, is mixed into all four pool words, and the
+    pool is hashed as ``generate_state(2, np.uint64)`` does.
     """
-    seed = int(seed)
-    if seed < 0:
-        raise ValueError("seed must be nonnegative")
+    pool = np.random.SeedSequence(seed).pool[:, None]
+    seed_words = -(-int(seed).bit_length() // 32)
+    h = _INIT_A * pow(_MULT_A, 16 + 4 * max(0, seed_words - 4), 2**32) & _MASK
     replicas = np.asarray(replicas, dtype=np.uint64)
-    run = _words(seed)
-    # with a spawn key, the run entropy is padded with zeros to the pool size
-    entropy = [np.array([w], dtype=np.uint32) for w in run + [0] * (_POOL - len(run))]
-    entropy.append((replicas & _MASK).astype(np.uint32))
-    if replicas.size and replicas.max() >> np.uint64(32):
-        entropy.append((replicas >> np.uint64(32)).astype(np.uint32))
-    h = _INIT_A
-
-    def hashmix(value):
-        nonlocal h
-        value = value ^ np.uint32(h)
-        h = h * _MULT_A & _MASK
-        value = value * np.uint32(h)
-        return value ^ (value >> np.uint32(16))
-
-    def mix(x, y):
-        out = x * np.uint32(_MIX_L) - y * np.uint32(_MIX_R)
-        return out ^ (out >> np.uint32(16))
-
-    pool = [hashmix(word) for word in entropy[:_POOL]]
-    for src in range(_POOL):
-        for dst in range(_POOL):
-            if src != dst:
-                pool[dst] = mix(pool[dst], hashmix(pool[src]))
-    for word in entropy[_POOL:]:
-        for dst in range(_POOL):
-            pool[dst] = mix(pool[dst], hashmix(word))
-    # generate_state(2, np.uint64): four uint32 words, one per pool word
-    h = _INIT_B
-    state = np.empty((len(replicas), _POOL), dtype="<u4")
-    for i, word in enumerate(pool):
-        value = word ^ np.uint32(h)
-        h = h * _MULT_B & _MASK
-        value = value * np.uint32(h)
-        state[:, i] = value ^ (value >> np.uint32(16))
-    return state.view("<u8").astype(np.uint64)
+    hashed, h = _hashmix(replicas.astype(np.uint32), h, _MULT_A)  # the low words
+    pool = _mix(pool, hashed)
+    high = (replicas >> np.uint64(32)).astype(np.uint32)
+    if high.any():
+        hashed, _ = _hashmix(high, h, _MULT_A)
+        pool = np.where(high > 0, _mix(pool, hashed), pool)
+    state, _ = _hashmix(pool, _INIT_B, _MULT_B)
+    return np.ascontiguousarray(state.T, dtype="<u4").view("<u8").astype(np.uint64)
 
 
 def replica_streams(seed: int, lo: int, hi: int):
@@ -101,14 +82,9 @@ def replica_streams(seed: int, lo: int, hi: int):
     bitgen = np.random.Philox(0)
     fresh = bitgen.state
     gen = np.random.Generator(bitgen)
-    start = lo
-    while start < hi:
-        # a key batch never straddles 2**32, where spawn keys gain a word
+    for start in range(lo, hi, _KEY_BATCH):
         stop = min(start + _KEY_BATCH, hi)
-        if start < 2**32 < stop:
-            stop = 2**32
         for key in _replica_keys(seed, np.arange(start, stop, dtype=np.uint64)):
             fresh["state"]["key"] = key
             bitgen.state = fresh
             yield gen
-        start = stop

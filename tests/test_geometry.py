@@ -459,6 +459,21 @@ def test_hull_validation_memory_is_bounded():
     assert peak < 4 * 2**20
 
 
+def test_mean_width_memory_is_bounded():
+    # the support product of 4096 directions against the 157 vertices of
+    # that walk's hull, taken in one piece, held 4.9 MiB
+    body = convex_hull(sample_walk(gaussian([1.0, 0.0, 0.0], np.eye(3)), 300000, 101).sums)
+    whole = mean_width(body, 4096)  # fills the direction cache
+    tracemalloc.start()
+    try:
+        assert mean_width(body, 4096) == whole
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(body.vertices) == 157
+    assert peak < 1.5 * 2**20
+
+
 def test_flat_hull_validation_memory_is_bounded():
     # a flat d = 3 walk: validation takes the blocked halfspace loop of every
     # body, so it adds one block of distances to the build's peak, not the

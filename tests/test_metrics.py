@@ -234,6 +234,23 @@ def test_rho_skorokhod_circ_budget_fallback(rng):
     assert exact.value <= res.value + 1e-12
 
 
+@pytest.mark.parametrize("p,q", [(12, 12), (64, 3)])
+def test_rho_skorokhod_circ_gates_on_its_program_work(rng, p, q):
+    # 12 x 12 has C(24, 12) = 2.7e6 matchings but a cheap program; (64, 3)
+    # is the costliest pair of the old matching-count gate and stays exact
+    def steps(k):
+        vals = rng.normal(size=(k + 1, 1))
+        vals[0] = 0.0
+        times = np.concatenate([[0.0], np.sort(rng.uniform(0.01, 0.99, k)), [1.0]])
+        return Trajectory(CONSTANT, times, np.vstack([vals, vals[-1:]]))
+
+    f, g = steps(p), steps(q)
+    exact = rho_skorokhod_circ(f, g)
+    bound = rho_skorokhod_circ(f, g, budget=1)
+    assert exact.mode == "exact" and bound.mode == "upper-bound"
+    assert exact.value <= bound.value + 1e-12
+
+
 # ------------------------------------------------------------- moduli
 
 def test_modulus_w_reference_values():

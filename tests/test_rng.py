@@ -5,8 +5,9 @@ from walklimits.rng import _replica_keys, replica_streams
 
 from conftest import reference_stream
 
-# seeds of 1 to 5 32-bit words
-SEEDS = [0, 2**32 - 1, 2**32, 2**64 - 1, 2**128 + 3]
+# seeds of 1 to 7 32-bit words: numpy hashes a seed of more than 4 words
+# for 4 more steps per word before the spawn key is mixed in
+SEEDS = [0, 2**32 - 1, 2**32, 2**64 - 1, 2**96, 2**128 + 3, 2**200]
 # from 0; mid-run across a key batch; across 2**32, where the spawn key gains a word
 RANGES = [(0, 5), (250, 262), (2**32 - 3, 2**32 + 3)]
 
@@ -42,9 +43,12 @@ def test_replica_keys_equal_seed_sequence(seed):
         ss = np.random.SeedSequence(seed, spawn_key=(int(r),))
         assert np.array_equal(key, ss.generate_state(2, np.uint64))
     wide = np.array([2**32, 2**40 + 7, 2**64 - 1], dtype=np.uint64)
-    for r, key in zip(wide, _replica_keys(seed, wide)):
-        ss = np.random.SeedSequence(seed, spawn_key=(int(r),))
-        assert np.array_equal(key, ss.generate_state(2, np.uint64))
+    # spawn keys of one and of two words in one call
+    mixed = np.array([2**32 - 2, 2**32 - 1, 2**32, 2**63, 7], dtype=np.uint64)
+    for batch in (wide, mixed):
+        for r, key in zip(batch, _replica_keys(seed, batch)):
+            ss = np.random.SeedSequence(seed, spawn_key=(int(r),))
+            assert np.array_equal(key, ss.generate_state(2, np.uint64))
 
 
 def test_replica_streams_reject_bad_ranges():

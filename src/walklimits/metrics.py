@@ -4,7 +4,7 @@ rho_inf                     supremum metric, exact for piecewise inputs
 rho_skorokhod               time-change metric, exact on step pairs
 rho_skorokhod_circ          chord-slope variant over jump matchings (segment DP)
 lambda_circ_norm, c_lambda  norms of a time change
-modulus_w, modulus_w_prime  moduli of continuity (banded lag scan, range-max DP)
+modulus_w, modulus_w_prime  moduli of continuity (window extremes or lag scan, range-max DP)
 occupation                  path functional (linear pieces cut at cone roots)
 
 The exact Skorokhod value on step functions is found by a dynamic program
@@ -151,25 +151,28 @@ def _staircase_dp(u, a, v, b):
         return out.ravel()
 
     mism = padded(np.linalg.norm(a[:, None, :] - b[None, :, :], axis=2))
-    right, up, diag = padded(right), padded(up), padded(diag)
+    steps = (right, up, diag)
+    right, up, diag = map(padded, steps)
     cost = np.full((p + 2) * w, inf)
-    move = np.zeros((p + 2) * w, dtype=np.int8)
     cost[w + 1] = mism[w + 1]
     for d in range(1, p + q + 1):
         lo, hi = max(0, d - q), min(p, d)
         first, stop = w + 1 + d + lo * (w - 1), w + 2 + d + hi * (w - 1)
         cells = slice(first, stop, w - 1)
-        # tie order right < up < diag: a later move wins only when strictly lower
         best = np.maximum(cost[first - w : stop - w : w - 1], right[cells])
-        how = np.where(best < inf, 1, 0)
-        for c, k in ((np.maximum(cost[first - 1 : stop - 1 : w - 1], up[cells]), 2),
-                     (np.maximum(cost[first - w - 1 : stop - w - 1 : w - 1], diag[cells]), 3)):
-            lower = c < best
-            best = np.where(lower, c, best)
-            how = np.where(lower, k, how)
+        np.minimum(best, np.maximum(cost[first - 1 : stop - 1 : w - 1], up[cells]), out=best)
+        np.minimum(best, np.maximum(cost[first - w - 1 : stop - w - 1 : w - 1], diag[cells]), out=best)
         cost[cells] = np.maximum(best, mism[cells])
-        move[cells] = how
-    return float(cost[-1]), move.reshape(p + 2, w)[1:, 1:]
+    # the moves, read off the finished grid: tie order right < up < diag, a later
+    # move winning only when strictly lower, and 0 where no candidate is finite
+    cost = cost.reshape(p + 2, w)
+    best = np.full((p + 1, q + 1), inf)
+    move = np.zeros((p + 1, q + 1), dtype=np.int8)
+    for k, (prev, step) in enumerate(zip((cost[:-1, 1:], cost[1:, :-1], cost[:-1, :-1]), steps), 1):
+        c = np.maximum(prev, step)
+        move[c < best] = k
+        best = np.minimum(best, c)
+    return float(cost[-1, -1]), move
 
 
 def _witness_from_moves(u, v, move) -> TimeChange | None:
@@ -180,12 +183,12 @@ def _witness_from_moves(u, v, move) -> TimeChange | None:
     exact value by at most the clamping margin.
     """
     p, q = len(u), len(v)
-    uu = np.concatenate([[0.0], u, [1.0]])
-    vv = np.concatenate([[0.0], v, [1.0]])
+    u, v, move = u.tolist(), v.tolist(), move.tolist()
+    uu, vv = [0.0, *u, 1.0], [0.0, *v, 1.0]
     nodes = []
     i, j = p, q
     while i > 0 or j > 0:
-        how = move[i, j]
+        how = move[i][j]
         if how == 1:
             lo, hi = vv[j], vv[j + 1]
             gap = min(1e-9, (hi - lo) / 4.0)
@@ -205,8 +208,8 @@ def _witness_from_moves(u, v, move) -> TimeChange | None:
     for t, x in nodes:
         if t <= ts[-1] or x <= xs[-1] or t >= 1.0 or x >= 1.0:
             continue
-        ts.append(float(t))
-        xs.append(float(x))
+        ts.append(t)
+        xs.append(x)
     ts.append(1.0)
     xs.append(1.0)
     try:
@@ -363,7 +366,12 @@ def _band_sup(first, last, vals, delta) -> float:
     """max |vals[j] - vals[i]| over i < j with first[j] - last[i] <= delta, up
     to 1e-15, so a gap of exactly delta counts however its times round.
 
-    The times are sorted, so past a lag with no pair in the window there are none."""
+    The times are sorted, so the gap only falls as i grows: the pairs of a j
+    are the window i = lo[j] .. j - 1, and past a lag with no pair in the
+    window there are none.  In d = 1 each window's max and min give the
+    largest of the squared differences the lag scan over d >= 2 compares."""
+    if vals.shape[1] == 1:
+        return _window_sup(first, last, vals[:, 0], delta + 1e-15)
     best = 0.0
     for k in range(1, len(vals)):
         near = first[k:] - last[:-k] <= delta + 1e-15
@@ -372,6 +380,34 @@ def _band_sup(first, last, vals, delta) -> float:
         diff = vals[k:] - vals[:-k]
         best = max(best, float(np.einsum("ij,ij->i", diff, diff).max(where=near, initial=0.0)))
     return math.sqrt(best)
+
+
+def _window_sup(first, last, x, reach) -> float:
+    """The d = 1 band supremum in O(n log n) time and O(n) memory.
+
+    lo[j] is found by the lag scan's own float test, from a searchsorted
+    guess.  Doubling levels give the window extremes: level k holds the max
+    and min of every 2^k consecutive values, is built from level k - 1 and
+    serves the windows of 2^k to 2^(k+1) - 1 values before it is dropped."""
+    at = np.arange(len(x))
+    lo = np.minimum(np.searchsorted(last, first - reach), at)
+    while (back := (lo > 0) & (first - last[lo - 1] <= reach)).any():
+        lo -= back
+    while (ahead := (lo < at) & (first - last[lo] > reach)).any():
+        lo += ahead
+    level = np.frexp(at - lo + 1)[1] - 1
+    top = bottom = x
+    best = 0.0
+    for k in range(int(level.max()) + 1):
+        if k:
+            h = 1 << (k - 1)
+            top, bottom = np.maximum(top[:-h], top[h:]), np.minimum(bottom[:-h], bottom[h:])
+        j = np.flatnonzero(level == k)
+        if len(j):
+            a, b, xj = lo[j], j - (1 << k) + 1, x[j]
+            hi, low = np.maximum(top[a], top[b]), np.minimum(bottom[a], bottom[b])
+            best = max(best, float(np.maximum(hi - xj, xj - low).max()))
+    return math.sqrt(best * best)
 
 
 def _piece_intervals(f: Trajectory):

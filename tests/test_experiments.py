@@ -23,7 +23,7 @@ from walklimits.experiments import (
     ReportRow, law_from_config, read_rows, rows_csv)
 from walklimits.stats import kolmogorov_threshold
 from walklimits import Walk, centre_of_mass, lattice, sample_walk, rademacher
-from walklimits import convex_hull, diameter, functionals, gaussian, surface_area, walks
+from walklimits import convex_hull, diameter, experiments, functionals, gaussian, surface_area, walks
 from walklimits.metrics import HalfspaceCap
 
 from conftest import reference_stream, whole_walk_sums
@@ -841,6 +841,14 @@ seed = 4
     )
     rep = run_experiment(cfg)
     assert all(r.passed for r in rep.rows)
+
+
+@pytest.mark.parametrize("d", [1, 2, 3, 8])
+@pytest.mark.parametrize("kind", ["rademacher", "gaussian"])
+def test_etemadi_norms_equal_linalg_norm(d, kind):
+    law = rademacher(d) if kind == "rademacher" else gaussian(np.zeros(d), np.eye(d))
+    for _, _, sums in walks.walk_batches(law, 300, 5, 0, 64):
+        assert np.array_equal(experiments._norms(sums), np.linalg.norm(sums, axis=2))
 
 
 # ---------------------------------------------------- hull drift volume

@@ -17,6 +17,7 @@ from walklimits import (
     Trajectory,
     c_lambda,
     clt_trajectory,
+    gaussian,
     hausdorff,
     lambda_circ_norm,
     modulus_w,
@@ -31,7 +32,9 @@ from walklimits import (
     segment,
 )
 from walklimits.fixtures import jump_alignment, step_f, step_g, step_h
+from walklimits import metrics
 from walklimits.metrics import (
+    _band_sup,
     _piece_intervals,
     _staircase_dp,
     _step_pieces,
@@ -473,6 +476,48 @@ def test_moduli_match_brute_force_oracles(rng, d):
         delta = min(delta, 0.6)
         assert modulus_w_prime(f, delta) == pytest.approx(
             _modulus_w_prime_oracle(f, delta), abs=tol)
+
+
+def _d1_paths():
+    for law in (rademacher(1), gaussian([0.0], [[1.0]])):
+        for n in (1, 2, 1000):
+            walk = sample_walk(law, n, n)
+            yield from (clt_trajectory(walk, kind, [0.0]) for kind in (CONSTANT, LINEAR))
+    yield from (Trajectory(kind, [0.0, 1.0], [[0.5], [0.5]]) for kind in (CONSTANT, LINEAR))
+    # a jump at t = 1: the final piece has zero width
+    yield Trajectory(CONSTANT, [0.0, 0.3, 0.7, 1.0], [[0.0], [2.0], [-1.0], [4.0]])
+    # a search on times alone misplaces these windows: at delta = 0.1 the first gap
+    # passes the float test though 0.0255... < 0.1255... - (0.1 + 1e-15), and at
+    # delta = 0.01 the second fails it though 0.2336... >= 0.2436... - (0.01 + 1e-15)
+    for t in ((0.025512728869804678, 0.1255127288698057), (0.23368760884005918, 0.2436876088400602)):
+        yield Trajectory(CONSTANT, [0.0, *t, 1.0], [[0.0], [1.0], [5.0], [5.0]])
+
+
+def test_d1_modulus_w_equals_the_lag_scan(monkeypatch):
+    # a zero second coordinate sends _band_sup down the d >= 2 lag scan
+    lag_scan = []
+
+    def spy(first, last, vals, delta):
+        lag_scan.append(_band_sup(first, last, np.column_stack([vals, 0.0 * vals]), delta))
+        return _band_sup(first, last, vals, delta)
+
+    monkeypatch.setattr(metrics, "_band_sup", spy)
+    for f in _d1_paths():
+        n = len(f.times) - 1
+        for delta in (0.01, 0.1, 1.0 / max(n, 1), 1.0):
+            assert modulus_w(f, delta) == lag_scan[-1]
+
+
+def test_modulus_w_memory_is_linear_in_steps():
+    # about 1.5e5 candidate times, 1.1 MiB per float array
+    f = clt_trajectory(sample_walk(rademacher(1), 100_000, 0), LINEAR, [0.0])
+    tracemalloc.start()
+    try:
+        modulus_w(f, 0.1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 24 * 2**20
 
 
 _ORACLE_CELLS = 20001

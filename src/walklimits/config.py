@@ -204,7 +204,11 @@ def validate_config(cfg: ExperimentConfig) -> None:
         raise ConfigError(f"unknown value for reference: {cfg.reference!r}")
     if kind.needs_n and cfg.n < 1:
         raise ConfigError("n must be >= 1")
-    kind.check(cfg, law_from_config(cfg))
+    law = law_from_config(cfg)
+    if cfg.sigma and not (sqrt_psd(cfg.sigma).matrix == law.sigma).all():
+        raise ConfigError(f"sigma: law {cfg.law} fixes its covariance at "
+                          f"{MATRIX.format(law.sigma)}; omit sigma or give exactly that")
+    kind.check(cfg, law)
 
 
 def manifest_text(cfg: ExperimentConfig, keys=None) -> str:

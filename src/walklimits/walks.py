@@ -100,19 +100,11 @@ def _lattice_steps(law: IncrementLaw, n: int, rng) -> np.ndarray:
 
 
 class LawKind(NamedTuple):
-    """An increment law kind: its step sampler, its builder, whether its mean is
-    zero and in which dimensions a walk's steps may be drawn in chunks of an
-    even number of steps."""
+    """An increment law kind: its step sampler, its builder and whether its mean is zero."""
 
     steps: Callable  # (law, n, rng) -> a fresh (n, dim) float array of increments
     build: Callable  # (dim, mu, sigma) -> IncrementLaw
     zero_mean: bool
-    # dim -> whether draws of even step counts take the stream's words
-    # exactly as one whole draw does.  integers(0, 2d) takes one 32-bit half
-    # per draw when 2d is a power of two (Lemire's method never rejects
-    # there); otherwise a rejection takes a data-dependent number of halves,
-    # and a call drops the half it has left over.
-    split: Callable = lambda dim: True
 
 
 def _rademacher_steps(law: IncrementLaw, n: int, rng) -> np.ndarray:
@@ -153,8 +145,7 @@ LAWS = {
         lambda law, n, rng: np.tile(law.mu, (n, 1)),
         lambda dim, mu, sigma: deterministic(mu), False),
     "lattice-simple-symmetric": LawKind(
-        _lattice_steps, lambda dim, mu, sigma: lattice(dim), True,
-        split=lambda dim: dim & (dim - 1) == 0),
+        _lattice_steps, lambda dim, mu, sigma: lattice(dim), True),
 }
 
 
@@ -205,8 +196,7 @@ _BATCH_REPLICAS = 256
 _BATCH_BYTES = 2 << 20
 # A replica's steps are drawn and summed this many at a time, so it holds its
 # row of the batch and one chunk's temporaries, never an O(n) draw: at most
-# 2 * 8192 * d floats (384 KiB at d = 3), inside the same 2 MiB L2.  Even, so
-# that a raw word's two Rademacher steps never straddle two chunks.  Seconds
+# 2 * 8192 * d floats (384 KiB at d = 3), inside the same 2 MiB L2.  Seconds
 # of one fresh max-clt process at 256 x 2*10^5 (d = 1) pinned to one CPU,
 # median of 8 alternating rounds, and its minor page faults:
 #
@@ -218,34 +208,38 @@ _BATCH_BYTES = 2 << 20
 # freed temporary off the top of the heap and the next draw faults it back
 # in; a whole draw freed before the next replica's is drawn does the same
 # (207k faults, 1.43 s).  2^13 keeps d = 3 chunks below that size as well.
+#
+# The chunk rule: a draw through the Generator may be split anywhere and
+# still equal one whole draw.  Its bounded integers take each 32-bit half
+# from the bit generator, which keeps a leftover half in its own state, and
+# its floats take whole words.  Only ``_halves`` reads raw words past that
+# state, dropping an odd draw's last half, so its chunks hold an even number
+# of steps: this and ``_BYTE_CHUNK_STEPS`` stay even.
 _CHUNK_STEPS = 1 << 13
 
 
-def prefix_sum_batches(steps: Callable, n: int, dim: int, seed: int,
-                       lo: int, hi: int, split: bool = True):
+def prefix_sum_batches(steps: Callable, n: int, dim: int, seed: int, lo: int, hi: int):
     """(a, b, prefix sums (b-a, n+1, dim)) for replicas a..b-1 of lo..hi-1, where
     replica r's path is the cumsum of its n increments, drawn on its stream by
     ``steps(rng, a, b)``, which returns increments a..b-1 as a fresh array.
 
-    Each row is filled ``_CHUNK_STEPS`` steps at a time (all n at once unless
-    ``split``): a chunk's first increment takes the previous prefix sum in
-    place, then one cumsum writes the chunk's prefix sums.  The first chunk
-    takes no carry (a -0.0 step stays -0.0), so every row equals one whole
-    cumsum bit for bit.
+    Each row is filled ``_CHUNK_STEPS`` steps at a time: a chunk's first
+    increment takes the previous prefix sum in place, then one cumsum writes
+    the chunk's prefix sums.  The first chunk takes no carry (a -0.0 step
+    stays -0.0), so every row equals one whole cumsum bit for bit.
 
     Every batch is a view of one buffer, so the next batch overwrites it: use
     a batch fully before advancing.
     """
     size = max(1, min(_BATCH_REPLICAS, _BATCH_BYTES // ((n + 1) * dim * 8)))
-    chunk = _CHUNK_STEPS if split else n
     buf = np.empty((min(size, hi - lo), n + 1, dim))
     buf[:, 0] = 0.0
     streams = replica_streams(seed, lo, hi)
     for a in range(lo, hi, size):
         b = min(a + size, hi)
         for row, rng in zip(buf[: b - a], streams):
-            for c in range(0, n, chunk):
-                e = min(c + chunk, n)
+            for c in range(0, n, _CHUNK_STEPS):
+                e = min(c + _CHUNK_STEPS, n)
                 x = steps(rng, c, e)
                 if c:
                     x[0] += row[c]
@@ -254,9 +248,8 @@ def prefix_sum_batches(steps: Callable, n: int, dim: int, seed: int,
 
 
 def walk_batches(law: IncrementLaw, n: int, seed: int, lo: int, hi: int):
-    """``prefix_sum_batches`` of the law's walks lo..hi-1, chunked where its kind allows."""
-    return prefix_sum_batches(lambda rng, a, b: law.sample(b - a, rng), n, law.dim,
-                              seed, lo, hi, LAWS[law.kind].split(law.dim))
+    """``prefix_sum_batches`` of the law's walks lo..hi-1."""
+    return prefix_sum_batches(lambda rng, a, b: law.sample(b - a, rng), n, law.dim, seed, lo, hi)
 
 
 # BYTE_PATH[b, t] is the walk after t + 1 of the 8 steps packed in byte b,

@@ -576,6 +576,23 @@ def test_bad_covariance_is_config_error(tmp_path, sigma, message):
     assert not (tmp_path / "x").exists()
 
 
+@pytest.mark.parametrize("builtin,sigma", [("etemadi-d2", "9,0;0,1"), ("max-clt", "4")])
+def test_sigma_the_law_does_not_carry_is_config_error(tmp_path, capsys, builtin, sigma):
+    # a Rademacher walk has identity covariance whatever sigma says
+    assert main(["experiment", "--builtin", builtin, "--override", f"sigma={sigma}",
+                 "--out", str(tmp_path / "x")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: sigma: law rademacher ") and "1.0" in err
+    assert not (tmp_path / "x").exists()
+
+
+def test_sigma_equal_to_the_laws_covariance_runs(tmp_path, capsys):
+    # a verdict (0 or 3 at three replicas), not a config error
+    assert main(["experiment", "--builtin", "max-clt", "--override", "sigma=1",
+                 "--override", "replicas=3", "--out", str(tmp_path / "x")]) in (0, 3)
+    assert "sigma = 1.0\n" in (tmp_path / "x" / "manifest.cfg").read_text()
+
+
 def _bad_dim(dims):
     return dims[0] - 1 if dims[0] > 1 else dims[1] + 1
 
@@ -592,11 +609,17 @@ def test_functional_dimension_constraints_exit_two(tmp_path, functional):
     assert f"functional {functional} needs dim" in res.stderr
 
 
+# each kind's own covariance (the CLI has no sigma flag, so the Gaussian's is I)
+LAW_SIGMAS = {"rademacher": "1,0;0,1", "gaussian": "1,0;0,1",
+              "uniform-cube": f"{1 / 12!r},0;0,{1 / 12!r}", "deterministic": "0,0;0,0",
+              "lattice-simple-symmetric": "0.5,0;0,0.5"}
+
+
 @pytest.mark.parametrize("kind", sorted(LAWS))
 def test_law_table_builds_the_same_law_from_config_and_cli(tmp_path, kind):
     mu = "0,0" if LAWS[kind].zero_mean else "0.5,-1"
     cfg = build_config(parse_text(f"experiment = etemadi\nlaw = {kind}\ndim = 2\nmu = {mu}\n"
-                                  "sigma = 1,0;0,1\nn = 6\nx_grid = 1\nseed = 4\n"))
+                                  f"sigma = {LAW_SIGMAS[kind]}\nn = 6\nx_grid = 1\nseed = 4\n"))
     args = build_parser().parse_args(["simulate", "--law", kind, "--dim", "2", "--mu", mu,
                                       "--n", "6", "--seed", "4", "--out", str(tmp_path)])
     _, from_cli, walk = _walk_run(args)
@@ -742,6 +765,11 @@ def test_simulate_memory_stays_bounded(tmp_path):
     peak = _traced_peak(["hull", "--law", "gaussian", "--n", str(n), "--seed", "3",
                          "--out", str(tmp_path / "hull")])
     assert peak < (n + 1) * 2 * 8 + 4 * 2**20
+    # lattice walks are chunked in every d: a whole d = 3 draw added its
+    # moves and rows beside the sums, 32 MB at 10^6 steps
+    peak = _traced_peak(["simulate", "--law", "lattice-simple-symmetric", "--dim", "3",
+                         "--n", str(n), "--out", str(tmp_path / "lattice")])
+    assert peak < (n + 1) * 3 * 8 + 4 * 2**20
 
 
 def test_exit_path_matches_an_in_process_run(tmp_path):

@@ -288,16 +288,31 @@ def test_chunked_walk_batches_equal_one_whole_draw(kind, d, n):
         lambda r: whole_walk_sums(law, n, 23, r))
 
 
-def test_lattice_walks_are_chunked_where_no_draw_rejects():
-    # integers(0, 2d) rejects no draw exactly when 2d is a power of two; at
-    # d = 3 a chunked walk would equal a whole draw only while none rejects
-    split = walks.LAWS["lattice-simple-symmetric"].split
-    assert [d for d in range(1, 9) if split(d)] == [1, 2, 4, 8]
-    law = lattice(4)
-    n = CHUNK + 1
+@pytest.mark.parametrize("d", [3, 5, 6, 7])
+def test_lattice_walks_are_chunked_in_every_dimension(d):
+    # where 2d is no power of two, integers(0, 2d) rejects some draws and so
+    # takes a data-dependent number of 32-bit halves; the bit generator keeps
+    # a call's leftover half for the next, so chunks still equal a whole draw
+    law = lattice(d)
+    n = 2 * CHUNK + 1
     _assert_bytes_equal_whole_draws(
         experiments._walks(law, n, 29, 2), 0, 2,
         lambda r: whole_walk_sums(law, n, 29, r))
+
+
+def test_draws_split_anywhere_but_raw_words_need_even_chunks(monkeypatch):
+    # the chunk rule beside _CHUNK_STEPS, pinned on the installed numpy: at an
+    # odd chunk, Generator draws still equal whole draws, while _halves drops
+    # the last half of each chunk's last raw word
+    monkeypatch.setattr(walks, "_CHUNK_STEPS", 4097)
+    n = 2 * 4097 + 1
+    for law in (gaussian([0.5, -1.0], [[2.0, 0.3], [0.3, 1.0]]), uniform_cube([0.1, -0.7]),
+                deterministic([0.25, -3.0]), lattice(3)):
+        _assert_bytes_equal_whole_draws(
+            walks.walk_batches(law, n, 37, 0, 2), 0, 2,
+            lambda r: whole_walk_sums(law, n, 37, r))
+    (_, _, sums), = walks.walk_batches(rademacher(1), n, 37, 0, 1)
+    assert not np.array_equal(sums[0], whole_walk_sums(rademacher(1), n, 37, 0))
 
 
 @pytest.mark.parametrize("n", CHUNK_SIZES)
@@ -390,8 +405,7 @@ def _scatter_lattice_steps(d, n, rng):
 @pytest.mark.parametrize("n", [1, 7, CHUNK - 1, CHUNK + 1])
 @pytest.mark.parametrize("d", [1, 2, 3, 4])
 def test_lattice_steps_equal_the_scatter_construction(d, n):
-    # byte for byte: where 2d is a power of two the moves are read from the
-    # top bits of the raw words, and every off-axis zero must be +0.0
+    # byte for byte: every off-axis zero must be +0.0
     for seed, replica in ((0, 0), (31, 7), (2**40 + 1, 999)):
         want = _scatter_lattice_steps(d, n, reference_stream(seed, replica))
         assert lattice(d).sample(n, reference_stream(seed, replica)).tobytes() == want.tobytes()

@@ -3,14 +3,13 @@
 Each runner simulates `replicas` independent walks (per-replica derived
 streams, so results are schedule-independent), evaluates one functional
 per replica, and compares the empirical distribution or moments against
-the matching reference law.  ``_walks`` picks how walks arrive, for every
-runner and com-kernel alike: d = 1 Rademacher walks as ``walks.StepBytes``
-where the functional evaluates on them (``_on_bytes``), every other walk
-(``walks.walk_batches``) and every Brownian surrogate as prefix-sum batches
-from ``walks.prefix_sum_batches`` (surrogates on the replica indices after
-the walks').  ``functionals.evaluate`` turns any batch into (replicas, width)
-values.  Replica loops run in fixed index order and reductions are ordered,
-so every report is bit-reproducible from (config, seed).
+the matching reference law.  Runners of one functional (distributional,
+lln-sweep, com-kernel) take its walks from ``functionals.batches``, which
+picks their form; etemadi and hull-drift-volume take prefix sums from
+``walks.walk_batches``, and Brownian surrogates come from ``walks`` on the
+replica indices after the walks'.  ``functionals.evaluate`` turns any batch
+into (replicas, width) values.  Replica loops run in fixed index order and
+reductions are ordered, so every report is bit-reproducible from (config, seed).
 
 ``EXPERIMENTS`` declares each experiment kind once: its runner, whether it
 needs ``n``, and its own config checks, which ``config.validate_config``
@@ -145,23 +144,6 @@ def law_from_config(cfg: ExperimentConfig) -> walks.IncrementLaw:
     return walks.LAWS[cfg.law].build(d, mu, sigma)
 
 
-def _on_bytes(law, functional: str, n: int) -> bool:
-    """Whether walks reach a functional as step bytes: d = 1 Rademacher steps,
-    a functional with a byte evaluator, and n(n + 1)/2 <= 2**53: then every
-    S_1 + ... + S_k is an integer that floats hold exactly, so the
-    evaluator's values equal those of the prefix sums bit for bit."""
-    return (law.kind == "rademacher" and law.dim == 1 and n * (n + 1) // 2 <= 2**53
-            and functionals.FUNCTIONALS[functional].on_bytes is not None)
-
-
-def _walks(law, n: int, seed: int, total: int, functional: str | None = None):
-    """Batches of walks 0..total-1 of n steps: ``walks.StepBytes`` where
-    ``_on_bytes`` holds for ``functional``, else prefix sums."""
-    if functional is not None and _on_bytes(law, functional, n):
-        return walks.step_byte_batches(n, seed, 0, total)
-    return walks.walk_batches(law, n, seed, 0, total)
-
-
 def _surrogates(sample, cov, steps: int, cfg: ExperimentConfig):
     """Batches of surrogate paths ``sample(cov, grid, seed, lo, hi)``.
 
@@ -237,7 +219,7 @@ def run_distributional(cfg: ExperimentConfig, law):
     spec = functionals.FUNCTIONALS[cfg.functional]
     mode, cdf = _reference(cfg, law)
     n, m = cfg.n, cfg.replicas
-    values = _values(cfg.functional, _walks(law, n, cfg.seed, m, cfg.functional),
+    values = _values(cfg.functional, functionals.batches(cfg.functional, law, n, cfg.seed, m),
                      cfg) / spec.scale(n, cfg.dim)
     judge, m2 = None, m  # (sample, coordinate) -> (KS distance, default threshold)
     if cdf is not None:
@@ -292,7 +274,8 @@ def run_lln_sweep(cfg: ExperimentConfig, law):
     threshold = cfg.threshold if cfg.threshold > 0 else None
     rows, errors, samples = [], [], {}
     for n in cfg.n_list:
-        vals = _values(cfg.functional, _walks(law, n, cfg.seed, cfg.replicas, cfg.functional),
+        vals = _values(cfg.functional,
+                       functionals.batches(cfg.functional, law, n, cfg.seed, cfg.replicas),
                        cfg) / n
         mean_vec = vals.mean(axis=0)
         errors.append(float(np.linalg.norm(mean_vec - reference)))
@@ -312,16 +295,6 @@ def run_lln_sweep(cfg: ExperimentConfig, law):
     return rows, samples
 
 
-def _com_samples(law, n: int, seed: int, m: int, ks) -> np.ndarray:
-    """G_k = (S_1 + ... + S_k) / k of replicas 0..m-1 for each k in ks, as (m, len(ks), d)."""
-    out = np.empty((m, len(ks), law.dim))
-    for lo, hi, batch in _walks(law, n, seed, m, "com"):
-        com = (functionals.com_at_bytes if isinstance(batch, walks.StepBytes)
-               else functionals.com_at)
-        out[lo:hi] = np.stack(com(batch, ks), axis=1)
-    return out
-
-
 def _check_com_kernel(cfg: ExperimentConfig, law) -> None:
     if not cfg.pairs:
         raise ConfigError("pairs must not be empty")
@@ -334,7 +307,8 @@ def run_com_kernel_check(cfg: ExperimentConfig, law):
     n, m, d = cfg.n, cfg.replicas, cfg.dim
     times = sorted({t for pair in cfg.pairs for t in pair})
     ks = [functionals.step_at(n, t) for t in times]
-    coms = _com_samples(law, n, cfg.seed, m, ks)
+    coms = np.concatenate([np.stack(functionals.com_at(batch, ks), axis=1)
+                           for _, _, batch in functionals.batches("com", law, n, cfg.seed, m)])
     root_n = math.sqrt(n)
     values = {t: coms[:, j] / root_n for j, t in enumerate(times)}
     rows = []
@@ -368,7 +342,8 @@ def run_com_kernel_check(cfg: ExperimentConfig, law):
                 note="relative tolerance on the covariance",
             )
         )
-    samples = {f"G@{t:g}": values[t][:, 0] if d == 1 else values[t] for t in times}
+    samples = {name: values[t][:, j] for t in times
+               for j, name in enumerate(_names(f"G@{t:g}", d))}
     return rows, samples
 
 
@@ -402,7 +377,7 @@ def run_etemadi(cfg: ExperimentConfig, law):
     xs = np.asarray(cfg.x_grid, dtype=float)
     left_counts = np.zeros(len(xs), dtype=np.int64)
     right_counts = np.zeros((len(xs), n + 1), dtype=np.int64)
-    for _, _, sums in _walks(law, n, cfg.seed, m):
+    for _, _, sums in walks.walk_batches(law, n, cfg.seed, 0, m):
         norms = _norms(sums)
         peak = norms.max(axis=1)
         for i, x in enumerate(xs):
@@ -444,7 +419,8 @@ def run_hull_drift_volume(cfg: ExperimentConfig, law):
     The ratio has a stderr only where both sides have one."""
     mu = law.mu
     n, d = cfg.n, cfg.dim
-    walk_vals = _values("volume", _walks(law, n, cfg.seed, cfg.replicas), cfg)[:, 0]
+    walk_vals = _values("volume", walks.walk_batches(law, n, cfg.seed, 0, cfg.replicas),
+                        cfg)[:, 0]
     walk_vals /= float(n) ** ((d + 1) / 2.0)
     perp = laws.sigma_mu_perp(laws.sqrt_psd(law.sigma), mu)
     det_factor = float(np.linalg.norm(mu)) * math.sqrt(

@@ -8,7 +8,8 @@ constant, whether a Brownian surrogate can stand in for its limit law, and
 the dimensions, as (lowest, highest), where it and its LLN constant apply.
 max, arcsine and com also evaluate on ``walks.StepBytes``, the packed steps
 of d = 1 Rademacher walks, from exact integer sums that equal the prefix
-sums' values bit for bit.
+sums' values bit for bit.  ``batches`` is the one place that picks which
+form a functional's walks arrive in; ``evaluate`` and ``com_at`` read either.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from . import geometry, laws
+from . import geometry, laws, walks
 from .walks import BYTE_PATH, StepBytes
 
 ANY_DIM = (1, math.inf)
@@ -85,7 +86,7 @@ def _arcsine_bytes(batch, cfg) -> np.ndarray:
     return count / batch.n
 
 
-def com_at_bytes(batch, ks) -> list:
+def _com_at_bytes(batch, ks) -> list:
     """``com_at`` on a ``StepBytes`` batch, from the exact integer sums T_k.
 
     T_k = S_1 + ... + S_k adds, for each whole byte j < k // 8, 8 S_{8j} and
@@ -103,12 +104,15 @@ def com_at_bytes(batch, ks) -> list:
     return out
 
 
-def com_at(sums, ks) -> list:
-    """G_k = (S_1 + ... + S_k) / k as (b, d) for each k in ks (each k >= 1).
+def com_at(batch, ks) -> list:
+    """G_k = (S_1 + ... + S_k) / k as (b, d) for each k in ks (each k >= 1), of
+    prefix sums (b, n + 1, d) or ``StepBytes``.
 
-    One sequential cumsum through max(ks) serves every k.
+    One sequential cumsum through max(ks) serves every k of prefix sums.
     """
-    csum = np.cumsum(sums[:, 1 : max(ks) + 1, :], axis=1)
+    if isinstance(batch, StepBytes):
+        return _com_at_bytes(batch, ks)
+    csum = np.cumsum(batch[:, 1 : max(ks) + 1, :], axis=1)
     return [csum[:, k - 1, :] / k for k in ks]
 
 
@@ -171,8 +175,23 @@ FUNCTIONALS = {
         lambda n, dim: float(n) ** (dim / 2.0), PLANAR_UP),
     "com": Functional(
         _com, _root_n, ANY_DIM, _com_cdf, lambda mu, t: mu * (t / 2.0), at_t=True,
-        on_bytes=lambda batch, cfg: com_at_bytes(batch, [step_at(batch.n, cfg.t)])[0]),
+        on_bytes=lambda batch, cfg: _com_at_bytes(batch, [step_at(batch.n, cfg.t)])[0]),
 }
+
+
+def batches(functional: str, law, n: int, seed: int, total: int):
+    """Batches of walks 0..total-1 of n steps for a functional: ``walks.StepBytes``
+    where the steps are d = 1 Rademacher, the functional has a byte evaluator
+    and n(n + 1)/2 <= 2**53 (then every S_1 + ... + S_k is an integer that
+    floats hold exactly, so the evaluator's values equal those of the prefix
+    sums bit for bit), else prefix sums."""
+    # the producers are called as walks attributes: tests patch them there,
+    # and perfbench/tracing.py rebinds them only in its MODULES, which leave
+    # this module out
+    if (law.kind == "rademacher" and law.dim == 1 and n * (n + 1) // 2 <= 2**53
+            and FUNCTIONALS[functional].on_bytes is not None):
+        return walks.step_byte_batches(n, seed, 0, total)
+    return walks.walk_batches(law, n, seed, 0, total)
 
 
 def evaluate(functional: str, batch, cfg) -> np.ndarray:

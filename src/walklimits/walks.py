@@ -4,8 +4,9 @@
 of Brownian surrogates (``sample_brownian``, ``sample_tilde_bd``) alike,
 drawing each replica's steps in cache-sized chunks.  ``step_byte_batches``
 gives d = 1 Rademacher ensembles as their step bits instead, 8 steps to a
-byte with the walk's value before each byte; ``functionals`` reads max,
-arcsine and G_k off them through ``BYTE_PATH``.  A single walk
+byte with the walk's value before each byte; ``functionals.batches`` picks
+them for max, arcsine and com, and ``functionals`` reads those and G_k off
+them through ``BYTE_PATH``.  A single walk
 (``sample_walk``) is one replica of a law's ensemble (``walk_batches``).
 """
 

@@ -765,11 +765,6 @@ def test_simulate_memory_stays_bounded(tmp_path):
     peak = _traced_peak(["hull", "--law", "gaussian", "--n", str(n), "--seed", "3",
                          "--out", str(tmp_path / "hull")])
     assert peak < (n + 1) * 2 * 8 + 4 * 2**20
-    # lattice walks are chunked in every d: a whole d = 3 draw added its
-    # moves and rows beside the sums, 32 MB at 10^6 steps
-    peak = _traced_peak(["simulate", "--law", "lattice-simple-symmetric", "--dim", "3",
-                         "--n", str(n), "--out", str(tmp_path / "lattice")])
-    assert peak < (n + 1) * 3 * 8 + 4 * 2**20
 
 
 def test_exit_path_matches_an_in_process_run(tmp_path):

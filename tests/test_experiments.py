@@ -363,28 +363,22 @@ def test_every_config_build_config_accepts_runs(grid, accepted):
 
 
 def test_batch_byte_budget_leaves_report_unchanged(monkeypatch):
-    import walklimits.experiments as experiments
-    import walklimits.walks as walks
-
     cfg = _cfg(MAX_CFG, ["functional=volume", "law=gaussian", "dim=2", "replicas=7",
                          "reference=none"])
     whole = run_experiment(cfg).csv_text()
     # three replicas of (n + 1) x 2 float64 sums per batch
     monkeypatch.setattr(walks, "_BATCH_BYTES", 3 * 257 * 2 * 8)
-    assert [hi - lo for lo, hi, _ in experiments._walks(law_from_config(cfg), 256, 0, 7)] \
+    assert [hi - lo for lo, hi, _ in walks.walk_batches(law_from_config(cfg), 256, 0, 0, 7)] \
         == [3, 3, 1]
     assert run_experiment(cfg).csv_text() == whole
 
 
 @pytest.mark.parametrize("law", [rademacher(2), gaussian([0.5, -1.0], [[2.0, 0.3], [0.3, 1.0]])])
 def test_batches_reuse_one_buffer_without_stale_rows(monkeypatch, law):
-    import walklimits.experiments as experiments
-    import walklimits.walks as walks
-
     n, total = 50, 7
     monkeypatch.setattr(walks, "_BATCH_BYTES", 3 * (n + 1) * 2 * 8)
     seen = []
-    for lo, hi, sums in experiments._walks(law, n, 11, total):
+    for lo, hi, sums in walks.walk_batches(law, n, 11, 0, total):
         assert sums.shape == (hi - lo, n + 1, 2)
         for r in range(lo, hi):
             assert np.array_equal(sums[r - lo], whole_walk_sums(law, n, 11, r))
@@ -394,12 +388,9 @@ def test_batches_reuse_one_buffer_without_stale_rows(monkeypatch, law):
 
 @pytest.mark.parametrize("n,dim,total", [(100, 1, 1000), (10000, 2, 300), (600000, 1, 2)])
 def test_batch_buffer_holds_at_most_the_budget_or_one_replica(n, dim, total):
-    import walklimits.experiments as experiments
-    import walklimits.walks as walks
-
     one = (n + 1) * dim * 8
     bases = set()
-    for lo, hi, sums in experiments._walks(rademacher(dim), n, 0, total):
+    for lo, hi, sums in walks.walk_batches(rademacher(dim), n, 0, 0, total):
         assert sums.base is not None and sums.base.nbytes <= max(walks._BATCH_BYTES, one)
         bases.add(id(sums.base))
     assert len(bases) == 1
@@ -407,11 +398,9 @@ def test_batch_buffer_holds_at_most_the_budget_or_one_replica(n, dim, total):
 
 
 def _walk_batches_peak(law, n):
-    import walklimits.experiments as experiments
-
     tracemalloc.start()
     try:
-        for _ in experiments._walks(law, n, 5, 4):
+        for _ in walks.walk_batches(law, n, 5, 0, 4):
             pass
         return tracemalloc.get_traced_memory()[1]
     finally:
@@ -426,9 +415,11 @@ def test_walk_batches_hold_one_row_and_one_chunk():
     assert _walk_batches_peak(rademacher(1), n) < (n + 1) * 8 + (512 << 10)
 
 
-@pytest.mark.parametrize("d", [1, 2])
+@pytest.mark.parametrize("d", [1, 2, 3, 5])
 def test_lattice_walk_batches_hold_one_row_and_one_chunk(d):
-    # whole lattice draws peaked at 11.2 MB (d = 1) and 16.0 MB (d = 2)
+    # whole lattice draws peaked at 11.2 MB (d = 1), 16.0 MB (d = 2),
+    # 15.3 MiB (d = 3) and 24.4 MiB (d = 5); chunked, d = 3 and d = 5 peak
+    # at 5.0 and 8.3 MiB
     n = 200_000
     assert _walk_batches_peak(lattice(d), n) < ((n + 1) * 8 + (512 << 10)) * d
 
@@ -436,12 +427,11 @@ def test_lattice_walk_batches_hold_one_row_and_one_chunk(d):
 @pytest.mark.parametrize("law", [rademacher(1), rademacher(2), lattice(1), lattice(2)],
                          ids=lambda law: f"{law.kind}-d{law.dim}")
 def test_integer_step_com_equals_com_at(law):
-    # the batched route (step bytes at d = 1, prefix-sum batches at d = 2)
+    # com-kernel's route (step bytes at d = 1, prefix-sum batches at d = 2)
     # gives com_at on each walk alone bit for bit, at k = 1, a k below n and k = n
-    import walklimits.experiments as experiments
-
     n, m, ks = 600, 300, [1, 299, 600]
-    got = experiments._com_samples(law, n, 21, m, ks)
+    got = np.concatenate([np.stack(functionals.com_at(batch, ks), axis=1)
+                          for _, _, batch in functionals.batches("com", law, n, 21, m)])
     assert got.shape == (m, len(ks), law.dim)
     for r in range(m):
         want = functionals.com_at(whole_walk_sums(law, n, 21, r)[None], ks)
@@ -482,7 +472,7 @@ def test_step_byte_evaluators_equal_the_prefix_sums(n):
         else:
             want = functionals.evaluate("com", sums, cfg)
             assert functionals.evaluate("com", batch, cfg).tobytes() == want.tobytes()
-        for got, want in zip(functionals.com_at_bytes(batch, ks), functionals.com_at(sums, ks)):
+        for got, want in zip(functionals.com_at(batch, ks), functionals.com_at(sums, ks)):
             assert got.tobytes() == want.tobytes()
 
 
@@ -505,13 +495,23 @@ def test_step_bytes_of_a_walk_that_stays_at_or_below_zero(n, replica):
     ids=lambda v: f"{v.kind}-d{v.dim}" if isinstance(v, walks.IncrementLaw) else str(v))
 def test_only_d1_rademacher_walks_reach_byte_evaluators_as_bytes(law, functional, on_bytes):
     # d = 1 lattice walks arrive as prefix sums like every other law's
-    import walklimits.experiments as experiments
-
-    for _, _, batch in experiments._walks(law, 100, 5, 3, functional):
+    for _, _, batch in functionals.batches(functional, law, 100, 5, 3):
         assert isinstance(batch, walks.StepBytes) == on_bytes
-    assert all(isinstance(batch, np.ndarray) for _, _, batch in experiments._walks(law, 100, 5, 3))
-    # past n(n + 1) / 2 = 2**53 the float sums are no longer exact integers
-    assert not experiments._on_bytes(law, functional, 2**27)
+
+
+@pytest.mark.parametrize("n,form", [(2**27 - 1, "bytes"), (2**27, "sums")])
+def test_step_bytes_stop_where_float_sums_stop_being_exact(monkeypatch, n, form):
+    # n(n + 1)/2 is 2**53 - 2**26 at n = 2**27 - 1 and 2**53 + 2**26 at
+    # n = 2**27: past 2**53 the float sums are no longer exact integers.
+    # The producers are only recorded, so nothing is drawn.
+    calls = []
+    monkeypatch.setattr(walks, "step_byte_batches", lambda *a: calls.append(("bytes", a)))
+    monkeypatch.setattr(walks, "walk_batches", lambda *a: calls.append(("sums", a)))
+    law = rademacher(1)
+    for functional in ("max", "arcsine", "com"):
+        functionals.batches(functional, law, n, 5, 3)
+    args = (n, 5, 0, 3) if form == "bytes" else (law, n, 5, 0, 3)
+    assert calls == [(form, args)] * 3
 
 
 def _run_cli_files(out, args):
@@ -532,8 +532,6 @@ def _run_cli_files(out, args):
     ids=["lln-max", "arcsine", "com"])
 def test_byte_path_runs_write_the_prefix_sum_files(tmp_path, monkeypatch, text):
     # report.csv and every samples_*.csv byte for byte, with and without bytes
-    import walklimits.experiments as experiments
-
     cfg = tmp_path / "run.cfg"
     cfg.write_text(text)
     calls = []
@@ -542,7 +540,9 @@ def test_byte_path_runs_write_the_prefix_sum_files(tmp_path, monkeypatch, text):
                         lambda *a: calls.append(a) or byte_batches(*a))
     got = _run_cli_files(tmp_path / "bytes", ["experiment", "--config", str(cfg)])
     assert calls
-    monkeypatch.setattr(experiments, "_on_bytes", lambda *a: False)
+    # the same run with prefix sums where functionals.batches takes bytes
+    monkeypatch.setattr(walks, "step_byte_batches",
+                        lambda n, *a: walks.walk_batches(rademacher(1), n, *a))
     want = _run_cli_files(tmp_path / "sums", ["experiment", "--config", str(cfg)])
     assert got == want
     assert "report.csv" in got and any(name.startswith("samples_") for name in got)
@@ -554,19 +554,20 @@ REAL_COM_PINS = {"gaussian": "93c9b68ef43cde2c", "uniform-cube": "955847b478e4ec
 
 @pytest.mark.parametrize("kind", ["gaussian", "uniform-cube", "rademacher"])
 def test_only_integer_step_com_kernel_skips_com_at(monkeypatch, kind):
-    import walklimits.experiments as experiments
-
-    calls = []
-    com_at = functionals.com_at
-    monkeypatch.setattr(functionals, "com_at",
-                        lambda sums, ks: calls.append(len(sums)) or com_at(sums, ks))
+    # the replicas of each batch that com_at and its byte reader get: d = 1
+    # Rademacher batches all go on to the byte reader, so none takes the cumsum
+    calls = {"com_at": [], "_com_at_bytes": []}
+    for name, seen in calls.items():
+        f = getattr(functionals, name)
+        monkeypatch.setattr(functionals, name, lambda batch, ks, f=f, seen=seen:
+                            seen.append(len(getattr(batch, "bits", batch))) or f(batch, ks))
     cfg = _cfg(BUILTIN_CONFIGS["com-kernel"], [f"law={kind}", "replicas=2000", "n=500"])
-    text = experiments.run_experiment(cfg).csv_text()
+    text = run_experiment(cfg).csv_text()
     if kind in REAL_COM_PINS:
-        assert sum(calls) == 2000
+        assert sum(calls["com_at"]) == 2000 and calls["_com_at_bytes"] == []
         assert hashlib.sha256(text.encode()).hexdigest()[:16] == REAL_COM_PINS[kind]
     else:
-        assert calls == []
+        assert sum(calls["com_at"]) == 2000 and calls["com_at"] == calls["_com_at_bytes"]
 
 
 # com-kernel reports of integer-step laws, recorded while d >= 2 walks still
@@ -799,6 +800,23 @@ dump_samples = true
         walk = Walk(whole_walk_sums(rademacher(1), 100, 5, r))
         g = centre_of_mass(walk).values[-1, 0] / math.sqrt(100)
         assert stored[r] == pytest.approx(g, abs=1e-12)
+
+
+def test_com_kernel_samples_name_each_coordinate(tmp_path):
+    # in d = 2 each coordinate of G gets a samples file of its own, one row a
+    # replica, where both once alternated in one column under one sample_id
+    law = gaussian([0.0, 0.0], [[4.0, 1.0], [1.0, 1.0]])
+    got = _run_cli_files(tmp_path, [
+        "experiment", "--builtin", "com-kernel", "--override", "law=gaussian",
+        "--override", "dim=2", "--override", "sigma=4,1;1,1", "--override", "replicas=5",
+        "--override", "n=100", "--override", "dump_samples=true"])
+    files = {(k, j): f"samples_G@{k / 100:g}.x{j + 1}.csv" for k in (50, 100) for j in (0, 1)}
+    assert sorted(got) == sorted(["report.csv", *files.values()])
+    coms = [centre_of_mass(Walk(whole_walk_sums(law, 100, 20260812, r))).values / 10.0
+            for r in range(5)]
+    for (k, j), name in files.items():
+        want = ["sample_id,value"] + [f"{r},{float(coms[r][k, j])!r}" for r in range(5)]
+        assert got[name].decode().splitlines() == want
 
 
 # -------------------------------------------------------------- etemadi

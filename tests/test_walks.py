@@ -25,7 +25,7 @@ from walklimits import (
     sqrt_psd,
     uniform_cube,
 )
-from walklimits import experiments, walks
+from walklimits import walks
 
 from conftest import reference_stream, whole_walk_sums
 
@@ -284,7 +284,7 @@ def test_chunked_walk_batches_equal_one_whole_draw(kind, d, n):
     sigma = np.eye(d) + 0.25
     law = walks.LAWS[kind].build(d, mu, sigma)
     _assert_bytes_equal_whole_draws(
-        experiments._walks(law, n, 23, 3), 0, 3,
+        walks.walk_batches(law, n, 23, 0, 3), 0, 3,
         lambda r: whole_walk_sums(law, n, 23, r))
 
 
@@ -296,7 +296,7 @@ def test_lattice_walks_are_chunked_in_every_dimension(d):
     law = lattice(d)
     n = 2 * CHUNK + 1
     _assert_bytes_equal_whole_draws(
-        experiments._walks(law, n, 29, 2), 0, 2,
+        walks.walk_batches(law, n, 29, 0, 2), 0, 2,
         lambda r: whole_walk_sums(law, n, 29, r))
 
 
